@@ -194,11 +194,15 @@ def _join_features(cohort, features_csv: str):
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(header):
                 raise DataError(f"{features_csv}:{lineno}: bad field count")
-            rows[parts[0]] = [float(v) for v in parts[1:]]
-    missing = [sid for sid in cohort.ids if sid not in rows]
+            try:
+                rows[parts[0]] = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise DataError(f"{features_csv}:{lineno}: {exc}") from exc
+    ids = cohort.ids
+    missing = [sid for sid in ids if sid not in rows]
     if missing:
         raise DataError(f"{features_csv}: missing features for ids {missing[:5]}")
-    extra = np.array([rows[sid] for sid in cohort.ids])
+    extra = np.array([rows[sid] for sid in ids])
     base = FeatureMatrix(cohort.features, list(cohort.feature_names))
     fused = fuse_concat(base, FeatureMatrix(extra, names))
     return cohort.with_features(fused.data, fused.names)

@@ -1,4 +1,4 @@
-"""Competing-risks subjects: labeling rules, synthetic cohorts, splits.
+"""Competing-risks cohorts: labeling rules, synthetic cohorts, splits.
 
 A subject is the triple (x, t, e) with event label e in [0, R], 0 meaning
 right censoring. Labeling maps diagnosis-record tables onto that triple;
@@ -26,45 +26,64 @@ DAYS_PER_YEAR = 365.25
 
 
 @dataclass(frozen=True)
-class Subject:
-    id: str
-    x: np.ndarray
-    t: float
-    e: int
-
-
-@dataclass(frozen=True)
 class DiagnosisRecord:
     subject_id: str
     code: str
     date: dt.date
 
 
-class Cohort:
-    """Ordered subjects with shared risk and feature names."""
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
-    def __init__(self, subjects: list[Subject], risk_names: list[str],
+
+class Cohort:
+    """Subjects stored column-wise, with shared risk and feature names.
+
+    Row i is subject `ids[i]`: feature vector `features[i]` (float64,
+    shape (n, d)), time `times[i]` (float64, finite and non-negative) and
+    event `events[i]` (int64 in [0, R], 0 meaning right censoring). The
+    constructor copies each array once, validates every row, and marks the
+    copies read-only, so no caller can change a cohort through its arrays.
+    """
+
+    def __init__(self, ids, features, times, events, risk_names: list[str],
                  feature_names: list[str]):
-        d = len(feature_names)
-        R = len(risk_names)
-        for s in subjects:
-            if s.t < 0:
-                raise DataError(f"subject {s.id}: negative time {s.t}")
-            if not 0 <= s.e <= R:
-                raise DataError(f"subject {s.id}: event {s.e} outside [0, {R}]")
-            if s.x.shape != (d,):
-                raise DataError(f"subject {s.id}: feature length {s.x.shape} != ({d},)")
-            if d and not np.all(np.isfinite(s.x)):
-                raise DataError(f"subject {s.id}: non-finite feature value")
-        self.subjects = list(subjects)
+        self._ids = tuple(ids)
         self.risk_names = list(risk_names)
         self.feature_names = list(feature_names)
+        n, d, R = len(self._ids), self.d, self.n_risks
+        x = np.array(features, dtype=np.float64)
+        t = np.array(times, dtype=np.float64)
+        e = np.array(events, dtype=np.int64)
+        for name, arr, shape in (("features", x, (n, d)), ("times", t, (n,)),
+                                 ("events", e, (n,))):
+            if arr.shape != shape:
+                raise DataError(f"{name} shape {arr.shape} != {shape}")
+        if (i := _first(~np.isfinite(t))) is not None:
+            raise DataError(f"subject {self._ids[i]}: non-finite time {t[i]}")
+        if (i := _first(t < 0)) is not None:
+            raise DataError(f"subject {self._ids[i]}: negative time {t[i]}")
+        if (i := _first((e < 0) | (e > R))) is not None:
+            raise DataError(f"subject {self._ids[i]}: event {e[i]} outside [0, {R}]")
+        if (i := _first(~np.isfinite(x).all(axis=1))) is not None:
+            raise DataError(f"subject {self._ids[i]}: non-finite feature value")
+        self.features, self.times, self.events = x, t, e
+        self._freeze()
 
-    # -- array views ---------------------------------------------------------
+    def _freeze(self) -> None:
+        for arr in (self.features, self.times, self.events):
+            arr.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable, e.g. in CV worker processes
+        self.__dict__.update(state)
+        self._freeze()
 
     @property
     def n(self) -> int:
-        return len(self.subjects)
+        return len(self._ids)
 
     @property
     def d(self) -> int:
@@ -76,33 +95,17 @@ class Cohort:
 
     @property
     def ids(self) -> list[str]:
-        return [s.id for s in self.subjects]
-
-    @property
-    def features(self) -> np.ndarray:
-        if self.d == 0:
-            return np.zeros((self.n, 0))
-        return np.stack([s.x for s in self.subjects])
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.subjects])
-
-    @property
-    def events(self) -> np.ndarray:
-        return np.array([s.e for s in self.subjects], dtype=np.int64)
+        return list(self._ids)
 
     def subset(self, indices) -> "Cohort":
-        return Cohort([self.subjects[i] for i in indices], self.risk_names,
-                      self.feature_names)
+        idx = np.asarray(indices, dtype=np.intp)
+        return Cohort([self._ids[i] for i in idx], self.features[idx], self.times[idx],
+                      self.events[idx], self.risk_names, self.feature_names)
 
     def with_features(self, matrix: np.ndarray, feature_names: list[str]) -> "Cohort":
         """Same subjects and labels, replaced feature block."""
-        if matrix.shape[0] != self.n:
-            raise DataError(f"feature rows {matrix.shape[0]} != subjects {self.n}")
-        subjects = [Subject(s.id, np.asarray(matrix[i], dtype=np.float64), s.t, s.e)
-                    for i, s in enumerate(self.subjects)]
-        return Cohort(subjects, self.risk_names, list(feature_names))
+        return Cohort(self._ids, matrix, self.times, self.events, self.risk_names,
+                      feature_names)
 
     def event_count(self, risk: int) -> int:
         return int(np.sum(self.events == risk))
@@ -153,7 +156,9 @@ def build_labels(records: list[DiagnosisRecord],
         events_by_subject.setdefault(rec.subject_id, []).append((rec.date, risk))
 
     stats = LabelStats(labeled_per_risk={name: 0 for name in risk_names})
-    subjects: list[Subject] = []
+    ids: list[str] = []
+    times: list[float] = []
+    labels: list[int] = []
     all_ids = sorted(set(imaging_dates) | set(events_by_subject))
     for sid in all_ids:
         imaging = imaging_dates.get(sid)
@@ -162,8 +167,9 @@ def build_labels(records: list[DiagnosisRecord],
             continue
         events = sorted(events_by_subject.get(sid, []))
         if not events:
-            t = (censor_date - imaging).days / DAYS_PER_YEAR
-            subjects.append(Subject(sid, np.zeros(0), t, 0))
+            ids.append(sid)
+            times.append((censor_date - imaging).days / DAYS_PER_YEAR)
+            labels.append(0)
             stats.censored += 1
             continue
         first_date, first_risk = events[0]
@@ -171,10 +177,11 @@ def build_labels(records: list[DiagnosisRecord],
             # covers both events before imaging and the post-imaging window
             stats.excluded_prior_or_window += 1
             continue
-        t = (first_date - imaging).days / DAYS_PER_YEAR
-        subjects.append(Subject(sid, np.zeros(0), t, first_risk))
+        ids.append(sid)
+        times.append((first_date - imaging).days / DAYS_PER_YEAR)
+        labels.append(first_risk)
         stats.labeled_per_risk[risk_names[first_risk - 1]] += 1
-    return Cohort(subjects, risk_names, []), stats
+    return Cohort(ids, np.zeros((len(ids), 0)), times, labels, risk_names, []), stats
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +251,10 @@ def generate_synthetic(spec: SynthSpec, n: int) -> Cohort:
     observed = event_time <= censor
     t = np.where(observed, event_time, censor)
     e = np.where(observed, event_risk, 0)
-    subjects = [Subject(f"s{i:06d}", x[i].copy(), float(t[i]), int(e[i]))
-                for i in range(n)]
+    ids = [f"s{i:06d}" for i in range(n)]
     risk_names = [f"risk_{r + 1}" for r in range(spec.n_risks)]
     feat_names = [f"x{j + 1}" for j in range(spec.d)]
-    return Cohort(subjects, risk_names, feat_names)
+    return Cohort(ids, x, t, e, risk_names, feat_names)
 
 
 def _cause_hazards(spec: SynthSpec, x: np.ndarray):
@@ -324,11 +330,9 @@ def oracle_cif_curve(spec: SynthSpec, x: np.ndarray, tgrid: np.ndarray, r: int,
 # ---------------------------------------------------------------------------
 
 
-def _strata_indices(cohort: Cohort) -> dict[int, list[int]]:
-    strata: dict[int, list[int]] = {}
-    for i, e in enumerate(cohort.events):
-        strata.setdefault(int(e), []).append(i)
-    return strata
+def _strata_indices(cohort: Cohort) -> dict[int, np.ndarray]:
+    """Ascending row indices of each event label present in the cohort."""
+    return {int(e): np.flatnonzero(cohort.events == e) for e in np.unique(cohort.events)}
 
 
 def stratified_kfold(cohort: Cohort, k: int, seed: int) -> list[Cohort]:
@@ -338,7 +342,7 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int) -> list[Cohort]:
     deterministic function of (cohort order, seed).
     """
     rng = np.random.default_rng(seed)
-    fold_indices: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(cohort.n, dtype=np.int64)
     strata = _strata_indices(cohort)
     for stratum in sorted(strata):
         members = strata[stratum]
@@ -346,9 +350,8 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int) -> list[Cohort]:
             raise DataError(
                 f"stratum {stratum} has {len(members)} subjects, fewer than k={k}")
         order = rng.permutation(len(members))
-        for pos, idx in enumerate(order):
-            fold_indices[pos % k].append(members[idx])
-    return [cohort.subset(sorted(ix)) for ix in fold_indices]
+        fold_of[members[order]] = np.arange(len(members)) % k
+    return [cohort.subset(np.flatnonzero(fold_of == f)) for f in range(k)]
 
 
 def holdout_split(cohort: Cohort, fraction: float = 0.10,
@@ -371,15 +374,12 @@ def holdout_split(cohort: Cohort, fraction: float = 0.10,
     remainders = sorted(keys, key=lambda s: (-(quotas[s] - counts[s]), s))
     for s in remainders[:max(0, shortfall)]:
         counts[s] += 1
-    valid_idx: list[int] = []
+    in_valid = np.zeros(cohort.n, dtype=bool)
     for s in keys:
         members = strata[s]
         order = rng.permutation(len(members))
-        take = min(counts[s], len(members))
-        valid_idx.extend(members[i] for i in order[:take])
-    valid_set = set(valid_idx)
-    train_idx = [i for i in range(cohort.n) if i not in valid_set]
-    return cohort.subset(train_idx), cohort.subset(sorted(valid_idx))
+        in_valid[members[order[:counts[s]]]] = True
+    return cohort.subset(np.flatnonzero(~in_valid)), cohort.subset(np.flatnonzero(in_valid))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +392,9 @@ def cohort_to_csv(cohort: Cohort, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "time", "event"] + cohort.feature_names)
-        for s in cohort.subjects:
-            writer.writerow([s.id, repr(float(s.t)), s.e] + [repr(float(v)) for v in s.x])
+        for sid, t, e, x in zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
+                                cohort.features.tolist()):
+            writer.writerow([sid, repr(t), e] + [repr(v) for v in x])
 
 
 def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:
@@ -403,22 +404,21 @@ def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:
         if header is None or header[:3] != ["id", "time", "event"]:
             raise DataError(f"{path}: expected header starting 'id,time,event'")
         feature_names = header[3:]
-        subjects = []
-        max_event = 0
+        ids, times, events, rows = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                t = float(row[1])
-                e = int(row[2])
-                x = np.array([float(v) for v in row[3:]], dtype=np.float64)
+                times.append(float(row[1]))
+                events.append(int(row[2]))
+                rows.append([float(v) for v in row[3:]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-            max_event = max(max_event, e)
-            subjects.append(Subject(row[0], x, t, e))
+            ids.append(row[0])
     if risk_names is None:
-        risk_names = [f"risk_{r + 1}" for r in range(max_event)]
-    return Cohort(subjects, risk_names, feature_names)
+        risk_names = [f"risk_{r + 1}" for r in range(max(events, default=0))]
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_names))
+    return Cohort(ids, features, times, events, risk_names, feature_names)
 
 
 def records_from_csv(path) -> list[DiagnosisRecord]:

@@ -13,7 +13,6 @@ from .tensor import (
     ParamGraph,
     Tensor,
     add,
-    concat,
     dropout,
     layer_norm,
     matmul,
@@ -127,8 +126,3 @@ class TransformerBlock:
                  training: bool = False) -> Tensor:
         x = add(x, self.attn(self.ln1(x)))
         return add(x, self.mlp(self.ln2(x), rng=rng, training=training))
-
-
-def concat_features(a: Tensor, b: Tensor) -> Tensor:
-    """Column-wise concatenation of two (n, d) activations."""
-    return concat([a, b], axis=-1)

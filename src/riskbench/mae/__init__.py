@@ -5,7 +5,6 @@ from .model import (
     MaeHistory,
     MaeModel,
     extract_embedding,
-    mae_forward,
     psnr,
     sinusoidal_positions,
     train_mae,
@@ -23,7 +22,6 @@ __all__ = [
     "extract_embedding",
     "foreground_flags",
     "load_volume",
-    "mae_forward",
     "make_phantoms",
     "patchify",
     "psnr",

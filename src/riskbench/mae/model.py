@@ -162,11 +162,6 @@ def _take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     return Tensor(sel) @ x
 
 
-def mae_forward(model: MaeModel, grid: PatchGrid, plan: MaskPlan):
-    """Functional wrapper: reconstructed masked patches plus the loss."""
-    return model.forward(grid, plan)
-
-
 @dataclass
 class MaeHistory:
     epoch_losses: list[float]

@@ -33,6 +33,17 @@ from ..gradcore import sub as tsub
 from .base import PROB_FLOOR, BaseConfig, CifModel
 
 
+def _censored_keep(bins: np.ndarray, e: np.ndarray, n_bins: int, n_risks: int) -> np.ndarray:
+    """0/1 selector of the masses at or beyond each censored row's bin.
+
+    Shape (n, n_risks * n_bins), risk-major like the joint softmax; rows
+    with an event are all zero. `bins` are 1-based.
+    """
+    at_or_after = np.arange(1, n_bins + 1)[None, :] >= bins[:, None]
+    block = at_or_after & (e == 0)[:, None]
+    return np.tile(block, (1, n_risks)).astype(np.float64)
+
+
 @dataclass
 class DeepHitConfig(BaseConfig):
     bins: int = 15
@@ -116,10 +127,7 @@ class DeepHitModel(CifModel):
                             tlog(clamp_min(own_mass, PROB_FLOOR))))
 
         # censored term: mass at or beyond the censoring bin, over all risks
-        keep = np.zeros((nb, R * L))
-        for i in np.nonzero(e == 0)[0]:
-            for r in range(R):
-                keep[i, r * L + bins[i] - 1 : (r + 1) * L] = 1.0
+        keep = _censored_keep(bins, e, L, R)
         remaining = tsum(mul(y, Tensor(keep)), axis=-1)
         if training:
             self.clamp_count += int(np.sum((e == 0) & (remaining.data < PROB_FLOOR)))
@@ -177,11 +185,6 @@ class DeepHitModel(CifModel):
             return np.zeros(x.shape[0])
         block = y[:, (r - 1) * L : (r - 1) * L + l]
         return block.sum(axis=1)
-
-    def mass_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Joint masses reshaped to (n, R, L); sums to one per row."""
-        y = self._masses(np.atleast_2d(x), None, training=False).data
-        return y.reshape(-1, self.n_risks, self.n_bins)
 
     def _extra_state(self) -> dict:
         return {"edges": self.edges.tolist()}

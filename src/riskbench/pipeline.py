@@ -238,9 +238,9 @@ def run_fold(payload: tuple) -> dict:
     cohort, fold_ids, model_kind, grid, settings, seed, fold_idx = payload
     audit = LeakageAudit()
     fold_id_set = set(fold_ids)
-    test_idx = [i for i, sid in enumerate(cohort.ids) if sid in fold_id_set]
-    train_idx = [i for i in range(cohort.n) if cohort.ids[i] not in fold_id_set]
-    test, train_full = cohort.subset(test_idx), cohort.subset(train_idx)
+    in_test = np.array([sid in fold_id_set for sid in cohort.ids], dtype=bool)
+    test = cohort.subset(np.flatnonzero(in_test))
+    train_full = cohort.subset(np.flatnonzero(~in_test))
     with audit.active(tag=f"fold{fold_idx}"):
         train_t, test_t = _fold_features(train_full, test, settings)
         inner_train, inner_valid = holdout_split(

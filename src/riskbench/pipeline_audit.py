@@ -53,10 +53,6 @@ class LeakageAudit:
                 out.append(f"{event.tag or '?'}:{event.name}")
         return out
 
-    def summary(self) -> dict:
-        return {"fits": len(self.events),
-                "tags": sorted({e.tag for e in self.events})}
-
 
 def record_fit(name: str, ids) -> None:
     """Report a fitting call to the active audit, if any."""

@@ -12,7 +12,6 @@ from scipy import stats
 from riskbench.cli import main
 from riskbench.cohort import (
     Cohort,
-    Subject,
     SynthSpec,
     generate_synthetic,
     oracle_cif_curve,
@@ -60,9 +59,8 @@ def test_acceptance_1_ctd_bruteforce_equivalence():
         events[rng.random(n) < censor_frac] = 0
         if not np.any(events > 0):
             events[0] = 1
-        subjects = [Subject(f"s{i}", np.zeros(1), float(times[i]), int(events[i]))
-                    for i in range(n)]
-        cohort = Cohort(subjects, [f"r{q}" for q in range(n_risks)], ["x1"])
+        cohort = Cohort([f"s{i}" for i in range(n)], np.zeros((n, 1)), times, events,
+                        [f"r{q}" for q in range(n_risks)], ["x1"])
         scores = rng.uniform(size=(n, n))
         if rng.random() < 0.3:
             scores = np.round(scores, 1)  # force ties
@@ -280,15 +278,15 @@ def _disease_group_cohort(d: int = 8, seed: int = 555) -> Cohort:
     # stratum sizes of the disease-group cohort: four risks plus healthy
     sizes = {1: 1536, 2: 93, 3: 106, 4: 147, 0: 1139}
     rng = np.random.default_rng(seed)
-    subjects = []
-    i = 0
+    times, rows, events = [], [], []
     for e, count in sizes.items():
         mean_t = 4.1 if e == 0 else 3.0
         for _ in range(count):
-            t = float(max(0.05, rng.gamma(3.0, mean_t / 3.0)))
-            subjects.append(Subject(f"dg{i:05d}", rng.normal(size=d), t, e))
-            i += 1
-    return Cohort(subjects, ["cvd", "t2d", "copd", "ckd"],
+            times.append(float(max(0.05, rng.gamma(3.0, mean_t / 3.0))))
+            rows.append(rng.normal(size=d))
+            events.append(e)
+    ids = [f"dg{i:05d}" for i in range(len(times))]
+    return Cohort(ids, np.array(rows), times, events, ["cvd", "t2d", "copd", "ckd"],
                   [f"x{j}" for j in range(d)])
 
 

@@ -75,11 +75,11 @@ def test_label_toy_input(tmp_path, capsys):
                "--censor-date", "2020-01-01", "--out", str(out)])
     assert rc == 0
     cohort = cohort_from_csv(out, risk_names=["cvd", "t2d"])
-    by_id = {s.id: s for s in cohort.subjects}
+    by_id = dict(zip(cohort.ids, cohort.events))
     assert set(by_id) == {"a", "c", "d"}
-    assert by_id["a"].e == 1
-    assert by_id["c"].e == 2
-    assert by_id["d"].e == 0
+    assert by_id["a"] == 1
+    assert by_id["c"] == 2
+    assert by_id["d"] == 0
     stdout = capsys.readouterr().out
     assert "excluded (event before or within window): 1" in stdout
 
@@ -95,7 +95,7 @@ def test_label_empty_records_all_censored(tmp_path):
           "--censor-date", "2020-01-01", "--out", str(out)])
     cohort = cohort_from_csv(out, risk_names=["cvd"])
     assert cohort.n == 1
-    assert cohort.subjects[0].e == 0
+    assert cohort.events[0] == 0
 
 
 def test_label_bad_date_names_line(tmp_path, capsys):
@@ -217,3 +217,35 @@ def test_make_volumes_roundtrip(tmp_path):
     vol_dir = tmp_path / "vols"
     assert main(["make-volumes", "--config", cfg, "--out", str(vol_dir)]) == 0
     assert len(list(vol_dir.glob("*.rbvl"))) == 3
+
+
+def _cohort_with_nan_time(tmp_path) -> str:
+    doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
+    main(["synth", "--config", _write_config(tmp_path, doc, "synth.json")])
+    lines = (tmp_path / "out" / "cohort.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[1] = "nan"
+    lines[5] = ",".join(fields)
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_train_nan_time_in_cohort_csv_exit_3(tmp_path, capsys):
+    doc = {**DESK_CV, "data": {"cohort_csv": _cohort_with_nan_time(tmp_path)},
+           "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 3
+    assert "non-finite time" in capsys.readouterr().err
+
+
+def test_train_bad_features_csv_cell_exit_3(tmp_path, capsys):
+    feats = tmp_path / "feats.csv"
+    rows = ["id,f1"] + [f"s{i:06d},{0.1 * i}" for i in range(150)]
+    rows[3] = "s000002,abc"
+    feats.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    doc = {**DESK_CV, "data": {**DESK_CV["data"], "features_csv": str(feats)},
+           "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 3
+    assert f"{feats}:4:" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import datetime as dt
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbench.cohort import (
     Cohort,
     DiagnosisRecord,
-    Subject,
     SynthSpec,
     build_labels,
     cohort_from_csv,
@@ -52,16 +54,15 @@ def test_event_just_past_window_is_labeled():
     cohort, _ = build_labels(records, {"a": D(2015, 1, 1)},
                              {"cvd": ["I25"]}, D(2020, 1, 1))
     assert cohort.n == 1
-    assert cohort.subjects[0].e == 1
-    assert abs(cohort.subjects[0].t - 93 / 365.25) < 1e-12
+    assert cohort.events[0] == 1
+    assert abs(cohort.times[0] - 93 / 365.25) < 1e-12
 
 
 def test_no_events_censored_at_censor_date():
     cohort, stats = build_labels([], {"a": D(2015, 1, 1)},
                                  {"cvd": ["I25"]}, D(2019, 1, 1))
-    s = cohort.subjects[0]
-    assert s.e == 0
-    assert abs(s.t - 4.0) < 0.01
+    assert cohort.events[0] == 0
+    assert abs(cohort.times[0] - 4.0) < 0.01
     assert stats.censored == 1
 
 
@@ -78,14 +79,14 @@ def test_hand_built_six_subject_table():
         # s6 has no records -> censored
     ]
     cohort, stats = build_labels(records, imaging, codes, D(2020, 1, 1))
-    by_id = {s.id: s for s in cohort.subjects}
-    assert set(by_id) == {"s1", "s2", "s5", "s6"}
-    assert by_id["s1"].e == 1
-    assert by_id["s2"].e == 2
-    assert by_id["s5"].e == 1  # first occurrence rule
-    assert by_id["s6"].e == 0
+    row = {sid: i for i, sid in enumerate(cohort.ids)}
+    assert set(row) == {"s1", "s2", "s5", "s6"}
+    assert cohort.events[row["s1"]] == 1
+    assert cohort.events[row["s2"]] == 2
+    assert cohort.events[row["s5"]] == 1  # first occurrence rule
+    assert cohort.events[row["s6"]] == 0
     assert stats.excluded_prior_or_window == 2
-    assert abs(by_id["s5"].t - (D(2016, 6, 1) - D(2015, 1, 1)).days / 365.25) < 1e-12
+    assert abs(cohort.times[row["s5"]] - (D(2016, 6, 1) - D(2015, 1, 1)).days / 365.25) < 1e-12
 
 
 def test_missing_imaging_date_skipped_with_count():
@@ -194,14 +195,11 @@ def test_conditional_monte_carlo_matches_oracle_at_fixed_x():
 
 def _uniform_cohort(per_stratum: dict[int, int], d: int = 1, n_risks: int = 2) -> Cohort:
     rng = np.random.default_rng(0)
-    subjects = []
-    i = 0
-    for e, count in per_stratum.items():
-        for _ in range(count):
-            subjects.append(Subject(f"u{i}", rng.normal(size=d), float(1 + i % 7), e))
-            i += 1
+    n = sum(per_stratum.values())
+    events = np.repeat(list(per_stratum), list(per_stratum.values()))
     names = [f"risk_{r+1}" for r in range(n_risks)]
-    return Cohort(subjects, names, [f"x{j+1}" for j in range(d)])
+    return Cohort([f"u{i}" for i in range(n)], rng.normal(size=(n, d)),
+                  1.0 + np.arange(n) % 7, events, names, [f"x{j+1}" for j in range(d)])
 
 
 def test_kfold_even_strata():
@@ -267,6 +265,27 @@ def test_holdout_three_strata_proportional():
     assert not set(train.ids) & set(valid.ids)
 
 
+# -- construction ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_constructor_rejects_non_finite_time(bad):
+    times = [1.0, bad, 2.0]
+    with pytest.raises(DataError, match="subject b: non-finite time"):
+        Cohort(["a", "b", "c"], np.zeros((3, 1)), times, [0, 1, 0], ["risk_1"], ["x1"])
+
+
+def test_constructor_names_first_bad_subject():
+    with pytest.raises(DataError, match="subject c: negative time"):
+        Cohort(["a", "b", "c"], np.zeros((3, 0)), [1.0, 0.0, -2.0], [0, 0, 0], ["r"], [])
+    with pytest.raises(DataError, match=r"subject b: event 3 outside \[0, 2\]"):
+        Cohort(["a", "b"], np.zeros((2, 0)), [1.0, 1.0], [2, 3], ["r1", "r2"], [])
+    with pytest.raises(DataError, match="subject a: non-finite feature value"):
+        Cohort(["a", "b"], [[np.nan], [0.0]], [1.0, 1.0], [0, 0], ["r"], ["x1"])
+    with pytest.raises(DataError, match="features shape"):
+        Cohort(["a", "b"], np.zeros((2, 3)), [1.0, 1.0], [0, 0], ["r"], ["x1"])
+
+
 # -- CSV round trip ------------------------------------------------------------
 
 
@@ -289,3 +308,76 @@ def test_cohort_csv_rejects_bad_header(tmp_path):
     path.write_text("subject,when,what\n")
     with pytest.raises(DataError):
         cohort_from_csv(path)
+
+
+def test_cohort_csv_rejects_nan_time(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("id,time,event,x1\na,1.5,1,0.0\nb,nan,0,0.0\n")
+    with pytest.raises(DataError, match="subject b: non-finite time"):
+        cohort_from_csv(path)
+
+
+# -- properties of columnar cohorts --------------------------------------------
+
+
+@st.composite
+def small_cohorts(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(0, 3))
+    n_risks = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    times = np.round(rng.uniform(0.0, 5.0, size=n), 1)  # ties on purpose
+    events = rng.integers(0, n_risks + 1, size=n)
+    return Cohort([f"h{i}" for i in range(n)], rng.normal(size=(n, d)), times, events,
+                  [f"risk_{r + 1}" for r in range(n_risks)], [f"x{j}" for j in range(d)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cohorts(), st.data())
+def test_subset_matches_row_selection(cohort, data):
+    idx = data.draw(st.lists(st.integers(0, cohort.n - 1), max_size=2 * cohort.n))
+    sub = cohort.subset(idx)
+    assert sub.ids == [cohort.ids[i] for i in idx]
+    assert sub.features.shape == (len(idx), cohort.d)
+    for row, i in enumerate(idx):
+        assert np.array_equal(sub.features[row], cohort.features[i])
+        assert sub.times[row] == cohort.times[i]
+        assert sub.events[row] == cohort.events[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cohorts(), st.integers(1, 4), st.integers(0, 1000))
+def test_kfold_folds_partition_ids(cohort, k, seed):
+    sizes = np.unique(cohort.events, return_counts=True)[1]
+    if sizes.min() < k:
+        with pytest.raises(DataError):
+            stratified_kfold(cohort, k, seed)
+        return
+    folds = stratified_kfold(cohort, k, seed)
+    assert len(folds) == k
+    all_ids = [sid for fold in folds for sid in fold.ids]
+    assert sorted(all_ids) == sorted(cohort.ids)
+    assert len(set(all_ids)) == cohort.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cohorts(), st.floats(0.05, 0.95), st.integers(0, 1000))
+def test_holdout_parts_disjoint_and_cover(cohort, fraction, seed):
+    train, valid = holdout_split(cohort, fraction, seed)
+    assert not set(train.ids) & set(valid.ids)
+    assert sorted(train.ids + valid.ids) == sorted(cohort.ids)
+    assert valid.n == int(round(fraction * cohort.n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_cohorts(), st.booleans())
+def test_arrays_are_read_only(cohort, pickled):
+    if pickled:  # the copy a CV worker process receives
+        cohort = pickle.loads(pickle.dumps(cohort))
+    with pytest.raises(ValueError):
+        cohort.features[...] = 0.0
+    with pytest.raises(ValueError):
+        cohort.times[0] = 1.0
+    with pytest.raises(ValueError):
+        cohort.events[0] = 0

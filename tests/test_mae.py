@@ -10,7 +10,6 @@ from riskbench.mae import (
     extract_embedding,
     foreground_flags,
     load_volume,
-    mae_forward,
     make_phantoms,
     patchify,
     psnr,
@@ -349,13 +348,3 @@ def test_odd_embedding_dim_accepted():
     assert emb.shape == (65,)
     table = sinusoidal_positions(np.array([[1, 2, 3, 0], [4, 5, 6, 1]]), 1025)
     assert table.shape == (2, 1025)
-
-
-def test_mae_forward_functional_wrapper_matches_method():
-    _, grid, flags = _small_setup(18)
-    plan = sample_mask(flags, 0.7, seed=4)
-    model = MaeModel(MaeConfig(embed_dim=32, enc_layers=1, dec_layers=1))
-    p1, l1 = mae_forward(model, grid, plan)
-    p2, l2 = model.forward(grid, plan)
-    assert np.array_equal(p1.data, p2.data)
-    assert l1.item() == l2.item()

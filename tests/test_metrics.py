@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from riskbench.cohort import Cohort, Subject
+from riskbench.cohort import Cohort
 from riskbench.metrics import cif_score_matrix, ctd_bruteforce, ctd_index
 
 
 def _cohort(times, events, n_risks=2):
-    subjects = [Subject(f"m{i}", np.zeros(1), float(t), int(e))
-                for i, (t, e) in enumerate(zip(times, events))]
-    return Cohort(subjects, [f"risk_{r+1}" for r in range(n_risks)], ["x1"])
+    n = len(times)
+    return Cohort([f"m{i}" for i in range(n)], np.zeros((n, 1)), times, events,
+                  [f"risk_{r+1}" for r in range(n_risks)], ["x1"])
 
 
 def _random_cohort(rng, n, n_risks):

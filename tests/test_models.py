@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riskbench import gradcore as gc
-from riskbench.cohort import Cohort, Subject, SynthSpec, generate_synthetic
+from riskbench.cohort import Cohort, SynthSpec, generate_synthetic
 from riskbench.errors import DataError
 from riskbench.metrics import ctd_index
 from riskbench.models import (
@@ -97,9 +97,8 @@ def test_cif_validity_invariants(kind):
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_fit_requires_events_for_every_risk(kind):
     rng = np.random.default_rng(0)
-    subjects = [Subject(f"c{i}", rng.normal(size=2), float(i + 1), 0)
-                for i in range(40)]
-    censored_only = Cohort(subjects, ["risk_1"], ["x1", "x2"])
+    censored_only = Cohort([f"c{i}" for i in range(40)], rng.normal(size=(40, 2)),
+                           np.arange(1.0, 41.0), np.zeros(40), ["risk_1"], ["x1", "x2"])
     with pytest.raises(DataError, match="no events"):
         MODELS[kind](FIT_CONFIGS[kind]()).fit(censored_only, seed=0)
 
@@ -227,8 +226,8 @@ def test_dsm_recovers_base_shape_on_single_risk_data():
 
 
 def test_dsm_censored_only_rejected():
-    subjects = [Subject(f"z{i}", np.zeros(2), float(i + 1), 0) for i in range(30)]
-    coh = Cohort(subjects, ["risk_1"], ["a", "b"])
+    coh = Cohort([f"z{i}" for i in range(30)], np.zeros((30, 2)), np.arange(1.0, 31.0),
+                 np.zeros(30), ["risk_1"], ["a", "b"])
     with pytest.raises(DataError):
         DsmModel(_tiny_cfg(DsmConfig)).fit(coh, seed=0)
 
@@ -300,9 +299,8 @@ def test_nfg_balance_converges_to_event_proportions():
     n = 600
     events = (rng.random(n) < 0.7).astype(int) + 1
     times = np.where(events == 1, rng.gamma(2.0, 1.0, n), rng.gamma(3.0, 1.5, n))
-    subjects = [Subject(f"p{i}", np.zeros(2), float(times[i]), int(events[i]))
-                for i in range(n)]
-    coh = Cohort(subjects, ["risk_1", "risk_2"], ["a", "b"])
+    coh = Cohort([f"p{i}" for i in range(n)], np.zeros((n, 2)), times, events,
+                 ["risk_1", "risk_2"], ["a", "b"])
     cfg = NfgConfig(lr=5e-3, batch_size=128, layers=1, nodes=8,
                     monotone_layers=2, monotone_nodes=8,
                     max_epochs=150, patience=150)
@@ -414,10 +412,39 @@ def test_deephit_empty_bin_merge_warns():
     events = rng.integers(0, 2, size=120)
     if not events.any():
         events[0] = 1
-    subjects = [Subject(f"q{i}", rng.normal(size=2), float(times[i]), int(events[i]))
-                for i in range(120)]
-    coh = Cohort(subjects, ["risk_1"], ["a", "b"])
+    coh = Cohort([f"q{i}" for i in range(120)], rng.normal(size=(120, 2)), times, events,
+                 ["risk_1"], ["a", "b"])
     m = DeepHitModel(_tiny_cfg(DeepHitConfig, bins=10))
     with pytest.warns(UserWarning, match="merged"):
         m.fit(coh, seed=0, max_epochs=1)
     assert np.all(np.diff(m.edges) > 0)
+
+
+def _censored_keep_loop(bins, e, L, R):
+    """Reference: the per-censored-row, per-risk loop the mask replaced."""
+    keep = np.zeros((len(bins), R * L))
+    for i in np.nonzero(e == 0)[0]:
+        for r in range(R):
+            keep[i, r * L + bins[i] - 1 : (r + 1) * L] = 1.0
+    return keep
+
+
+def test_deephit_censored_keep_matches_loop():
+    from riskbench.models.deephit import _censored_keep
+
+    rng = np.random.default_rng(12)
+    n, R = 200, 3
+    times = np.round(rng.uniform(0.0, 6.0, size=n), 0)  # heavy ties, some t=0
+    times[:5] = 0.0
+    events = rng.integers(0, R + 1, size=n)
+    events[:2] = 0
+    events[5:5 + R] = np.arange(1, R + 1)
+    coh = Cohort([f"k{i}" for i in range(n)], rng.normal(size=(n, 2)), times, events,
+                 [f"risk_{r + 1}" for r in range(R)], ["a", "b"])
+    m = DeepHitModel(_tiny_cfg(DeepHitConfig, bins=6))
+    m._prepare(coh)
+    bins = np.maximum(m._bin_of(coh.times), 1)
+    assert np.any(coh.times == 0.0)
+    got = _censored_keep(bins, coh.events, m.n_bins, R)
+    assert np.array_equal(got, _censored_keep_loop(bins, coh.events, m.n_bins, R))
+    assert set(np.unique(got)) <= {0.0, 1.0}
