@@ -1,12 +1,19 @@
 """Dense float64 tensors with a reverse-mode tape.
 
-Every operation records its parents and a backward closure; the tape is
-rebuilt on each forward pass. Gradients accumulate into leaf tensors that
-were created with requires_grad=True, so repeated backward() calls without
-zeroing add up. Single-threaded use of a graph is assumed.
+An operation with at least one input that requires a gradient records its
+parents and a backward closure; the tape is rebuilt on each forward pass.
+A closure holds the op's inputs and arrays, never its output tensor, so a
+tape has no reference cycles and is freed as soon as its result is dropped,
+without the cyclic garbage collector. An operation none of whose inputs
+requires a gradient records neither, so evaluating under
+`ParamGraph.no_grad()` builds no tape. Gradients accumulate into leaf
+tensors that were created with requires_grad=True, so repeated backward()
+calls without zeroing add up. Single-threaded use of a graph is assumed.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -37,8 +44,12 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         # Leaves own a persistent accumulator; intermediates get one lazily.
         self.grad = np.zeros_like(self.data) if (requires_grad and not _parents) else None
-        self._parents = _parents
-        self._backward = _backward
+        if self.requires_grad:
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     # -- introspection ------------------------------------------------------
 
@@ -160,6 +171,22 @@ class ParamGraph:
         self.params[name] = t
         return t
 
+    @contextmanager
+    def no_grad(self):
+        """Evaluate without a tape: inside, no parameter requires a gradient.
+
+        Operations on the parameters then record no parents and no backward
+        closures. The previous flags are restored on exit.
+        """
+        flags = [(t, t.requires_grad) for t in self.params.values()]
+        for t, _ in flags:
+            t.requires_grad = False
+        try:
+            yield
+        finally:
+            for t, flag in flags:
+                t.requires_grad = flag
+
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad[...] = 0.0
@@ -189,7 +216,6 @@ class ParamGraph:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -197,13 +223,11 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b.grad += _unbroadcast(g, b.data.shape)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, _parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -211,13 +235,11 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b.grad += _unbroadcast(-g, b.data.shape)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, _parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -225,13 +247,11 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b.grad += _unbroadcast(g * a.data, b.data.shape)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data, _parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -239,8 +259,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -249,7 +268,6 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul contraction mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -259,133 +277,116 @@ def matmul(a, b) -> Tensor:
             gb = a.data.swapaxes(-1, -2) @ g
             b.grad += _unbroadcast(gb, b.data.shape)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
 def powc(a, exponent: float) -> Tensor:
     """Elementwise power with a constant exponent."""
     a = as_tensor(a)
     c = float(exponent)
-    out = Tensor(a.data**c, _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g * c * a.data ** (c - 1.0)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data**c, _parents=(a,), _backward=bwd)
 
 
 def texp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), _parents=(a,))
+    y = np.exp(a.data)
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * out.data
+            a.grad += g * y
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(a,), _backward=bwd)
 
 
 def tlog(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g / a.data
 
-    out._backward = bwd
-    return out
+    return Tensor(np.log(a.data), _parents=(a,), _backward=bwd)
 
 
 def tsqrt(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sqrt(a.data), _parents=(a,))
+    y = np.sqrt(a.data)
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * 0.5 / out.data
+            a.grad += g * 0.5 / y
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(a,), _backward=bwd)
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.tanh(a.data), _parents=(a,))
+    y = np.tanh(a.data)
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * (1.0 - out.data * out.data)
+            a.grad += g * (1.0 - y * y)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(a,), _backward=bwd)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g * (a.data > 0.0)
 
-    out._backward = bwd
-    return out
+    return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
 
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably; derivative is the logistic sigmoid."""
     a = as_tensor(a)
-    out = Tensor(np.logaddexp(0.0, a.data), _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g * _sigmoid(a.data)
 
-    out._backward = bwd
-    return out
+    return Tensor(np.logaddexp(0.0, a.data), _parents=(a,), _backward=bwd)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(_sigmoid(a.data), _parents=(a,))
+    y = _sigmoid(a.data)
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * out.data * (1.0 - out.data)
+            a.grad += g * y * (1.0 - y)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(a,), _backward=bwd)
 
 
 def terf(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(_erf(a.data), _parents=(a,))
     two_over_sqrt_pi = 2.0 / np.sqrt(np.pi)
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g * two_over_sqrt_pi * np.exp(-a.data * a.data)
 
-    out._backward = bwd
-    return out
+    return Tensor(_erf(a.data), _parents=(a,), _backward=bwd)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(x, floor); gradient flows only where x > floor."""
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, floor), _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g * (a.data > floor)
 
-    out._backward = bwd
-    return out
+    return Tensor(np.maximum(a.data, floor), _parents=(a,), _backward=bwd)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -393,15 +394,13 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             inner = (g * s).sum(axis=axis, keepdims=True)
             a.grad += s * (g - inner)
 
-    out._backward = bwd
-    return out
+    return Tensor(s, _parents=(a,), _backward=bwd)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -410,20 +409,19 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     e = np.exp(a.data - m)
     se = e.sum(axis=axis, keepdims=True)
     val = m + np.log(se)
-    out = Tensor(val if keepdims else np.squeeze(val, axis=axis), _parents=(a,))
+    if not keepdims:
+        val = np.squeeze(val, axis=axis)
 
     def bwd(g):
         if a.requires_grad:
             gg = g if keepdims else np.expand_dims(g, axis=axis)
             a.grad += gg * (e / se)
 
-    out._backward = bwd
-    return out
+    return Tensor(val, _parents=(a,), _backward=bwd)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,))
 
     def bwd(g):
         if not a.requires_grad:
@@ -434,8 +432,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis=axis)
             a.grad += np.broadcast_to(gg, a.data.shape)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -446,32 +443,27 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g.reshape(a.data.shape)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data.reshape(shape), _parents=(a,), _backward=bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.transpose(axes), _parents=(a,))
     inv = None if axes is None else np.argsort(axes)
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g.transpose(inv)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data.transpose(axes), _parents=(a,), _backward=bwd)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -482,8 +474,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 t.grad += g[tuple(idx)]
 
-    out._backward = bwd
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  _parents=tuple(tensors), _backward=bwd)
 
 
 def layer_norm(a, eps: float = 1e-5) -> Tensor:
@@ -493,7 +485,6 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (a.data - mu) * inv
-    out = Tensor(y, _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
@@ -501,8 +492,7 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
             gym = (g * y).mean(axis=-1, keepdims=True)
             a.grad += inv * (g - gm - y * gym)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(a,), _backward=bwd)
 
 
 def dropout(a, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -513,14 +503,12 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool = True) -> Ten
     if not training or p == 0.0:
         return a
     mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    out = Tensor(a.data * mask, _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             a.grad += g * mask
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data * mask, _parents=(a,), _backward=bwd)
 
 
 def sdpa(q, k, v) -> Tensor:

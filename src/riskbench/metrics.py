@@ -4,7 +4,9 @@ A pair (i, j) is comparable for risk r when subject i has an event of
 type r, t_i < t_j and t_i lies at or before the evaluation horizon; j may
 be censored or belong to any risk. The pair counts as concordant when the
 model assigns i the higher incidence at time t_i, with predictions closer
-than 1e-12 scored as half-concordant.
+than 1e-12 scored as half-concordant. The index needs F_r(t_i | x_j) only
+at the event times t_i, so a model is queried once per risk, with all of
+those times in one batched `cif_curves` call.
 """
 
 from __future__ import annotations
@@ -35,15 +37,12 @@ class CtdResult:
 def cif_score_matrix(model, cohort, r: int) -> np.ndarray:
     """S[i, j] = F_r(t_i | x_j) for every subject i with an event of risk r.
 
+    One `model.cif_curves` call answers every event time, in row order.
     Rows for non-events are left as zeros and ignored by the index.
     """
-    x = cohort.features
-    times = cohort.times
-    events = cohort.events
-    n = cohort.n
-    scores = np.zeros((n, n))
-    for i in np.nonzero(events == r)[0]:
-        scores[i, :] = model.cif(x, float(times[i]), r)
+    rows = np.nonzero(cohort.events == r)[0]
+    scores = np.zeros((cohort.n, cohort.n))
+    scores[rows] = model.cif_curves(cohort.features, cohort.times[rows], r)
     return scores
 
 

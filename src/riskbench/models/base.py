@@ -1,9 +1,11 @@
 """Shared contract for the competing-risk models.
 
 Every model fits on a cohort and afterwards answers F_r(t|x), the
-probability of event r occurring by time t. Training is mini-batch Adam
-with early stopping on a validation likelihood; time inputs are rescaled
-by the training-set maximum so exponentials stay tame (queries rescale
+probability of event r occurring by time t, through one batched query:
+`cif_curves(x, times, r)` runs the covariate path once and evaluates every
+query time from it, without a tape. Training is mini-batch Adam with early
+stopping on a validation likelihood; time inputs are rescaled by the
+training-set maximum so exponentials stay tame (queries rescale
 consistently, leaving CIF values unchanged).
 """
 
@@ -22,6 +24,11 @@ from ..gradcore import AdamState, ParamGraph, adam_step, load_checkpoint, save_c
 from ..pipeline_audit import record_fit
 
 PROB_FLOOR = 1e-12
+# (time, subject) pairs evaluated per step of a CIF query. This bounds the
+# query's memory whatever the number of times and subjects. At 2,048 pairs a
+# 32-wide float64 activation block is 512 KB and stays in a 2 MB L2 cache; on
+# such a Xeon, 8,192 pairs per step ran the NFG time path about half as fast.
+CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -60,8 +67,22 @@ def _rng_stream(seed: int, label: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), label)))
 
 
+def evaluate_pairs(n_times: int, n_rows: int, fn) -> np.ndarray:
+    """(n_times, n_rows) array of fn(time_index, row_index) over all pairs.
+
+    The pairs run time-major through the flattened grid and `fn` sees at
+    most CHUNK_ROWS of them per call, as two index arrays of equal length;
+    it returns one value per pair.
+    """
+    out = np.empty(n_times * n_rows)
+    for lo in range(0, out.size, CHUNK_ROWS):
+        flat = np.arange(lo, min(lo + CHUNK_ROWS, out.size))
+        out[lo : lo + flat.size] = fn(flat // n_rows, flat % n_rows)
+    return out.reshape(n_times, n_rows)
+
+
 class CifModel:
-    """Base class: fit(cohort, seed) then cif(x, t, r)."""
+    """Base class: fit(cohort, seed) then cif_curves(x, times, r) or cif(x, t, r)."""
 
     kind = "abstract"
 
@@ -87,7 +108,8 @@ class CifModel:
               rng: np.random.Generator | None, training: bool):
         raise NotImplementedError
 
-    def _cif(self, x: np.ndarray, t: float, r: int) -> np.ndarray:
+    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
+        """(len(times), n) incidences of risk r at positive, finite times."""
         raise NotImplementedError
 
     def _pre_fit(self, train: Cohort, rng: np.random.Generator) -> None:
@@ -101,18 +123,34 @@ class CifModel:
 
     # public surface ------------------------------------------------------
 
-    def cif(self, x: np.ndarray, t: float, r: int) -> np.ndarray | float:
+    def cif_curves(self, x: np.ndarray, times, r: int) -> np.ndarray:
+        """F_r(times[i] | x[j]) as a (len(times), n) array; x is (n, d).
+
+        The covariate path runs once for all rows; every (time, row) pair is
+        then evaluated from it, CHUNK_ROWS pairs at a time. No tape is built.
+        Times must be finite and non-negative, else ValueError; F_r(0|x) = 0.
+        """
         if not self._fitted:
             raise RuntimeError(f"{self.kind}: predict before fit")
-        if t < 0:
-            raise ValueError(f"time must be non-negative, got {t}")
+        times = np.ravel(np.asarray(times, dtype=np.float64))
+        if not np.all(np.isfinite(times)):
+            raise ValueError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
+        if np.any(times < 0):
+            raise ValueError(f"time must be non-negative, got {times[times < 0][0]}")
         if not 1 <= r <= self.n_risks:
             raise ValueError(f"risk {r} outside 1..{self.n_risks}")
         x = np.asarray(x, dtype=np.float64)
+        curves = np.zeros((times.size, x.shape[0]))
+        positive = times > 0.0
+        with self.graph.no_grad():
+            curves[positive] = self._cif_curves(x, times[positive], r)
+        return curves
+
+    def cif(self, x: np.ndarray, t: float, r: int) -> np.ndarray | float:
+        """F_r(t|x) for one time: a float for one subject, else one per row."""
+        x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        out = self._cif(x, float(t), r)
+        out = self.cif_curves(x[None, :] if single else x, [t], r)[0]
         return float(out[0]) if single else out
 
     def fit(self, train: Cohort, seed: int, valid: Cohort | None = None,
@@ -166,7 +204,8 @@ class CifModel:
                 loss.backward()
                 adam_step(adam, self.graph)
                 losses.append(value)
-            valid_loss = self._loss(xv, tv, ev, None, training=False).item()
+            with self.graph.no_grad():
+                valid_loss = self._loss(xv, tv, ev, None, training=False).item()
             if not np.isfinite(valid_loss):
                 raise NumericError(f"{self.kind}: non-finite validation loss",
                                    {"epoch": epoch})

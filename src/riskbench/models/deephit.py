@@ -177,14 +177,15 @@ class DeepHitModel(CifModel):
 
     # -- prediction ------------------------------------------------------------------
 
-    def _cif(self, x: np.ndarray, t: float, r: int) -> np.ndarray:
+    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
+        """Masses once; each distinct bin's running sum once, gathered per time."""
         y = self._masses(x, None, training=False).data
-        L = self.n_bins
-        l = int(self._bin_of(np.array([t]))[0])
-        if l == 0:
-            return np.zeros(x.shape[0])
-        block = y[:, (r - 1) * L : (r - 1) * L + l]
-        return block.sum(axis=1)
+        lo = (r - 1) * self.n_bins
+        bins = self._bin_of(times)
+        sums = np.zeros((self.n_bins + 1, x.shape[0]))
+        for l in np.unique(bins):
+            sums[l] = y[:, lo : lo + l].sum(axis=1)
+        return sums[bins]
 
     def _extra_state(self) -> dict:
         return {"edges": self.edges.tolist()}

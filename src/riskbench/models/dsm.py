@@ -35,7 +35,7 @@ from ..gradcore import (
 )
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
-from .base import PROB_FLOOR, BaseConfig, CifModel
+from .base import PROB_FLOOR, BaseConfig, CifModel, evaluate_pairs
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -132,6 +132,9 @@ class DsmModel(CifModel):
             cdf = mul(tadd(1.0, terf(mul(zz, 1.0 / np.sqrt(2.0)))), 0.5)
         return log_pdf, cdf
 
+    def _gate_logits(self, r: int, h: Tensor) -> Tensor:
+        return tadd(h @ self.gate_w[r], self.gate_b[r].reshape(1, self.config.k))
+
     def _risk_terms(self, r: int, u_col: Tensor, h: Tensor | None):
         """Mixture log-density (nb,) and CIF (nb,) for one risk."""
         k = self.config.k
@@ -141,7 +144,7 @@ class DsmModel(CifModel):
             log_gates = Tensor(np.full((1, k), -np.log(k)))
             gates = Tensor(np.full((1, k), 1.0 / k))
         else:
-            logits = tadd(h @ self.gate_w[r], self.gate_b[r].reshape(1, k))
+            logits = self._gate_logits(r, h)
             log_gates = tsub(logits, logsumexp(logits, axis=-1, keepdims=True))
             gates = softmax(logits, axis=-1)
         log_f = logsumexp(tadd(log_gates, log_pdf), axis=-1)
@@ -203,18 +206,20 @@ class DsmModel(CifModel):
 
     # -- prediction -------------------------------------------------------------
 
-    def _cif(self, x: np.ndarray, t: float, r: int) -> np.ndarray:
-        u = np.full((x.shape[0], 1), max(t / self.t_scale, 0.0))
-        if t == 0.0:
-            return np.zeros(x.shape[0])
-        u = np.maximum(u, 1e-300)
+    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
+        """Encoder, gates and component (a, b) once; the CDFs per pair."""
         h = self.encoder(Tensor(x))
-        _, cif = self._risk_terms(r - 1, Tensor(u), h)
-        return cif.data.copy()
+        a, b = (p.data for p in self._component_params(r - 1, h))
+        gates = softmax(self._gate_logits(r - 1, h), axis=-1).data
+        u = np.maximum(times / self.t_scale, 1e-300)
+
+        def at(ti, ri):
+            _, cdf = self._log_pdf_and_cdf(Tensor(u[ti, None]), Tensor(a[ri]), Tensor(b[ri]))
+            return tsum(mul(Tensor(gates[ri]), cdf), axis=-1).data
+
+        return evaluate_pairs(times.size, x.shape[0], at)
 
     def gate_weights(self, x: np.ndarray, r: int) -> np.ndarray:
         """Mixture gates pi_{r,j}(x); rows sum to one."""
         h = self.encoder(Tensor(np.atleast_2d(x)))
-        logits = tadd(h @ self.gate_w[r - 1],
-                      self.gate_b[r - 1].reshape(1, self.config.k))
-        return softmax(logits, axis=-1).data.copy()
+        return softmax(self._gate_logits(r - 1, h), axis=-1).data.copy()

@@ -9,7 +9,8 @@ Since t >= 0, M > 0 and dM/dt >= 0 imply t*M is non-decreasing.
 The event density dF_r/dt is assembled on the tape by propagating the
 time derivative layer by layer (forward tangents), so parameter gradients
 of the likelihood flow through the derivative with no hand-derived
-formula.
+formula. Only the likelihood needs that tangent; a CIF query computes the
+embedding term E(x) @ W once and runs just the time path per query time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..gradcore import (
 )
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
-from .base import PROB_FLOOR, BaseConfig, CifModel
+from .base import PROB_FLOOR, BaseConfig, CifModel, evaluate_pairs
 
 
 @dataclass
@@ -64,24 +65,33 @@ class MonotoneNet:
                                      xavier_uniform(rng, width, 1, (width, 1)))
         self.b_out = graph.parameter(f"{name}.b_out", np.zeros(1))
 
-    def forward(self, u_col: Tensor, emb: Tensor) -> tuple[Tensor, Tensor]:
-        """Returns (M, dM/du), both (n, 1), at rescaled times u."""
+    def forward(self, u_col: Tensor, proj: Tensor) -> tuple[Tensor, tuple]:
+        """M (n, 1) at rescaled times u, given the embedding term emb @ w_emb.
+
+        Also returns the record of squared weights and activations that
+        tangent() differentiates.
+        """
         wt2 = mul(self.w_time, self.w_time)
-        z = tadd(tadd(u_col @ wt2, emb @ self.w_emb), self.b_in)
-        dz = Tensor(np.ones((u_col.shape[0], 1))) @ wt2
-        a = tanh(z)
-        da = mul(tsub(1.0, mul(a, a)), dz)
+        a = tanh(tadd(tadd(u_col @ wt2, proj), self.b_in))
+        layers = [(wt2, a)]
         for w, b in zip(self.hidden_w, self.hidden_b):
             w2 = mul(w, w)
-            z = tadd(a @ w2, b)
-            dz = da @ w2
-            a = tanh(z)
-            da = mul(tsub(1.0, mul(a, a)), dz)
+            a = tanh(tadd(a @ w2, b))
+            layers.append((w2, a))
         w2 = mul(self.w_out, self.w_out)
         z_out = tadd(a @ w2, self.b_out)
-        m = softplus(z_out)
-        dm = mul(sigmoid(z_out), da @ w2)
-        return m, dm
+        return softplus(z_out), (layers, w2, z_out)
+
+    @staticmethod
+    def tangent(record: tuple) -> Tensor:
+        """dM/du (n, 1), carried forward through the layers of `record`."""
+        layers, w_out2, z_out = record
+        wt2, a = layers[0]
+        dz = Tensor(np.ones((a.shape[0], 1))) @ wt2
+        da = mul(tsub(1.0, mul(a, a)), dz)
+        for w2, a in layers[1:]:
+            da = mul(tsub(1.0, mul(a, a)), da @ w2)
+        return mul(sigmoid(z_out), da @ w_out2)
 
 
 class NfgModel(CifModel):
@@ -110,13 +120,21 @@ class NfgModel(CifModel):
     def _balance(self, h: Tensor) -> Tensor:
         return softmax(tadd(h @ self.balance_w, self.balance_b), axis=-1)
 
+    def _balance_col(self, balance: Tensor, r: int) -> Tensor:
+        """B(E(x))_r as an (n, 1) column."""
+        return mul(balance, Tensor(_one_hot(r, self.n_risks))).sum(axis=-1, keepdims=True)
+
+    def _risk_cif(self, r: int, u_col: Tensor, proj: Tensor, b_col: Tensor):
+        """CIF (n, 1) of risk r, plus M, exp(-u*M) and the monotone record."""
+        m, record = self.monotone[r].forward(u_col, proj)
+        decay = texp(mul(mul(u_col, m), -1.0))
+        return mul(b_col, tsub(1.0, decay)), m, decay, record
+
     def _risk_cif_density(self, r: int, u_col: Tensor, h: Tensor, balance: Tensor):
         """CIF (n,) and density in rescaled time (n,) for risk r."""
-        m, dm = self.monotone[r].forward(u_col, h)
-        tm = mul(u_col, m)
-        decay = texp(mul(tm, -1.0))
-        b_col = mul(balance, Tensor(_one_hot(r, self.n_risks))).sum(axis=-1, keepdims=True)
-        cif = mul(b_col, tsub(1.0, decay))
+        b_col = self._balance_col(balance, r)
+        cif, m, decay, record = self._risk_cif(r, u_col, h @ self.monotone[r].w_emb, b_col)
+        dm = self.monotone[r].tangent(record)
         # dF/du = B_r * exp(-u*M) * (M + u * dM/du)
         density = mul(mul(b_col, decay), tadd(m, mul(u_col, dm)))
         return cif.reshape(-1), density.reshape(-1)
@@ -146,14 +164,19 @@ class NfgModel(CifModel):
                         tlog(clamp_min(surv, PROB_FLOOR))))
         return mul(tadd(loglik, cens), -1.0 / nb)
 
-    def _cif(self, x: np.ndarray, t: float, r: int) -> np.ndarray:
-        if t == 0.0:
-            return np.zeros(x.shape[0])
-        u = np.full((x.shape[0], 1), t / self.t_scale)
+    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
+        """Encoder, balance and emb @ w_emb once; the time path per pair."""
         h = self.encoder(Tensor(x))
-        balance = self._balance(h)
-        cif, _ = self._risk_cif_density(r - 1, Tensor(u), h, balance)
-        return cif.data.copy()
+        proj = (h @ self.monotone[r - 1].w_emb).data
+        b_col = self._balance_col(self._balance(h), r - 1).data
+        u = times / self.t_scale
+
+        def at(ti, ri):
+            cif, *_ = self._risk_cif(r - 1, Tensor(u[ti, None]), Tensor(proj[ri]),
+                                     Tensor(b_col[ri]))
+            return cif.data[:, 0]
+
+        return evaluate_pairs(times.size, x.shape[0], at)
 
     def balance_head(self, x: np.ndarray) -> np.ndarray:
         """Softmax risk-balance probabilities B(E(x)); rows sum to one."""
@@ -164,8 +187,9 @@ class NfgModel(CifModel):
         """(M, dM/du) of the fitted risk-r monotone net at rescaled time."""
         u = np.full((np.atleast_2d(x).shape[0], 1), t / self.t_scale)
         h = self.encoder(Tensor(np.atleast_2d(x)))
-        m, dm = self.monotone[r - 1].forward(Tensor(u), h)
-        return m.data.copy(), dm.data.copy()
+        net = self.monotone[r - 1]
+        m, record = net.forward(Tensor(u), h @ net.w_emb)
+        return m.data.copy(), net.tangent(record).data.copy()
 
 
 def _one_hot(index: int, size: int) -> np.ndarray:

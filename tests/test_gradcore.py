@@ -173,6 +173,22 @@ def test_corrupted_gradient_fails_check():
     assert not report.passed
 
 
+def test_no_grad_builds_no_tape_and_restores_flags():
+    g = gc.ParamGraph()
+    p = g.parameter("p", np.array([0.5, -0.3]))
+    with pytest.raises(KeyError):
+        with g.no_grad():
+            out = gc.tsum(gc.texp(gc.mul(p, p)))
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+            raise KeyError("leave the context by an exception")
+    assert p.requires_grad
+    out = gc.tsum(gc.texp(gc.mul(p, p)))
+    assert out._parents and out._backward is not None
+    out.backward()
+    assert np.allclose(p.grad, 2.0 * p.data * np.exp(p.data**2))
+
+
 def test_adam_zero_gradient_leaves_parameters():
     g = gc.ParamGraph()
     p = g.parameter("p", np.array([1.0, 2.0]))

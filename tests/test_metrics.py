@@ -25,8 +25,8 @@ class _ScoreModel:
     def __init__(self, per_subject_scores):
         self.scores = np.asarray(per_subject_scores, dtype=np.float64)
 
-    def cif(self, x, t, r):
-        return self.scores
+    def cif_curves(self, x, times, r):
+        return np.tile(self.scores, (len(times), 1))
 
 
 def test_perfect_ordering_scores_one():
@@ -145,19 +145,22 @@ def test_metric_record_json_keys():
     assert res.to_json() == {"risk": 1, "ctd": 1.0, "pairs": 1, "horizon": 2.0}
 
 
-def test_cif_score_matrix_calls_model_per_event_time():
-    cohort = _cohort([1.0, 2.0, 3.0], [1, 0, 1], n_risks=1)
+def test_cif_score_matrix_queries_event_times_once_per_risk():
+    cohort = _cohort([3.0, 2.0, 1.0, 4.0, 2.5], [1, 0, 2, 1, 2], n_risks=2)
 
     class Recorder:
         def __init__(self):
             self.calls = []
 
-        def cif(self, x, t, r):
-            self.calls.append((t, r))
-            return np.full(x.shape[0], t / 10.0)
+        def cif_curves(self, x, times, r):
+            self.calls.append((list(times), r))
+            return np.tile(np.asarray(times)[:, None] / 10.0 + r, (1, x.shape[0]))
 
     model = Recorder()
-    scores = cif_score_matrix(model, cohort, 1)
-    assert model.calls == [(1.0, 1), (3.0, 1)]
-    assert np.allclose(scores[0], 0.1)
-    assert np.allclose(scores[1], 0.0)  # non-event row untouched
+    for r, rows in ((1, [0, 3]), (2, [2, 4])):
+        scores = cif_score_matrix(model, cohort, r)
+        assert model.calls[-1] == ([cohort.times[i] for i in rows], r)
+        for i in range(cohort.n):
+            want = cohort.times[i] / 10.0 + r if i in rows else 0.0  # non-event rows stay zero
+            assert np.all(scores[i] == want)
+    assert len(model.calls) == 2

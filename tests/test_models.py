@@ -1,5 +1,9 @@
+import gc as pygc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbench import gradcore as gc
 from riskbench.cohort import Cohort, SynthSpec, generate_synthetic
@@ -16,6 +20,7 @@ from riskbench.models import (
     build_model,
     load_model,
 )
+from riskbench.models.base import CHUNK_ROWS
 from riskbench.models.dsm import inv_softplus
 
 
@@ -70,6 +75,96 @@ def test_negative_time_rejected(kind):
     m.fit(coh, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         m.cif(coh.features[:2], -0.5, 1)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """One small fitted model per kind, shared by the read-only query tests."""
+    coh = _synth(240, seed=9)
+    models = {}
+    for kind, cls in MODELS.items():
+        models[kind] = cls(FIT_CONFIGS[kind]())
+        models[kind].fit(coh, seed=4)
+    return coh, models
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_time_rejected(kind, bad, fitted):
+    coh, models = fitted
+    with pytest.raises(ValueError, match="time must be"):
+        models[kind].cif(coh.features[:2], bad, 1)
+    with pytest.raises(ValueError, match="finite"):
+        models[kind].cif_curves(coh.features[:2], [1.0, bad], 1)
+
+
+def _likelihood_cif(m, x, t, r):
+    """F_r(t|x) as the training likelihood computes it, one time at a time."""
+    u = gc.Tensor(np.full((x.shape[0], 1), max(t / m.t_scale, 1e-300)))
+    if m.kind == "nfg":
+        h = m.encoder(gc.Tensor(x))
+        return m._risk_cif_density(r - 1, u, h, m._balance(h))[0].data
+    if m.kind == "dsm":
+        return m._risk_terms(r - 1, u, m.encoder(gc.Tensor(x)))[1].data
+    y = m._masses(x, None, training=False).data
+    lo = (r - 1) * m.n_bins
+    return y[:, lo : lo + int(m._bin_of(np.array([t]))[0])].sum(axis=1)
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_cif_curves_match_likelihood_cif_per_time(kind, fitted):
+    coh, models = fitted
+    m = models[kind]
+    x = coh.features[:30]
+    tmax = float(coh.times.max())
+    last_edge = float(m.edges[-1]) if kind == "deephit" else tmax
+    times = np.concatenate([[0.0, 1.5, 1.5], np.linspace(0.01, 2.0 * last_edge, 147)])
+    assert times.size * x.shape[0] > 2 * CHUNK_ROWS
+    assert times.max() > last_edge
+    for r in (1, 2):
+        curves = m.cif_curves(x, times, r)
+        assert curves.shape == (times.size, x.shape[0])
+        want = np.array([_likelihood_cif(m, x, float(t), r) for t in times])
+        assert np.max(np.abs(curves - want)) < 1e-12
+        assert np.array_equal(curves[1], curves[2])
+        assert np.array_equal(curves[0], np.zeros(x.shape[0]))
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_fit_and_cif_curves_leave_no_cyclic_garbage(kind):
+    # tapes must be freed by reference counting alone
+    coh = _synth(200, seed=3)
+    times = np.linspace(0.0, float(coh.times.max()), 200)
+    pygc.collect()
+    pygc.disable()
+    try:
+        m = MODELS[kind](FIT_CONFIGS[kind]())
+        m.fit(coh, seed=1)
+        assert pygc.collect() == 0
+        m.cif_curves(coh.features, times, 1)
+        assert pygc.collect() == 0
+    finally:
+        pygc.enable()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(list(MODELS)),
+       st.lists(st.floats(0.0, 3.0), min_size=1, max_size=60))
+def test_cif_curves_monotone_bounded_and_summing_below_one(fitted, kind, grid):
+    coh, models = fitted
+    tmax = float(coh.times.max())
+    times = np.sort(np.asarray(grid)) * tmax
+    x = coh.features[:25]
+    curves = [models[kind].cif_curves(x, times, r) for r in (1, 2)]
+    for c in curves:
+        assert np.all(c >= 0.0) and np.all(c <= 1.0)
+        assert np.all(np.diff(c, axis=0) >= -1e-12)
+    total = curves[0] + curves[1]
+    if kind == "dsm":
+        # DSM's budget hinge bounds the sum only up to 1.05x the training
+        # horizon; past it the sum can exceed 1 (a known limitation)
+        total = total[times <= tmax]
+    assert np.all(total <= 1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("kind", list(MODELS))
