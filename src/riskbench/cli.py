@@ -12,6 +12,7 @@ randomness derives from the single `seed` key. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -208,6 +209,20 @@ def _join_features(cohort, features_csv: str):
     return cohort.with_features(fused.data, fused.names)
 
 
+def _model_spec(doc: dict) -> tuple[str, dict]:
+    """The model kind and its config extras, checked against the kind's config."""
+    model = doc.get("model", {})
+    kind = model.get("kind", "dsm")
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    extras = model.get("extras") or {}
+    known = {f.name for f in dataclasses.fields(MODEL_KINDS[kind][1])}
+    for key in extras:
+        if key not in known:
+            raise ConfigError(f"unknown model.extras key {key!r} for model kind {kind!r}")
+    return kind, extras
+
+
 def _cv_settings(doc: dict) -> tuple[CvSettings, int, dict]:
     cv = doc.get("cv", {})
     preset = cv.get("preset", "full")
@@ -224,10 +239,10 @@ def _cv_settings(doc: dict) -> tuple[CvSettings, int, dict]:
     feats = doc.get("features", {})
     settings.standardize = feats.get("standardize", True)
     settings.pca_components = feats.get("pca_components", 0)
-    model = doc.get("model", {})
-    settings.extra_fields = model.get("extras") or None
+    kind, extras = _model_spec(doc)
+    settings.extra_fields = extras or None
     grid = HParamGrid.from_dict(doc.get("grid", {}))
-    return settings, k, {"grid": grid, "kind": model.get("kind", "dsm")}
+    return settings, k, {"grid": grid, "kind": kind}
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +326,9 @@ def cmd_train(args) -> int:
     doc = load_config(args.config, args.set)
     digest = config_hash(doc)
     print(f"config_hash={digest}")
+    kind, extras = _model_spec(doc)
     cohort = _load_cohort(doc)
-    model_doc = doc.get("model", {})
-    kind = model_doc.get("kind", "dsm")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    model = build_model(kind, **(model_doc.get("extras") or {}))
+    model = build_model(kind, **extras)
     history = model.fit(cohort, seed=doc["seed"])
     out = _out_dir(doc) / f"{kind}.rbck"
     model.save(out)
@@ -336,8 +348,8 @@ def cmd_cv(args) -> int:
     doc = load_config(args.config, overrides)
     digest = config_hash(doc)
     print(f"config_hash={digest}")
-    cohort = _load_cohort(doc)
     settings, k, extras = _cv_settings(doc)
+    cohort = _load_cohort(doc)
     if doc.get("cv", {}).get("save_fold_checkpoints", False):
         settings.checkpoint_dir = str(_out_dir(doc))
     report = nested_cv(cohort, extras["kind"], grid=extras["grid"], k=k,

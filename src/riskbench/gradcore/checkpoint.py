@@ -7,10 +7,14 @@ little-endian payload in row-major order. Records run to end of file.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from ..errors import DataError
+from .tensor import ParamGraph, ShapeError
 
 MAGIC = b"RBCK"
 VERSION = 1
@@ -33,25 +37,49 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Every record of a checkpoint file, by name.
+
+    Raises DataError on bad magic, an unknown version, a record cut short
+    or a name that is not utf-8. A file cut exactly between records reads
+    as a shorter checkpoint; `restore_checkpoint` then reports the
+    parameters it lacks.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic {blob[:4]!r})")
-    version = struct.unpack_from("<I", blob, 4)[0]
+        raise DataError(f"{path}: not a checkpoint file (bad magic {blob[:4]!r})")
+    offset = 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise DataError(f"{path}: truncated {what} at byte {offset}")
+        offset += size
+        return blob[offset - size : offset]
+
+    (version,) = struct.unpack("<I", take(4, "header"))
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     arrays: dict[str, np.ndarray] = {}
-    offset = 8
     while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-        offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims)
-        offset += 8 * count
-        arrays[name] = arr.astype(np.float64)
+        (name_len,) = struct.unpack("<I", take(4, "record"))
+        try:
+            name = take(name_len, "record name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: record name is not utf-8 ({exc})") from exc
+        (rank,) = struct.unpack("<I", take(4, f"record {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r}"))
+        payload = take(8 * math.prod(dims), f"record {name!r}")
+        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     return arrays
+
+
+def restore_checkpoint(graph: ParamGraph, path) -> None:
+    """Load a checkpoint file into every parameter of `graph`.
+
+    A parameter missing from the file or stored with another shape raises
+    DataError.
+    """
+    try:
+        graph.load_arrays(load_checkpoint(path))
+    except (KeyError, ShapeError) as exc:
+        raise DataError(f"{path}: {exc.args[0]}") from exc

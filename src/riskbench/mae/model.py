@@ -26,8 +26,8 @@ from ..gradcore import (
     TransformerBlock,
     adam_step,
     concat,
-    load_checkpoint,
     mul,
+    restore_checkpoint,
     save_checkpoint,
     sub,
     tmean,
@@ -149,9 +149,11 @@ class MaeModel:
         path = Path(path)
         doc = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         cfg = doc["config"]
+        if "patch_size" not in cfg:
+            raise DataError(f"{path}: sidecar config has no patch_size")
         cfg["patch_size"] = tuple(cfg["patch_size"])
         model = cls(MaeConfig(**cfg))
-        model.graph.load_arrays(load_checkpoint(path))
+        restore_checkpoint(model.graph, path)
         return model
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..cohort import Cohort, holdout_split
 from ..errors import DataError, NumericError
-from ..gradcore import AdamState, ParamGraph, adam_step, load_checkpoint, save_checkpoint
+from ..gradcore import AdamState, ParamGraph, adam_step, restore_checkpoint, save_checkpoint
 from ..pipeline_audit import record_fit
 
 PROB_FLOOR = 1e-12
@@ -251,6 +251,6 @@ class CifModel:
         model.t_scale = sidecar["t_scale"]
         model._load_extra_state(sidecar)
         model._build(_rng_stream(0, 0))
-        model.graph.load_arrays(load_checkpoint(path))
+        restore_checkpoint(model.graph, path)
         model._fitted = True
         return model

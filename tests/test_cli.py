@@ -249,3 +249,37 @@ def test_train_bad_features_csv_cell_exit_3(tmp_path, capsys):
            "output": {"dir": str(tmp_path / "out")}}
     assert main(["train", "--config", _write_config(tmp_path, doc)]) == 3
     assert f"{feats}:4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_unknown_model_extras_key_exit_2(tmp_path, capsys, command):
+    doc = {**DESK_CV, "model": {"kind": "dsm", "extras": {"bogus": 3}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "'dsm'" in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_embed_damaged_checkpoint_exit_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = {"seed": 4,
+           "mae": {"n_phantoms": 2, "dims": [30, 20, 20, 2], "embed_dim": 16,
+                   "enc_layers": 1, "dec_layers": 1, "heads": 2, "epochs": 1},
+           "output": {"dir": str(out)}}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["mae-train", "--config", cfg]) == 0
+    ckpt = out / "mae.rbck"
+    sidecar = out / "mae.rbck.json"
+    embed = ["embed", "--config", cfg, "--set", f"mae.checkpoint={ckpt}"]
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[: len(blob) // 2])
+    capsys.readouterr()
+    assert main(embed) == 3
+    assert "data error" in capsys.readouterr().err
+    ckpt.write_bytes(blob)
+    meta = json.loads(sidecar.read_text())
+    del meta["config"]["patch_size"]
+    sidecar.write_text(json.dumps(meta))
+    assert main(embed) == 3
+    assert "patch_size" in capsys.readouterr().err

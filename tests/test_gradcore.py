@@ -269,6 +269,27 @@ def test_checkpoint_round_trip():
         assert np.array_equal(loaded[k], arrays[k])
 
 
+def test_checkpoint_damage_raises_data_error(tmp_path):
+    from riskbench.errors import DataError
+
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5, -2.0])}
+    path = tmp_path / "params.rbck"
+    gc.save_checkpoint(path, arrays)
+    blob = path.read_bytes()
+    boundary = len(blob) - (4 + 1 + 4 + 4 + 8 * 2)  # start of the "b" record
+    for bad in (b"XBCK" + blob[4:], blob[:4] + (2).to_bytes(4, "little") + blob[8:]):
+        path.write_bytes(bad)
+        with pytest.raises(DataError):
+            gc.load_checkpoint(path)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        if cut in (8, boundary):  # a cut between records reads as fewer records
+            assert list(gc.load_checkpoint(path)) == list(arrays)[: int(cut == boundary)]
+            continue
+        with pytest.raises(DataError):
+            gc.load_checkpoint(path)
+
+
 def test_param_graph_load_arrays_shape_checked():
     g = gc.ParamGraph()
     g.parameter("w", np.zeros((2, 2)))

@@ -20,7 +20,7 @@ from riskbench.models import (
     build_model,
     load_model,
 )
-from riskbench.models.base import CHUNK_ROWS
+from riskbench.models.base import CHUNK_ROWS, PROB_FLOOR
 from riskbench.models.dsm import inv_softplus
 
 
@@ -225,6 +225,17 @@ def test_checkpoint_round_trip(kind, tmp_path):
             assert np.array_equal(m.cif(x, t, r), again.cif(x, t, r))
 
 
+def test_every_truncated_checkpoint_raises_data_error(tmp_path):
+    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=1, nodes=2), d=2, n_risks=1)
+    path = tmp_path / "dsm.rbck"
+    m.save(path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError):
+            load_model(path)
+
+
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_training_loss_decreases(kind):
     coh = _synth(400, seed=21)
@@ -318,6 +329,96 @@ def test_dsm_recovers_base_shape_on_single_risk_data():
     a = m.base_a[0].data + (h.data @ m.graph.params["risk0.head_a"].data)
     shapes = np.log1p(np.exp(a))
     assert abs(np.mean(shapes) - true_shape) / true_shape < 0.15
+
+
+def _dsm_covariate_free(distribution, k, n_risks, seed=0):
+    """A DSM with zero shift heads and gate weights, and a cohort for it.
+
+    Scale 0.3 (rescaled time) makes the budget hinge active at 1.05, and the
+    censored row at t=1e3 has survival below PROB_FLOOR.
+    """
+    cfg = _tiny_cfg(DsmConfig, k=k, nodes=4, distribution=distribution)
+    m = _bare(DsmModel, cfg, d=3, n_risks=n_risks, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for r in range(n_risks):
+        for name in ("head_a", "head_b", "gate_w", "gate_b"):
+            m.graph.params[f"risk{r}.{name}"].data[...] = 0.0
+        if distribution == "weibull":
+            a, b = inv_softplus(1.5), inv_softplus(0.3)
+        else:
+            a, b = np.log(0.3), inv_softplus(0.4)
+        m.base_a[r].data[...] = a + rng.normal(0.0, 0.1, size=k)
+        m.base_b[r].data[...] = b + rng.normal(0.0, 0.05, size=k)
+    n = 40
+    t = rng.uniform(0.02, 0.6, size=n)
+    e = rng.integers(0, n_risks + 1, size=n)
+    e[:n_risks + 1] = np.arange(n_risks + 1)
+    t[0] = 1e3
+    return m, rng.normal(size=(n, 3)), t, e
+
+
+def _closed_form(m, t, e):
+    from riskbench.models.dsm import _covariate_free_nll
+
+    log_u = np.log(np.maximum(t / m.t_scale, 1e-10))
+    member = (e[e > 0] == np.arange(1, m.n_risks + 1)[:, None]).astype(float)
+    log_u_cens = np.append(log_u[e == 0], np.log(m.config.budget_horizon))
+    return _covariate_free_nll(m.config, np.array([p.data for p in m.base_a]),
+                               np.array([p.data for p in m.base_b]),
+                               log_u[None, e > 0], member, log_u_cens[None, :])
+
+
+@pytest.mark.parametrize("distribution", ["weibull", "lognormal"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n_risks", [1, 2])
+def test_dsm_covariate_free_nll_matches_tape_likelihood(distribution, k, n_risks):
+    m, x, t, e = _dsm_covariate_free(distribution, k, n_risks)
+    x0 = np.zeros((1, 3))
+    horizon = m.config.budget_horizon * m.t_scale
+    total = sum(m.cif_curves(x0, np.append(t, horizon), r + 1)[:, 0]
+                for r in range(n_risks))
+    surv = 1.0 - total[:-1][e == 0]
+    assert np.any(surv < PROB_FLOOR) and np.any(surv > 0.5)
+    assert total[-1] > 1.0 - m.config.budget_margin  # hinge active
+    loss = m._neg_log_likelihood(x, t, e, None, training=False)
+    loss.backward()
+    value, grads_a, grads_b = _closed_form(m, t, e)
+    assert abs(value - loss.item()) <= 1e-12 * abs(loss.item())
+    tape = np.concatenate([p.grad for p in m.base_a + m.base_b])
+    closed = np.concatenate([grads_a.ravel(), grads_b.ravel()])
+    assert np.max(np.abs(closed - tape)) <= 1e-12 * np.max(np.abs(tape))
+
+
+@pytest.mark.parametrize("distribution", ["weibull", "lognormal"])
+def test_dsm_covariate_free_gradient_matches_finite_differences(distribution):
+    m, _x, t, e = _dsm_covariate_free(distribution, k=3, n_risks=2, seed=5)
+    _, grads_a, grads_b = _closed_form(m, t, e)
+    step = 1e-6
+    for params, grads in ((m.base_a, grads_a), (m.base_b, grads_b)):
+        for p, g in zip(params, grads):
+            for j in range(p.data.size):
+                keep = p.data[j]
+                p.data[j] = keep + step
+                up = _closed_form(m, t, e)[0]
+                p.data[j] = keep - step
+                down = _closed_form(m, t, e)[0]
+                p.data[j] = keep
+                fd = (up - down) / (2 * step)
+                assert abs(fd - g[j]) <= 1e-6 * max(1.0, abs(g[j])), (j, fd, g[j])
+
+
+@pytest.mark.parametrize("iters", [0, 40])
+def test_dsm_warmup_steps_only_base_parameters(iters):
+    coh = _synth(200, seed=4)
+    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=2, warmup_iters=iters), d=coh.d,
+              n_risks=2, t_scale=float(coh.times.max()), seed=3)
+    before = m.graph.named_arrays()
+    m._pre_fit(coh, np.random.default_rng(0))
+    after = m.graph.named_arrays()
+    for name in before:
+        moved = not np.array_equal(before[name], after[name])
+        assert moved == (iters > 0 and ".base_" in name), name
+    assert all(np.all(p.grad == 0.0) for p in m.graph.params.values())
 
 
 def test_dsm_censored_only_rejected():
