@@ -12,11 +12,11 @@ randomness derives from the single `seed` key. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as dt
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -216,10 +216,10 @@ def _model_spec(doc: dict) -> tuple[str, dict]:
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     extras = model.get("extras") or {}
-    known = {f.name for f in dataclasses.fields(MODEL_KINDS[kind][1])}
-    for key in extras:
-        if key not in known:
-            raise ConfigError(f"unknown model.extras key {key!r} for model kind {kind!r}")
+    try:
+        _check_keys(extras, typing.get_type_hints(MODEL_KINDS[kind][1]))
+    except ConfigError as exc:
+        raise ConfigError(f"model.extras for model kind {kind!r}: {exc}") from None
     return kind, extras
 
 

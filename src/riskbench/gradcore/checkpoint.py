@@ -3,10 +3,12 @@
 Layout: magic bytes "RBCK", version u32, then one record per parameter:
 name-length u32, utf-8 name, shape-rank u32, dims u32 each, f64
 little-endian payload in row-major order. Records run to end of file.
+A model's own settings travel beside it in a JSON sidecar, `<path>.json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from pathlib import Path
@@ -83,3 +85,23 @@ def restore_checkpoint(graph: ParamGraph, path) -> None:
         graph.load_arrays(load_checkpoint(path))
     except (KeyError, ShapeError) as exc:
         raise DataError(f"{path}: {exc.args[0]}") from exc
+
+
+def write_sidecar(path, doc: dict) -> None:
+    """Write `doc` as the JSON sidecar `<path>.json` of a checkpoint."""
+    Path(f"{path}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                    encoding="utf-8")
+
+
+def read_sidecar(path) -> dict:
+    """The JSON object in `<path>.json`; DataError if missing, not JSON or no object."""
+    sidecar = Path(f"{path}.json")
+    try:
+        doc = json.loads(sidecar.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise DataError(f"{sidecar}: checkpoint sidecar not found") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{sidecar}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{sidecar}: not a JSON object")
+    return doc

@@ -9,7 +9,6 @@ touches masked content.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,11 +26,10 @@ from ..gradcore import (
     adam_step,
     concat,
     mul,
-    restore_checkpoint,
-    save_checkpoint,
     sub,
     tmean,
 )
+from ..gradcore.checkpoint import read_sidecar, restore_checkpoint, save_checkpoint, write_sidecar
 from .patches import MaskPlan, PatchGrid, foreground_flags, patchify, sample_mask
 from .volume import Volume4D
 
@@ -137,18 +135,13 @@ class MaeModel:
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
         save_checkpoint(path, self.graph.named_arrays())
-        doc = {"config": {**asdict(self.config),
-                          "patch_size": list(self.config.patch_size)}}
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_sidecar(path, {"config": {**asdict(self.config),
+                                        "patch_size": list(self.config.patch_size)}})
 
     @classmethod
     def load(cls, path: str | Path) -> "MaeModel":
-        path = Path(path)
-        doc = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        cfg = doc["config"]
+        cfg = read_sidecar(path).get("config", {})
         if "patch_size" not in cfg:
             raise DataError(f"{path}: sidecar config has no patch_size")
         cfg["patch_size"] = tuple(cfg["patch_size"])

@@ -1,5 +1,7 @@
 """Competing-risk models behind one CIF contract."""
 
+from ..errors import DataError
+from ..gradcore.checkpoint import read_sidecar
 from .base import BaseConfig, CifModel, TrainHistory
 from .deephit import DeepHitConfig, DeepHitModel
 from .dsm import DsmConfig, DsmModel
@@ -21,12 +23,10 @@ def build_model(kind: str, **config_fields) -> CifModel:
 
 def load_model(path) -> CifModel:
     """Load any model checkpoint; the JSON sidecar names the kind."""
-    import json
-    from pathlib import Path
-
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    model_cls, _ = MODEL_KINDS[sidecar["kind"]]
-    return model_cls.load(path)
+    kind = read_sidecar(path).get("kind")
+    if kind not in MODEL_KINDS:
+        raise DataError(f"{path}: unknown model kind {kind!r} in checkpoint sidecar")
+    return MODEL_KINDS[kind][0].load(path)
 
 
 __all__ = [

@@ -7,11 +7,14 @@ query time from it, without a tape. Training is mini-batch Adam with early
 stopping on a validation likelihood; time inputs are rescaled by the
 training-set maximum so exponentials stay tame (queries rescale
 consistently, leaving CIF values unchanged).
+
+`_build` makes every model's ReLU encoder before its `_build_heads`, and
+`_nll` assembles the competing-risk likelihood, clamped at PROB_FLOOR, from
+the terms each model's `_loss` supplies.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,7 +23,9 @@ import numpy as np
 
 from ..cohort import Cohort, holdout_split
 from ..errors import DataError, NumericError
-from ..gradcore import AdamState, ParamGraph, adam_step, restore_checkpoint, save_checkpoint
+from ..gradcore import MLP, AdamState, ParamGraph, Tensor, adam_step, clamp_min, mul, tlog, tsum
+from ..gradcore import add as tadd
+from ..gradcore.checkpoint import read_sidecar, restore_checkpoint, save_checkpoint, write_sidecar
 from ..pipeline_audit import record_fit
 
 PROB_FLOOR = 1e-12
@@ -85,9 +90,10 @@ class CifModel:
     """Base class: fit(cohort, seed) then cif_curves(x, times, r) or cif(x, t, r)."""
 
     kind = "abstract"
+    config_class = BaseConfig
 
-    def __init__(self, config: BaseConfig):
-        self.config = config
+    def __init__(self, config: BaseConfig | None = None):
+        self.config = config if config is not None else self.config_class()
         self.graph: ParamGraph | None = None
         self.n_risks = 0
         self.d = 0
@@ -101,7 +107,8 @@ class CifModel:
         """Record training-derived constants (time scale, bins, ...)."""
         self.t_scale = max(float(train.times.max()), 1e-12)
 
-    def _build(self, rng: np.random.Generator) -> None:
+    def _build_heads(self, rng: np.random.Generator, width: int) -> None:
+        """Add the model's own parameters on top of a `width`-wide encoder."""
         raise NotImplementedError
 
     def _loss(self, x: np.ndarray, t: np.ndarray, e: np.ndarray,
@@ -120,6 +127,28 @@ class CifModel:
 
     def _load_extra_state(self, doc: dict) -> None:
         pass
+
+    # shared skeleton ------------------------------------------------------
+
+    def _build(self, rng: np.random.Generator) -> None:
+        """Parameter graph and encoder, then the model's heads, in that RNG order."""
+        cfg = self.config
+        self.graph = ParamGraph()
+        sizes = [self.d] + [cfg.nodes] * cfg.layers
+        self.encoder = MLP(self.graph, "enc", sizes, rng, activation="relu",
+                           drop=cfg.dropout)
+        self._build_heads(rng, sizes[-1])
+
+    def _clamped_log_sum(self, p: Tensor, rows: np.ndarray, training: bool) -> Tensor:
+        """Sum of log(max(p, PROB_FLOOR)) over `rows`; counts their clamps while training."""
+        if training:
+            self.clamp_count += int(np.sum(rows & (p.data < PROB_FLOOR)))
+        return tsum(mul(Tensor(rows.astype(np.float64)), tlog(clamp_min(p, PROB_FLOOR))))
+
+    def _nll(self, event_ll: Tensor, surv: Tensor, e: np.ndarray, training: bool) -> Tensor:
+        """-(event_ll + sum of clamped log `surv` over censored rows) / len(e)."""
+        cens_ll = self._clamped_log_sum(surv, e == 0, training)
+        return mul(tadd(event_ll, cens_ll), -1.0 / len(e))
 
     # public surface ------------------------------------------------------
 
@@ -166,6 +195,7 @@ class CifModel:
         record_fit(f"{self.kind}.fit", train.ids + (valid.ids if valid else []))
         if valid is None:
             train, valid = holdout_split(train, 0.10, seed=int(seed) ^ 0x5F5E5F)
+        self.clamp_count = 0
         self.n_risks = train.n_risks
         self.d = train.d
         self._prepare(train)
@@ -225,27 +255,22 @@ class CifModel:
     # checkpointing --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
         save_checkpoint(path, self.graph.named_arrays())
-        sidecar = {
+        write_sidecar(path, {
             "kind": self.kind,
             "n_risks": self.n_risks,
             "d": self.d,
             "t_scale": self.t_scale,
             "config": asdict(self.config),
             **self._extra_state(),
-        }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "CifModel":
-        path = Path(path)
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        if sidecar["kind"] != cls.kind:
-            raise DataError(f"checkpoint is a {sidecar['kind']!r} model, not {cls.kind!r}")
-        config = cls.config_class(**sidecar["config"])  # type: ignore[attr-defined]
-        model = cls(config)
+        sidecar = read_sidecar(path)
+        if sidecar.get("kind") != cls.kind:
+            raise DataError(f"checkpoint is a {sidecar.get('kind')!r} model, not {cls.kind!r}")
+        model = cls(cls.config_class(**sidecar["config"]))
         model.n_risks = sidecar["n_risks"]
         model.d = sidecar["d"]
         model.t_scale = sidecar["t_scale"]

@@ -16,21 +16,18 @@ import numpy as np
 
 from ..gradcore import (
     MLP,
-    ParamGraph,
     Tensor,
-    clamp_min,
     concat,
     matmul,
     mul,
     softmax,
     texp,
-    tlog,
     transpose,
     tsum,
 )
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
-from .base import PROB_FLOOR, BaseConfig, CifModel
+from .base import BaseConfig, CifModel
 
 
 def _censored_keep(bins: np.ndarray, e: np.ndarray, n_bins: int, n_risks: int) -> np.ndarray:
@@ -54,10 +51,7 @@ class DeepHitConfig(BaseConfig):
 class DeepHitModel(CifModel):
     kind = "deephit"
     config_class = DeepHitConfig
-
-    def __init__(self, config: DeepHitConfig | None = None):
-        super().__init__(config or DeepHitConfig())
-        self.edges = np.array([])  # upper bin edges, strictly increasing
+    edges = np.array([])  # upper bin edges, strictly increasing; set by _prepare
 
     # -- discretization ------------------------------------------------------
 
@@ -88,15 +82,10 @@ class DeepHitModel(CifModel):
 
     # -- network ---------------------------------------------------------------
 
-    def _build(self, rng: np.random.Generator) -> None:
+    def _build_heads(self, rng: np.random.Generator, width: int) -> None:
         cfg = self.config
-        self.graph = ParamGraph()
-        sizes = [self.d] + [cfg.nodes] * cfg.layers
-        self.encoder = MLP(self.graph, "enc", sizes, rng, activation="relu",
-                           drop=cfg.dropout)
-        h = sizes[-1]
         self.heads = [
-            MLP(self.graph, f"head{r}", [h + self.d, cfg.nodes, self.n_bins], rng,
+            MLP(self.graph, f"head{r}", [width + self.d, cfg.nodes, self.n_bins], rng,
                 activation="relu", drop=cfg.dropout)
             for r in range(self.n_risks)
         ]
@@ -123,18 +112,11 @@ class DeepHitModel(CifModel):
         rows = np.nonzero(e > 0)[0]
         pick[rows, (e[rows] - 1) * L + (bins[rows] - 1)] = 1.0
         own_mass = tsum(mul(y, Tensor(pick)), axis=-1)
-        event_ll = tsum(mul(Tensor((e > 0).astype(np.float64)),
-                            tlog(clamp_min(own_mass, PROB_FLOOR))))
+        event_ll = self._clamped_log_sum(own_mass, e > 0, training)
 
         # censored term: mass at or beyond the censoring bin, over all risks
-        keep = _censored_keep(bins, e, L, R)
-        remaining = tsum(mul(y, Tensor(keep)), axis=-1)
-        if training:
-            self.clamp_count += int(np.sum((e == 0) & (remaining.data < PROB_FLOOR)))
-        cens_ll = tsum(mul(Tensor((e == 0).astype(np.float64)),
-                           tlog(clamp_min(remaining, PROB_FLOOR))))
-
-        loss = mul(tadd(event_ll, cens_ll), -1.0 / nb)
+        remaining = tsum(mul(y, Tensor(_censored_keep(bins, e, L, R))), axis=-1)
+        loss = self._nll(event_ll, remaining, e, training)
         if self.config.alpha > 0.0:
             penalty = self._ranking_penalty(y, t, e)
             if penalty is not None:

@@ -2,13 +2,14 @@
 
 Each risk's cumulative incidence is a softmax-gated mixture of k Weibull
 or log-normal CDFs. Every component owns covariate-free base shape/scale
-parameters; an encoder MLP adds per-subject shifts and produces the gate
-logits. Training runs in two phases: a covariate-free warm-up that fits
-the base parameters by maximum likelihood (uniform gates, no shifts),
-then the full likelihood with Adam and early stopping. The warm-up takes
-plain Adam steps on a closed-form numpy NLL and gradient over the 2*R base
-tensors (`_covariate_free_nll`); the tape likelihood serves only the
-covariate model.
+parameters; the shared encoder of `CifModel._build` feeds heads that add
+per-subject shifts and produce the gate logits. Training runs in two
+phases: a covariate-free warm-up that fits the base parameters by maximum
+likelihood (uniform gates, no shifts), then the full likelihood with Adam
+and early stopping. The warm-up takes plain Adam steps on a closed-form
+numpy NLL and gradient over the 2*R base tensors (`_covariate_free_nll`).
+The tape likelihood, `_loss`, passes the mixture log densities and overall
+survival to the shared `CifModel._nll` and adds the budget hinge.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from scipy.special import erf, expit
 
 from ..errors import DataError
 from ..gradcore import (
-    MLP,
     AdamState,
     ParamGraph,
     Tensor,
     adam_step,
-    clamp_min,
     logsumexp,
     mul,
     relu,
@@ -79,19 +78,14 @@ class DsmModel(CifModel):
     config_class = DsmConfig
 
     def __init__(self, config: DsmConfig | None = None):
-        super().__init__(config or DsmConfig())
+        super().__init__(config)
         if self.config.distribution not in ("weibull", "lognormal"):
             raise DataError(f"unknown primitive distribution {self.config.distribution!r}")
 
     # -- construction -------------------------------------------------------
 
-    def _build(self, rng: np.random.Generator) -> None:
+    def _build_heads(self, rng: np.random.Generator, width: int) -> None:
         cfg = self.config
-        self.graph = ParamGraph()
-        sizes = [self.d] + [cfg.nodes] * cfg.layers
-        self.encoder = MLP(self.graph, "enc", sizes, rng, activation="relu",
-                           drop=cfg.dropout)
-        h = sizes[-1]
         weibull = cfg.distribution == "weibull"
         # Base parameters start the mixture wide: scale near R+1 in rescaled
         # time keeps the summed incidence safely below one at init.
@@ -110,11 +104,11 @@ class DsmModel(CifModel):
             self.base_b.append(self.graph.parameter(f"risk{r}.base_b", b0 + jitter))
             # shift heads start small so phase 2 begins near the warm-up fit
             self.head_a.append(self.graph.parameter(
-                f"risk{r}.head_a", 0.1 * xavier_uniform(rng, h, cfg.k, (h, cfg.k))))
+                f"risk{r}.head_a", 0.1 * xavier_uniform(rng, width, cfg.k, (width, cfg.k))))
             self.head_b.append(self.graph.parameter(
-                f"risk{r}.head_b", 0.1 * xavier_uniform(rng, h, cfg.k, (h, cfg.k))))
+                f"risk{r}.head_b", 0.1 * xavier_uniform(rng, width, cfg.k, (width, cfg.k))))
             self.gate_w.append(self.graph.parameter(
-                f"risk{r}.gate_w", xavier_uniform(rng, h, cfg.k, (h, cfg.k))))
+                f"risk{r}.gate_w", xavier_uniform(rng, width, cfg.k, (width, cfg.k))))
             self.gate_b.append(self.graph.parameter(f"risk{r}.gate_b", np.zeros(cfg.k)))
 
     # -- mixture pieces ------------------------------------------------------
@@ -160,26 +154,18 @@ class DsmModel(CifModel):
 
     # -- likelihood -----------------------------------------------------------
 
-    def _neg_log_likelihood(self, x, t, e, rng, training):
-        nb = len(t)
+    def _loss(self, x, t, e, rng, training):
         u_col = Tensor(np.maximum(t / self.t_scale, 1e-10)[:, None])
         h = self.encoder(Tensor(x), rng=rng, training=training)
         total_cif = None
         loglik = None
         for r in range(self.n_risks):
             log_f, cif = self._risk_terms(r, u_col, h)
-            mask = Tensor((e == r + 1).astype(np.float64))
-            term = tsum(mul(mask, log_f))
+            term = tsum(mul(Tensor((e == r + 1).astype(np.float64)), log_f))
             loglik = term if loglik is None else tadd(loglik, term)
             total_cif = cif if total_cif is None else tadd(total_cif, cif)
-        surv = tsub(1.0, total_cif)
-        cens_mask = e == 0
-        if training:
-            self.clamp_count += int(np.sum(cens_mask & (surv.data < PROB_FLOOR)))
-        cens = tsum(mul(Tensor(cens_mask.astype(np.float64)),
-                        tlog(clamp_min(surv, PROB_FLOOR))))
-        loss = mul(tadd(loglik, cens), -1.0 / nb)
-        return tadd(loss, self._budget_penalty(h, nb))
+        loss = self._nll(loglik, tsub(1.0, total_cif), e, training)
+        return tadd(loss, self._budget_penalty(h, len(t)))
 
     def _budget_penalty(self, h: Tensor, nb: int):
         """Hinge^2 on the summed incidence just past the training horizon."""
@@ -191,9 +177,6 @@ class DsmModel(CifModel):
             total = cif if total is None else tadd(total, cif)
         excess = relu(tsub(total, 1.0 - cfg.budget_margin))
         return mul(tsum(mul(excess, excess)), cfg.budget_weight / max(1, nb))
-
-    def _loss(self, x, t, e, rng, training):
-        return self._neg_log_likelihood(x, t, e, rng, training)
 
     def _pre_fit(self, train, rng: np.random.Generator) -> None:
         """Covariate-free maximum likelihood over the base parameters.

@@ -20,23 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gradcore import (
-    MLP,
     ParamGraph,
     Tensor,
-    clamp_min,
     mul,
     sigmoid,
     softmax,
     softplus,
     tanh,
     texp,
-    tlog,
-    tsum,
     xavier_uniform,
 )
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
-from .base import PROB_FLOOR, BaseConfig, CifModel, evaluate_pairs
+from .base import BaseConfig, CifModel, evaluate_pairs
 
 
 @dataclass
@@ -98,21 +94,13 @@ class NfgModel(CifModel):
     kind = "nfg"
     config_class = NfgConfig
 
-    def __init__(self, config: NfgConfig | None = None):
-        super().__init__(config or NfgConfig())
-
-    def _build(self, rng: np.random.Generator) -> None:
+    def _build_heads(self, rng: np.random.Generator, width: int) -> None:
         cfg = self.config
-        self.graph = ParamGraph()
-        sizes = [self.d] + [cfg.nodes] * cfg.layers
-        self.encoder = MLP(self.graph, "enc", sizes, rng, activation="relu",
-                           drop=cfg.dropout)
-        h = sizes[-1]
         self.balance_w = self.graph.parameter(
-            "balance.w", xavier_uniform(rng, h, self.n_risks, (h, self.n_risks)))
+            "balance.w", xavier_uniform(rng, width, self.n_risks, (width, self.n_risks)))
         self.balance_b = self.graph.parameter("balance.b", np.zeros(self.n_risks))
         self.monotone = [
-            MonotoneNet(self.graph, f"mono{r}", h, cfg.monotone_nodes,
+            MonotoneNet(self.graph, f"mono{r}", width, cfg.monotone_nodes,
                         cfg.monotone_layers, rng)
             for r in range(self.n_risks)
         ]
@@ -140,29 +128,17 @@ class NfgModel(CifModel):
         return cif.reshape(-1), density.reshape(-1)
 
     def _loss(self, x, t, e, rng, training):
-        nb = len(t)
-        u = np.maximum(t / self.t_scale, 1e-10)[:, None]
-        u_col = Tensor(u)
+        u_col = Tensor(np.maximum(t / self.t_scale, 1e-10)[:, None])
         h = self.encoder(Tensor(x), rng=rng, training=training)
         balance = self._balance(h)
         loglik = None
         total_cif = None
         for r in range(self.n_risks):
             cif, density = self._risk_cif_density(r, u_col, h, balance)
-            mask_arr = e == r + 1
-            if training:
-                self.clamp_count += int(np.sum(mask_arr & (density.data < PROB_FLOOR)))
-            term = tsum(mul(Tensor(mask_arr.astype(np.float64)),
-                            tlog(clamp_min(density, PROB_FLOOR))))
+            term = self._clamped_log_sum(density, e == r + 1, training)
             loglik = term if loglik is None else tadd(loglik, term)
             total_cif = cif if total_cif is None else tadd(total_cif, cif)
-        surv = tsub(1.0, total_cif)
-        cens_mask = e == 0
-        if training:
-            self.clamp_count += int(np.sum(cens_mask & (surv.data < PROB_FLOOR)))
-        cens = tsum(mul(Tensor(cens_mask.astype(np.float64)),
-                        tlog(clamp_min(surv, PROB_FLOOR))))
-        return mul(tadd(loglik, cens), -1.0 / nb)
+        return self._nll(loglik, tsub(1.0, total_cif), e, training)
 
     def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
         """Encoder, balance and emb @ w_emb once; the time path per pair."""

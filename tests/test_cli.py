@@ -283,3 +283,45 @@ def test_embed_damaged_checkpoint_exit_3(tmp_path, capsys):
     sidecar.write_text(json.dumps(meta))
     assert main(embed) == 3
     assert "patch_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+@pytest.mark.parametrize("kind, extras, key", [
+    ("dsm", {"k": "three"}, "'k'"),
+    ("nfg", {"lr": "fast"}, "'lr'"),
+    ("deephit", {"max_epochs": 2.5}, "'max_epochs'"),
+])
+def test_model_extras_wrong_type_exit_2(tmp_path, capsys, command, kind, extras, key):
+    doc = {**DESK_CV, "model": {"kind": kind, "extras": extras},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and f"'{kind}'" in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_model_extras_float_field_accepts_integer_and_fraction(tmp_path):
+    # `patience` is a float field with an integer default
+    doc = {**DESK_CV, "model": {"kind": "nfg", "extras": {"patience": 2.5, "lr": 1,
+                                                          "max_epochs": 1}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 0
+
+
+@pytest.mark.parametrize("sidecar_text", [None, "{not json", "[1, 2]"])
+def test_embed_missing_or_bad_sidecar_exit_3(tmp_path, capsys, sidecar_text):
+    out = tmp_path / "out"
+    doc = {"seed": 4,
+           "mae": {"n_phantoms": 2, "dims": [30, 20, 20, 2], "embed_dim": 16,
+                   "enc_layers": 1, "dec_layers": 1, "heads": 2, "epochs": 1},
+           "output": {"dir": str(out)}}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["mae-train", "--config", cfg]) == 0
+    sidecar = out / "mae.rbck.json"
+    if sidecar_text is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_text(sidecar_text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["embed", "--config", cfg, "--set", f"mae.checkpoint={out / 'mae.rbck'}"]) == 3
+    assert "mae.rbck.json" in capsys.readouterr().err

@@ -380,7 +380,7 @@ def test_dsm_covariate_free_nll_matches_tape_likelihood(distribution, k, n_risks
     surv = 1.0 - total[:-1][e == 0]
     assert np.any(surv < PROB_FLOOR) and np.any(surv > 0.5)
     assert total[-1] > 1.0 - m.config.budget_margin  # hinge active
-    loss = m._neg_log_likelihood(x, t, e, None, training=False)
+    loss = m._loss(x, t, e, None, training=False)
     loss.backward()
     value, grads_a, grads_b = _closed_form(m, t, e)
     assert abs(value - loss.item()) <= 1e-12 * abs(loss.item())
@@ -644,3 +644,80 @@ def test_deephit_censored_keep_matches_loop():
     got = _censored_keep(bins, coh.events, m.n_bins, R)
     assert np.array_equal(got, _censored_keep_loop(bins, coh.events, m.n_bins, R))
     assert set(np.unique(got)) <= {0.0, 1.0}
+
+
+# -- shared likelihood ---------------------------------------------------------------
+
+
+def test_clamped_log_sum_counts_selected_rows_below_floor_while_training():
+    m = NfgModel()
+    p = gc.Tensor([1e-15, 1e-15, 0.5, PROB_FLOOR / 10, PROB_FLOOR, 0.0])
+    rows = np.array([True, False, True, True, True, False])
+    value = m._clamped_log_sum(p, rows, training=False).item()
+    assert m.clamp_count == 0
+    assert value == pytest.approx(3 * np.log(PROB_FLOOR) + np.log(0.5), rel=1e-15)
+    m._clamped_log_sum(p, rows, training=True)
+    assert m.clamp_count == 2  # rows 0 and 3; row 4 sits at the floor, not below
+
+
+def test_clamped_log_sum_gradient_zero_at_or_below_floor():
+    m = NfgModel()
+    p = gc.Tensor([1e-15, PROB_FLOOR, 0.5, 0.25, 0.125], requires_grad=True)
+    rows = np.array([True, True, True, True, False])
+    m._clamped_log_sum(p, rows, training=False).backward()
+    assert np.array_equal(p.grad, [0.0, 0.0, 2.0, 4.0, 0.0])
+
+
+def test_nll_adds_clamped_censored_term_and_averages():
+    m = NfgModel()
+    e = np.array([1, 0, 2, 0, 0])
+    surv = gc.Tensor([0.1, 0.5, 0.2, 1e-20, 0.8])
+    loss = m._nll(gc.Tensor(-3.0), surv, e, training=True)
+    expected = -(-3.0 + np.log(0.5) + np.log(PROB_FLOOR) + np.log(0.8)) / 5
+    assert loss.item() == pytest.approx(expected, rel=1e-15)
+    assert m.clamp_count == 1
+
+
+def test_deephit_counts_event_and_censored_clamps():
+    cfg = _tiny_cfg(DeepHitConfig, bins=4, nodes=4, alpha=0.0)
+    m = _bare(DeepHitModel, cfg, d=2, n_risks=2, edges=[1.0, 2.0, 3.0, 4.0])
+    # constant logits: almost all mass on (risk 1, bin 1), e^-60 elsewhere
+    for r in range(2):
+        m.graph.params[f"head{r}.l1.w"].data[...] = 0.0
+        m.graph.params[f"head{r}.l1.b"].data[...] = -30.0
+    m.graph.params["head0.l1.b"].data[0] = 30.0
+    x = np.zeros((4, 2))
+    t = np.array([1.5, 0.5, 0.5, 2.5])  # bins 2, 1, 1, 3
+    e = np.array([1, 1, 0, 0])
+    loss = m._loss(x, t, e, None, training=True).item()
+    # event in bin 2 and censoring at bin 3 each clamp; the other two do not
+    assert m.clamp_count == 2
+    assert loss == pytest.approx(-2.0 * np.log(PROB_FLOOR) / 4, rel=1e-9)
+
+
+def test_refit_reports_its_own_clamped_terms():
+    spec = SynthSpec(d=2, shapes=[0.5, 0.5], scales=[1, 1], betas=[[3, 0], [0, 3]],
+                     horizon=50, seed=2)
+    coh = generate_synthetic(spec, 200)
+    m = NfgModel(NfgConfig(lr=0.05, max_epochs=30))
+    first = m.fit(coh, seed=1)
+    second = m.fit(coh, seed=1)
+    assert first.clamped_terms > 0
+    assert second.clamped_terms == first.clamped_terms
+    assert second.best_valid == first.best_valid
+
+
+def test_load_model_sidecar_errors(tmp_path):
+    m = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=2, monotone_nodes=2), d=2, n_risks=1)
+    path = tmp_path / "nfg.rbck"
+    sidecar = tmp_path / "nfg.rbck.json"
+    m.save(path)
+    good = sidecar.read_text()
+    for text, match in [("{not json", "invalid JSON"), ("[]", "not a JSON object"),
+                        (good.replace('"nfg"', '"cox"'), "unknown model kind 'cox'")]:
+        sidecar.write_text(text)
+        with pytest.raises(DataError, match=match):
+            load_model(path)
+    sidecar.unlink()
+    with pytest.raises(DataError, match="not found"):
+        load_model(path)
