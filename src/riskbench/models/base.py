@@ -182,13 +182,16 @@ class CifModel:
         out = self.cif_curves(x[None, :] if single else x, [t], r)[0]
         return float(out[0]) if single else out
 
-    def fit(self, train: Cohort, seed: int, valid: Cohort | None = None,
-            max_epochs: int | None = None) -> TrainHistory:
+    def fit(self, train: Cohort, seed: int, valid: Cohort | None = None) -> TrainHistory:
         """Mini-batch Adam with early stopping; restores the best epoch.
 
-        When no validation cohort is supplied, a stratified 10% of `train`
-        is carved out for the early-stopping criterion.
+        The epoch budget and patience are `config.max_epochs` and
+        `config.patience`. When no validation cohort is supplied, a
+        stratified 10% of `train` is carved out for the early-stopping
+        criterion; a supplied one must not be empty.
         """
+        if valid is not None and valid.n == 0:
+            raise DataError("early stopping needs a non-empty validation split")
         for r in range(1, train.n_risks + 1):
             if train.event_count(r) == 0:
                 raise DataError(f"{self.kind}: no events for risk {r} in training data")
@@ -201,13 +204,11 @@ class CifModel:
         self._prepare(train)
         self._build(_rng_stream(seed, 0))
         self._pre_fit(train, _rng_stream(seed, 1))
-        history = self._fit_loop(train, valid, seed,
-                                 max_epochs or self.config.max_epochs)
+        history = self._fit_loop(train, valid, seed)
         self._fitted = True
         return history
 
-    def _fit_loop(self, train: Cohort, valid: Cohort, seed: int,
-                  max_epochs: int) -> TrainHistory:
+    def _fit_loop(self, train: Cohort, valid: Cohort, seed: int) -> TrainHistory:
         xt, tt, et = train.features, train.times, train.events
         xv, tv, ev = valid.features, valid.times, valid.events
         n = train.n
@@ -220,7 +221,7 @@ class CifModel:
         best_arrays = self.graph.named_arrays()
         since_best = 0
         records: list[EpochRecord] = []
-        for epoch in range(max_epochs):
+        for epoch in range(self.config.max_epochs):
             order = shuffle_rng.permutation(n)
             losses = []
             for lo in range(0, n, batch):

@@ -74,22 +74,8 @@ class HParamGrid:
 
 
 # ---------------------------------------------------------------------------
-# training wrappers
+# random search
 # ---------------------------------------------------------------------------
-
-
-def train_with_early_stopping(model_kind: str, config_fields: dict, train: Cohort,
-                              valid: Cohort, max_epochs: int = 1000, seed: int = 0):
-    """Fit one model with the shared early-stopping loop.
-
-    Returns (model, history); the model carries the best-epoch weights and
-    its validation loss equals min(history valid losses).
-    """
-    if valid.n == 0:
-        raise DataError("early stopping needs a non-empty validation split")
-    model = build_model(model_kind, **config_fields)
-    history = model.fit(train, seed=seed, valid=valid, max_epochs=max_epochs)
-    return model, history
 
 
 def _mean_valid_ctd(model, valid: Cohort) -> float:
@@ -110,27 +96,23 @@ def _mean_valid_ctd(model, valid: Cohort) -> float:
 
 
 def random_search(grid: HParamGrid, n_iter: int, train: Cohort, valid: Cohort,
-                  model_kind: str, seed: int, max_epochs: int = 1000,
-                  patience: float = 10, extra_fields: dict | None = None):
+                  model_kind: str, seed: int, shared_fields: dict | None = None):
     """Sample n_iter configurations and pick the best by validation C^td.
 
-    The sampled sequence is a pure function of the seed. Failed
-    configurations (non-finite losses, unscoreable validation) are logged
-    and skipped; if every configuration fails, the failure log is raised.
-    Ties keep the earliest iteration.
+    `shared_fields` (epoch budget, patience, model extras) are laid over
+    every sampled configuration. The sampled sequence is a pure function
+    of the seed. Failed configurations (non-finite losses, unscoreable
+    validation) are logged and skipped; if every configuration fails, the
+    failure log is raised. Ties keep the earliest iteration.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xC0FFEE)))
     best_score, best_config, best_iter = -np.inf, None, -1
     log = []
     for it in range(n_iter):
-        fields = grid.sample(rng, model_kind)
-        fields.update({"patience": patience, "max_epochs": max_epochs})
-        if extra_fields:
-            fields.update(extra_fields)
+        fields = {**grid.sample(rng, model_kind), **(shared_fields or {})}
         try:
-            model, _hist = train_with_early_stopping(
-                model_kind, fields, train, valid, max_epochs=max_epochs,
-                seed=child_seed(seed, it))
+            model = build_model(model_kind, **fields)
+            model.fit(train, seed=child_seed(seed, it), valid=valid)
             score = _mean_valid_ctd(model, valid)
         except (NumericError, DataError, ValueError, FloatingPointError) as exc:
             log.append({"iteration": it, "config": fields, "error": str(exc)})
@@ -245,13 +227,14 @@ def run_fold(payload: tuple) -> dict:
         train_t, test_t = _fold_features(train_full, test, settings)
         inner_train, inner_valid = holdout_split(
             train_t, 0.10, seed=child_seed(seed, fold_idx, 1))
+        shared = {"max_epochs": settings.max_epochs, "patience": settings.patience,
+                  **(settings.extra_fields or {})}
         best, search_log = random_search(
             grid, settings.n_iter, inner_train, inner_valid, model_kind,
-            seed=child_seed(seed, fold_idx, 2), max_epochs=settings.max_epochs,
-            patience=settings.patience, extra_fields=settings.extra_fields)
-        model, history = train_with_early_stopping(
-            model_kind, best, train_t, _refit_holdout(train_t, seed, fold_idx),
-            max_epochs=settings.max_epochs, seed=child_seed(seed, fold_idx, 3))
+            seed=child_seed(seed, fold_idx, 2), shared_fields=shared)
+        _, refit_valid = holdout_split(train_t, 0.10, seed=child_seed(seed, fold_idx, 4))
+        model = build_model(model_kind, **best)
+        history = model.fit(train_t, seed=child_seed(seed, fold_idx, 3), valid=refit_valid)
     if settings.checkpoint_dir is not None:
         from pathlib import Path
 
@@ -267,12 +250,6 @@ def run_fold(payload: tuple) -> dict:
             "audit_fits": len(audit.events), "leaks": leaks}
 
 
-def _refit_holdout(train_t: Cohort, seed: int, fold_idx: int) -> Cohort:
-    """Validation split for the final refit's early stopping."""
-    _, valid = holdout_split(train_t, 0.10, seed=child_seed(seed, fold_idx, 4))
-    return valid
-
-
 def nested_cv(cohort: Cohort, model_kind: str, grid: HParamGrid | None = None,
               k: int = 5, seed: int = 0, settings: CvSettings | None = None,
               workers: int = 1) -> CVReport:
@@ -283,7 +260,6 @@ def nested_cv(cohort: Cohort, model_kind: str, grid: HParamGrid | None = None,
         raise DataError("nested_cv requires unique subject ids")
     grid = grid or HParamGrid()
     settings = settings or CvSettings()
-    settings.k = k
     for r in range(1, cohort.n_risks + 1):
         if cohort.event_count(r) == 0:
             raise DataError(f"cohort has no events for risk {r}")

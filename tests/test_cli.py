@@ -325,3 +325,22 @@ def test_embed_missing_or_bad_sidecar_exit_3(tmp_path, capsys, sidecar_text):
     capsys.readouterr()
     assert main(["embed", "--config", cfg, "--set", f"mae.checkpoint={out / 'mae.rbck'}"]) == 3
     assert "mae.rbck.json" in capsys.readouterr().err
+
+
+def test_cv_model_extras_epoch_budget_overrides_cv_settings(tmp_path, monkeypatch):
+    from riskbench.models.base import CifModel
+
+    epochs_run = []
+    fit = CifModel.fit
+
+    def recording_fit(self, *args, **kwargs):
+        history = fit(self, *args, **kwargs)
+        epochs_run.append(len(history.epochs))
+        return history
+
+    monkeypatch.setattr(CifModel, "fit", recording_fit)
+    doc = {**DESK_CV, "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+           "cv": {**DESK_CV["cv"], "max_epochs": 4, "patience": 1e9},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["cv", "--config", _write_config(tmp_path, doc)]) == 0
+    assert epochs_run == [1] * 9  # 3 folds x (2 search trials + 1 refit)

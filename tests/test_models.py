@@ -557,9 +557,9 @@ def test_deephit_bin_edges_strictly_increasing():
 
 def test_deephit_alpha_zero_is_pure_likelihood():
     coh = _synth(150, seed=25)
-    cfg = _tiny_cfg(DeepHitConfig, bins=6, alpha=0.5)
+    cfg = _tiny_cfg(DeepHitConfig, bins=6, alpha=0.5, max_epochs=2)
     m = DeepHitModel(cfg)
-    m.fit(coh, seed=3, max_epochs=2)
+    m.fit(coh, seed=3)
     x, t, e = coh.features[:60], coh.times[:60], coh.events[:60]
     with_rank = m._loss(x, t, e, None, training=False).item()
     y = m._masses(x, None, training=False)
@@ -610,9 +610,9 @@ def test_deephit_empty_bin_merge_warns():
         events[0] = 1
     coh = Cohort([f"q{i}" for i in range(120)], rng.normal(size=(120, 2)), times, events,
                  ["risk_1"], ["a", "b"])
-    m = DeepHitModel(_tiny_cfg(DeepHitConfig, bins=10))
+    m = DeepHitModel(_tiny_cfg(DeepHitConfig, bins=10, max_epochs=1))
     with pytest.warns(UserWarning, match="merged"):
-        m.fit(coh, seed=0, max_epochs=1)
+        m.fit(coh, seed=0)
     assert np.all(np.diff(m.edges) > 0)
 
 

@@ -4,6 +4,7 @@ from scipy import stats
 
 from riskbench.cohort import SynthSpec, generate_synthetic
 from riskbench.errors import NumericError
+from riskbench.models import build_model
 from riskbench.pipeline import (
     CVReport,
     CvSettings,
@@ -14,7 +15,6 @@ from riskbench.pipeline import (
     nested_cv,
     random_search,
     t_confidence_interval,
-    train_with_early_stopping,
 )
 
 
@@ -84,7 +84,7 @@ def test_search_collapsed_grid_returns_the_point():
     train = cohort.subset(range(160))
     valid = cohort.subset(range(160, 200))
     best, log = random_search(grid, 1, train, valid, "nfg", seed=1,
-                              max_epochs=3, patience=2)
+                              shared_fields={"max_epochs": 3, "patience": 2})
     assert best["lr"] == pytest.approx(1e-3, rel=1e-12)  # exp(log(a)) round trip
     assert best["batch_size"] == 128
     assert best["nodes"] == 8
@@ -111,8 +111,8 @@ def test_search_avoids_degenerate_config():
             return s
 
     best, log = random_search(TwoPointGrid(), 2, train, valid, "dsm", seed=2,
-                              max_epochs=4, patience=3,
-                              extra_fields={"warmup_iters": 0, "k": 2})
+                              shared_fields={"max_epochs": 4, "patience": 3,
+                                             "warmup_iters": 0, "k": 2})
     assert best["lr"] == 1e-3
     failures = [t for t in log["trials"] if "error" in t]
     assert len(failures) == 1
@@ -126,7 +126,7 @@ def test_search_same_seed_same_sequence():
     runs = []
     for _ in range(2):
         best, log = random_search(grid, 2, train, valid, "nfg", seed=5,
-                                  max_epochs=2, patience=2)
+                                  shared_fields={"max_epochs": 2, "patience": 2})
         runs.append((best, [t["config"] for t in log["trials"]]))
     assert runs[0] == runs[1]
 
@@ -139,8 +139,8 @@ def test_search_all_failures_raises_with_log():
     train = cohort.subset(range(160))
     valid = cohort.subset(range(160, 200))
     with pytest.raises(NumericError) as err:
-        random_search(grid, 2, train, valid, "dsm", seed=3, max_epochs=3,
-                      patience=2, extra_fields={"warmup_iters": 0})
+        random_search(grid, 2, train, valid, "dsm", seed=3,
+                      shared_fields={"max_epochs": 3, "patience": 2, "warmup_iters": 0})
     assert len(err.value.diagnostics["log"]) == 2
 
 
@@ -151,9 +151,9 @@ def test_early_stopping_stops_before_limit_on_easy_data():
     cohort = _cohort(400, seed=21)
     train = cohort.subset(range(320))
     valid = cohort.subset(range(320, 400))
-    fields = dict(lr=5e-3, batch_size=128, layers=1, nodes=8, patience=5)
-    model, history = train_with_early_stopping("nfg", fields, train, valid,
-                                               max_epochs=500, seed=4)
+    model = build_model("nfg", lr=5e-3, batch_size=128, layers=1, nodes=8,
+                        patience=5, max_epochs=500)
+    history = model.fit(train, seed=4, valid=valid)
     assert len(history.epochs) < 500
 
 
@@ -161,10 +161,9 @@ def test_infinite_patience_runs_all_epochs():
     cohort = _cohort(150, seed=23)
     train = cohort.subset(range(120))
     valid = cohort.subset(range(120, 150))
-    fields = dict(lr=1e-3, batch_size=64, layers=1, nodes=8,
-                  patience=float("inf"))
-    _, history = train_with_early_stopping("nfg", fields, train, valid,
-                                           max_epochs=12, seed=5)
+    model = build_model("nfg", lr=1e-3, batch_size=64, layers=1, nodes=8,
+                        patience=float("inf"), max_epochs=12)
+    history = model.fit(train, seed=5, valid=valid)
     assert len(history.epochs) == 12
 
 
@@ -172,9 +171,9 @@ def test_returned_model_valid_loss_is_history_minimum():
     cohort = _cohort(200, seed=25)
     train = cohort.subset(range(160))
     valid = cohort.subset(range(160, 200))
-    fields = dict(lr=5e-3, batch_size=64, layers=1, nodes=8, patience=4)
-    model, history = train_with_early_stopping("dsm", fields, train, valid,
-                                               max_epochs=15, seed=6)
+    model = build_model("dsm", lr=5e-3, batch_size=64, layers=1, nodes=8,
+                        patience=4, max_epochs=15)
+    history = model.fit(train, seed=6, valid=valid)
     recomputed = model._loss(valid.features, valid.times, valid.events,
                              None, training=False).item()
     best = min(e.valid_loss for e in history.epochs)
