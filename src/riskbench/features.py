@@ -1,8 +1,9 @@
 """Feature pipeline: standardization, per-category PCA, modality fusion.
 
 Fitting functions accept only the training matrix, so parameters can never
-leak information from evaluation rows. PCA uses a cyclic Jacobi
-eigensolver with a sign convention, making repeated fits bit-identical.
+leak information from evaluation rows. PCA diagonalizes each category's
+covariance with LAPACK's symmetric eigensolver (`np.linalg.eigh`) and fixes
+each component's sign, so repeated fits are bit-identical.
 """
 
 from __future__ import annotations
@@ -69,54 +70,8 @@ def standardize_apply(m: FeatureMatrix, params: StandardizeParams) -> FeatureMat
 
 
 # ---------------------------------------------------------------------------
-# PCA via cyclic Jacobi rotations
+# per-category PCA
 # ---------------------------------------------------------------------------
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm falls below tol (scaled by
-    the matrix norm for large inputs). Returns eigenvalues descending and
-    the matching eigenvector columns.
-    """
-    a = np.array(a, dtype=np.float64)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise DataError(f"expected a square matrix, got {a.shape}")
-    v = np.eye(d)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, np.sum(a**2) - np.sum(np.diag(a) ** 2)))
-        if off < tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:  # tau*tau would overflow; use the limit
-                    t = 0.5 / tau
-                elif tau != 0:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p, rot_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], v[:, order]
 
 
 @dataclass
@@ -140,7 +95,7 @@ class PcaModel:
 def pca_fit(train: FeatureMatrix, components_per_category: int = 10) -> PcaModel:
     """Per-category PCA of the training rows.
 
-    Covariance (ddof=1) is diagonalized with jacobi_eigh; the top-m
+    Covariance (ddof=1) is diagonalized with `np.linalg.eigh`; the top-m
     components keep a fixed sign: the largest-magnitude entry of each
     component is positive.
     """
@@ -161,7 +116,8 @@ def pca_fit(train: FeatureMatrix, components_per_category: int = 10) -> PcaModel
         centered = block - mean
         cov = centered.T @ centered / (train.n - 1) if train.n > 1 else np.outer(
             centered[0], centered[0])
-        eigvals, eigvecs = jacobi_eigh(cov)
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
         comps = eigvecs[:, :m].copy()
         for j in range(m):
             lead = np.argmax(np.abs(comps[:, j]))

@@ -5,7 +5,6 @@ from riskbench.errors import DataError
 from riskbench.features import (
     FeatureMatrix,
     fuse_concat,
-    jacobi_eigh,
     pca_apply,
     pca_fit,
     standardize_fit_apply,
@@ -34,18 +33,6 @@ def test_standardize_others_use_train_stats():
     # train stats reproduce manually
     expected = (test.data - train.data.mean(0)) / train.data.std(0)
     assert np.allclose(test_t.data, expected)
-
-
-def test_jacobi_matches_numpy_eigh():
-    rng = np.random.default_rng(1)
-    for d in (2, 5, 9):
-        a = rng.normal(size=(d, d))
-        sym = a @ a.T
-        vals, vecs = jacobi_eigh(sym)
-        ref = np.sort(np.linalg.eigvalsh(sym))[::-1]
-        assert np.allclose(vals, ref, atol=1e-9)
-        assert np.allclose(vecs.T @ vecs, np.eye(d), atol=1e-10)
-        assert np.allclose(sym @ vecs, vecs @ np.diag(vals), atol=1e-8)
 
 
 def test_pca_rank_one_line():
