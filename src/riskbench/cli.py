@@ -15,6 +15,7 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -173,14 +174,40 @@ def _load_cohort(doc: dict):
     if "cohort_csv" in data:
         cohort = cohort_from_csv(data["cohort_csv"])
     elif "synthetic" in data:
-        synth = dict(data["synthetic"])
-        n = synth.pop("n")
-        cohort = generate_synthetic(SynthSpec(**synth), n)
+        cohort = generate_synthetic(*_synth_spec(data["synthetic"]))
     else:
         raise ConfigError("data section needs cohort_csv or synthetic")
     if "features_csv" in data:
         cohort = _join_features(cohort, data["features_csv"])
     return cohort
+
+
+def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
+    """`data.synthetic` as (spec, n); missing, ill-typed or out-of-range fields exit 2."""
+    missing = [key for key in _SCHEMA["data"]["synthetic"] if key not in synth]
+    if missing:
+        raise ConfigError(f"data.synthetic is missing {', '.join(missing)}")
+
+    def finite_numbers(values) -> bool:
+        return isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values)
+
+    for key in ("shapes", "scales"):
+        if not finite_numbers(synth[key]):
+            raise ConfigError(f"data.synthetic.{key} must be a list of finite numbers")
+    if not all(finite_numbers(row) for row in synth["betas"]):
+        raise ConfigError("data.synthetic.betas must be a list of lists of finite numbers")
+    for key in ("n", "d"):
+        if synth[key] < 1:
+            raise ConfigError(f"data.synthetic.{key} must be at least 1, got {synth[key]}")
+    if synth["seed"] < 0:
+        raise ConfigError(f"data.synthetic.seed must be non-negative, got {synth['seed']}")
+    if not (math.isfinite(synth["horizon"]) and synth["horizon"] > 0):
+        raise ConfigError(
+            f"data.synthetic.horizon must be finite and positive, got {synth['horizon']}")
+    spec = {key: value for key, value in synth.items() if key != "n"}
+    return SynthSpec(**spec), synth["n"]
 
 
 def _join_features(cohort, features_csv: str):
@@ -256,9 +283,7 @@ def cmd_synth(args) -> int:
     print(f"config_hash={digest}")
     if "synthetic" not in doc.get("data", {}):
         raise ConfigError("synth needs a data.synthetic section")
-    synth = dict(doc["data"]["synthetic"])
-    n = synth.pop("n")
-    spec = SynthSpec(**synth)
+    spec, n = _synth_spec(doc["data"]["synthetic"])
     cohort = generate_synthetic(spec, n)
     out = _out_dir(doc) / (args.out or "cohort.csv")
     cohort_to_csv(cohort, out)
@@ -350,6 +375,9 @@ def cmd_cv(args) -> int:
     print(f"config_hash={digest}")
     settings, k, extras = _cv_settings(doc)
     cohort = _load_cohort(doc)
+    if "category_map" in doc.get("data", {}):
+        settings.categories = category_map_from_json(doc["data"]["category_map"],
+                                                     list(cohort.feature_names))
     if doc.get("cv", {}).get("save_fold_checkpoints", False):
         settings.checkpoint_dir = str(_out_dir(doc))
     report = nested_cv(cohort, extras["kind"], grid=extras["grid"], k=k,

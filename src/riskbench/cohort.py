@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DataError
 
@@ -278,6 +277,8 @@ def oracle_cif(spec: SynthSpec, x: np.ndarray, t: float, r: int) -> float:
         raise ValueError(f"time must be non-negative, got {t}")
     if t == 0.0:
         return 0.0
+    from scipy.integrate import quad
+
     hazard, cum_total = _cause_hazards(spec, np.asarray(x, dtype=np.float64))
     val, _err = quad(lambda u: hazard(u, r - 1) * np.exp(-cum_total(u)),
                      0.0, t, epsabs=1e-9, epsrel=1e-9, limit=200)

@@ -170,8 +170,15 @@ def category_map_from_json(path, names: list[str]) -> list[str]:
     """Resolve a column-name -> category-name JSON map against `names`."""
     import json
 
-    with open(path, "r", encoding="utf-8") as fh:
-        mapping = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            mapping = json.load(fh)
+    except FileNotFoundError as exc:
+        raise DataError(f"category map not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(mapping, dict):
+        raise DataError(f"{path}: category map must be a JSON object")
     missing = [n for n in names if n not in mapping]
     if missing:
         raise DataError(f"category map misses columns: {missing[:5]}")

@@ -271,11 +271,16 @@ class CifModel:
         sidecar = read_sidecar(path)
         if sidecar.get("kind") != cls.kind:
             raise DataError(f"checkpoint is a {sidecar.get('kind')!r} model, not {cls.kind!r}")
-        model = cls(cls.config_class(**sidecar["config"]))
-        model.n_risks = sidecar["n_risks"]
-        model.d = sidecar["d"]
-        model.t_scale = sidecar["t_scale"]
-        model._load_extra_state(sidecar)
+        try:
+            model = cls(cls.config_class(**sidecar["config"]))
+            model.n_risks = sidecar["n_risks"]
+            model.d = sidecar["d"]
+            model.t_scale = sidecar["t_scale"]
+            model._load_extra_state(sidecar)
+        except KeyError as exc:
+            raise DataError(f"{path}.json: checkpoint sidecar lacks {exc}") from None
+        except TypeError as exc:
+            raise DataError(f"{path}.json: bad checkpoint sidecar ({exc})") from None
         model._build(_rng_stream(0, 0))
         restore_checkpoint(model.graph, path)
         model._fitted = True

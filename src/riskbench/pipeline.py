@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .cohort import Cohort, holdout_split, stratified_kfold
 from .errors import DataError, NumericError
@@ -174,7 +174,7 @@ def t_confidence_interval(values: list[float], level: float = 0.95) -> dict:
     if k < 2:
         return {"mean": mean, "lo": mean, "hi": mean, "sd": 0.0}
     sd = float(arr.std(ddof=1))
-    mult = float(stats.t.ppf(0.5 + level / 2.0, k - 1))
+    mult = float(stdtrit(k - 1, 0.5 + level / 2.0))
     half = mult * sd / np.sqrt(k)
     return {"mean": mean, "lo": float(mean - half), "hi": float(mean + half),
             "sd": sd}

@@ -344,3 +344,81 @@ def test_cv_model_extras_epoch_budget_overrides_cv_settings(tmp_path, monkeypatc
            "output": {"dir": str(tmp_path / "out")}}
     assert main(["cv", "--config", _write_config(tmp_path, doc)]) == 0
     assert epochs_run == [1] * 9  # 3 folds x (2 search trials + 1 refit)
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("change, message", [
+    ({"n": None}, "missing n"),
+    ({"d": None}, "missing d"),
+    ({"seed": None}, "missing seed"),
+    ({"shapes": ["a", "b"]}, "synthetic.shapes must"),
+    ({"betas": [[1.2, 0, 0, 0], "x"]}, "synthetic.betas must"),
+    ({"n": -5}, "synthetic.n must"),
+    ({"n": 0}, "synthetic.n must"),
+    ({"horizon": 1e400}, "synthetic.horizon must"),
+    ({"horizon": 0.0}, "synthetic.horizon must"),
+])
+def test_bad_synthetic_spec_exit_2(tmp_path, capsys, command, change, message):
+    synth = {**DESK_CV["data"]["synthetic"], **change}
+    synth = {k: v for k, v in synth.items() if v is not None}
+    doc = {**DESK_CV, "data": {"synthetic": synth}, "output": {"dir": str(tmp_path / "out")}}
+    assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+
+
+def _cv_with_category_map(tmp_path, mapping, pca_components):
+    (tmp_path / "cats.json").write_text(json.dumps(mapping), encoding="utf-8")
+    doc = {**DESK_CV,
+           "data": {**DESK_CV["data"], "category_map": str(tmp_path / "cats.json")},
+           "features": {"pca_components": pca_components},
+           "cv": {**DESK_CV["cv"], "n_iter": 1, "max_epochs": 1,
+                  "save_fold_checkpoints": True},
+           "output": {"dir": str(tmp_path / "out")}}
+    return main(["cv", "--config", _write_config(tmp_path, doc)])
+
+
+def test_cv_category_map_too_narrow_for_pca_exit_3(tmp_path, capsys):
+    mapping = {"x1": "a", "x2": "a", "x3": "a", "x4": "b"}
+    assert _cv_with_category_map(tmp_path, mapping, pca_components=2) == 3
+    assert "category 'b' has 1 columns" in capsys.readouterr().err
+
+
+def test_cv_category_map_gives_per_category_pca(tmp_path):
+    mapping = {"x1": "a", "x2": "a", "x3": "b", "x4": "b"}
+    assert _cv_with_category_map(tmp_path, mapping, pca_components=1) == 0
+    for fold in range(3):
+        sidecar = json.loads((tmp_path / "out" / f"fold{fold}.rbck.json").read_text())
+        assert sidecar["d"] == 2  # two categories x one component
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_features_missing_or_bad_category_map_exit_3(tmp_path, capsys, text):
+    doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
+    main(["synth", "--config", _write_config(tmp_path, doc)])
+    cats = tmp_path / "cats.json"
+    if text is not None:
+        cats.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["features", "--cohort", str(tmp_path / "out" / "cohort.csv"),
+               "--category-map", str(cats), "--out", str(tmp_path / "r.csv")])
+    assert rc == 3
+    assert "cats.json" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import riskbench
+
+    src = str(Path(riskbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    probe = ("import sys, riskbench.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

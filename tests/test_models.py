@@ -1,4 +1,5 @@
 import gc as pygc
+import json
 
 import numpy as np
 import pytest
@@ -720,4 +721,23 @@ def test_load_model_sidecar_errors(tmp_path):
             load_model(path)
     sidecar.unlink()
     with pytest.raises(DataError, match="not found"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda doc: doc.pop("config"), "lacks 'config'"),
+    (lambda doc: doc.pop("n_risks"), "lacks 'n_risks'"),
+    (lambda doc: doc.pop("d"), "lacks 'd'"),
+    (lambda doc: doc.pop("t_scale"), "lacks 't_scale'"),
+    (lambda doc: doc["config"].update(bogus=1), "bad checkpoint sidecar .*'bogus'"),
+])
+def test_load_model_incomplete_sidecar_raises_data_error(tmp_path, damage, match):
+    m = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=2, monotone_nodes=2), d=2, n_risks=1)
+    path = tmp_path / "nfg.rbck"
+    m.save(path)
+    sidecar = tmp_path / "nfg.rbck.json"
+    doc = json.loads(sidecar.read_text())
+    damage(doc)
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
         load_model(path)
