@@ -9,6 +9,19 @@ requires a gradient records neither, so evaluating under
 `ParamGraph.no_grad()` builds no tape. Gradients accumulate into leaf
 tensors that were created with requires_grad=True, so repeated backward()
 calls without zeroing add up. Single-threaded use of a graph is assumed.
+
+Interior nodes get no zero-filled gradient buffers. A sweep clears their
+gradients; a node's first contribution becomes its buffer and later ones
+add into it in place. A contribution is copied instead, into a buffer laid
+out like the node's data, when it is a view (reshape, transpose, concat
+slice, broadcast), is laid out differently, or is also handed to another
+parent, as `add` hands its incoming gradient to both operands. Once its
+closure has run, a node may have lent its buffer to a parent, so after a
+sweep only leaf gradients are meaningful. Buffers are laid out as
+zero-filled ones were, so reductions and matmuls see the same memory
+order, and 0 + x == x except that -0 becomes +0. Signed zeros only pass
+through products and sums into leaf accumulators that start at +0, so
+leaf gradients are bit-identical to zero-fill-then-add.
 """
 
 from __future__ import annotations
@@ -24,8 +37,23 @@ class ShapeError(ValueError):
     """Operand shapes do not conform; message names both shapes."""
 
 
+def _accumulate(t: "Tensor", g, owned: bool = True) -> None:
+    """Add the contribution `g` into `t.grad` by the rules in the module
+    docstring; `owned=False` marks a `g` that another parent also receives."""
+    if t.grad is not None:
+        t.grad += g
+    elif (owned and type(g) is np.ndarray and g.base is None
+          and g.shape == t.data.shape and g.strides == t.data.strides):
+        t.grad = g
+    else:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for i, dim in enumerate(shape):
@@ -88,17 +116,16 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._parents:
+                node.grad = None  # interior: the first contribution sets it
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        # Fresh buffers for interior nodes only; leaves keep accumulating.
-        for node in topo:
-            if node._parents:
-                node.grad = np.zeros_like(node.data)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        if self._parents or self.grad is None:
+            self.grad = np.ones_like(self.data)
+        else:
+            self.grad += 1.0
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -163,6 +190,7 @@ class ParamGraph:
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
+        self._flat: tuple[np.ndarray, np.ndarray] | None = None
 
     def parameter(self, name: str, array: np.ndarray) -> Tensor:
         if name in self.params:
@@ -186,6 +214,30 @@ class ParamGraph:
         finally:
             for t, flag in flags:
                 t.requires_grad = flag
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """All parameters and all gradients as one float64 buffer each.
+
+        The first call packs: it copies every tensor's data and grad into the
+        buffers, in registration order, and rebinds both as views into them.
+        A later call packs again if some tensor no longer views the buffers,
+        as when another graph sharing the tensor has packed it since; the
+        copy then starts from the tensor's current values, never stale ones.
+        """
+        flat = self._flat
+        if flat is None or not all(t.data.base is flat[0] and t.grad.base is flat[1]
+                                   for t in self.params.values()):
+            size = sum(t.data.size for t in self.params.values())
+            data, grad = np.empty(size), np.empty(size)
+            lo = 0
+            for t in self.params.values():
+                hi, shape = lo + t.data.size, t.data.shape
+                data[lo:hi] = t.data.reshape(-1)
+                grad[lo:hi] = t.grad.reshape(-1)
+                t.data, t.grad = data[lo:hi].reshape(shape), grad[lo:hi].reshape(shape)
+                lo = hi
+            flat = self._flat = (data, grad)
+        return flat
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -218,10 +270,13 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bwd(g):
+        ga = None
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            ga = _unbroadcast(g, a.data.shape)
+            _accumulate(a, ga)
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+            gb = _unbroadcast(g, b.data.shape)
+            _accumulate(b, gb, owned=gb is not ga)
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
@@ -231,9 +286,9 @@ def sub(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(-g, b.data.shape)
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
 
@@ -243,9 +298,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
@@ -255,9 +310,9 @@ def div(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g / b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
 
@@ -272,10 +327,10 @@ def matmul(a, b) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             ga = g @ b.data.swapaxes(-1, -2)
-            a.grad += _unbroadcast(ga, a.data.shape)
+            _accumulate(a, _unbroadcast(ga, a.data.shape))
         if b.requires_grad:
             gb = a.data.swapaxes(-1, -2) @ g
-            b.grad += _unbroadcast(gb, b.data.shape)
+            _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
@@ -287,7 +342,7 @@ def powc(a, exponent: float) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * c * a.data ** (c - 1.0)
+            _accumulate(a, g * c * a.data ** (c - 1.0))
 
     return Tensor(a.data**c, _parents=(a,), _backward=bwd)
 
@@ -298,7 +353,7 @@ def texp(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * y
+            _accumulate(a, g * y)
 
     return Tensor(y, _parents=(a,), _backward=bwd)
 
@@ -308,7 +363,7 @@ def tlog(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g / a.data
+            _accumulate(a, g / a.data)
 
     return Tensor(np.log(a.data), _parents=(a,), _backward=bwd)
 
@@ -319,7 +374,7 @@ def tsqrt(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * 0.5 / y
+            _accumulate(a, g * 0.5 / y)
 
     return Tensor(y, _parents=(a,), _backward=bwd)
 
@@ -330,7 +385,7 @@ def tanh(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * (1.0 - y * y)
+            _accumulate(a, g * (1.0 - y * y))
 
     return Tensor(y, _parents=(a,), _backward=bwd)
 
@@ -340,7 +395,7 @@ def relu(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * (a.data > 0.0)
+            _accumulate(a, g * (a.data > 0.0))
 
     return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
@@ -351,7 +406,7 @@ def softplus(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * _sigmoid(a.data)
+            _accumulate(a, g * _sigmoid(a.data))
 
     return Tensor(np.logaddexp(0.0, a.data), _parents=(a,), _backward=bwd)
 
@@ -362,7 +417,7 @@ def sigmoid(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * y * (1.0 - y)
+            _accumulate(a, g * y * (1.0 - y))
 
     return Tensor(y, _parents=(a,), _backward=bwd)
 
@@ -373,7 +428,7 @@ def terf(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * two_over_sqrt_pi * np.exp(-a.data * a.data)
+            _accumulate(a, g * two_over_sqrt_pi * np.exp(-a.data * a.data))
 
     return Tensor(_erf(a.data), _parents=(a,), _backward=bwd)
 
@@ -384,7 +439,7 @@ def clamp_min(a, floor: float) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * (a.data > floor)
+            _accumulate(a, g * (a.data > floor))
 
     return Tensor(np.maximum(a.data, floor), _parents=(a,), _backward=bwd)
 
@@ -398,7 +453,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             inner = (g * s).sum(axis=axis, keepdims=True)
-            a.grad += s * (g - inner)
+            _accumulate(a, s * (g - inner))
 
     return Tensor(s, _parents=(a,), _backward=bwd)
 
@@ -415,7 +470,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             gg = g if keepdims else np.expand_dims(g, axis=axis)
-            a.grad += gg * (e / se)
+            _accumulate(a, gg * (e / se))
 
     return Tensor(val, _parents=(a,), _backward=bwd)
 
@@ -427,10 +482,10 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         if not a.requires_grad:
             return
         if axis is None:
-            a.grad += np.broadcast_to(g, a.data.shape)
+            _accumulate(a, np.broadcast_to(g, a.data.shape))
         else:
             gg = g if keepdims else np.expand_dims(g, axis=axis)
-            a.grad += np.broadcast_to(gg, a.data.shape)
+            _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd)
 
@@ -446,7 +501,7 @@ def reshape(a, shape) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g.reshape(a.data.shape)
+            _accumulate(a, g.reshape(a.data.shape))
 
     return Tensor(a.data.reshape(shape), _parents=(a,), _backward=bwd)
 
@@ -457,7 +512,7 @@ def transpose(a, axes=None) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g.transpose(inv)
+            _accumulate(a, g.transpose(inv))
 
     return Tensor(a.data.transpose(axes), _parents=(a,), _backward=bwd)
 
@@ -472,7 +527,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.grad += g[tuple(idx)]
+                _accumulate(t, g[tuple(idx)])
 
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
                   _parents=tuple(tensors), _backward=bwd)
@@ -490,7 +545,7 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
         if a.requires_grad:
             gm = g.mean(axis=-1, keepdims=True)
             gym = (g * y).mean(axis=-1, keepdims=True)
-            a.grad += inv * (g - gm - y * gym)
+            _accumulate(a, inv * (g - gm - y * gym))
 
     return Tensor(y, _parents=(a,), _backward=bwd)
 
@@ -506,7 +561,7 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool = True) -> Ten
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * mask
+            _accumulate(a, g * mask)
 
     return Tensor(a.data * mask, _parents=(a,), _backward=bwd)
 

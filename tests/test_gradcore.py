@@ -217,6 +217,211 @@ def test_adam_converges_on_quadratic_bowl():
     assert float((p.data**2).sum()) < 1e-3 * start
 
 
+def _textbook_adam(state, graph):
+    """Per-parameter Adam as written before the flat in-place form; the reference."""
+    moments = vars(state).setdefault("textbook_moments", {})
+    state.step += 1
+    bc1 = 1.0 - state.beta1**state.step
+    bc2 = 1.0 - state.beta2**state.step
+    for name, p in graph.params.items():
+        g = p.grad
+        if name not in moments:
+            moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = moments[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        if state.weight_decay != 0.0:
+            p.data -= state.lr * state.weight_decay * p.data
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    graph.zero_grad()
+
+
+def _adam_graph(shapes, seed):
+    rng = np.random.default_rng(seed)
+    g = gc.ParamGraph()
+    for i, shape in enumerate(shapes):
+        g.parameter(f"p{i}", rng.normal(size=shape))
+    return g
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_adam_bit_equal_to_textbook_update(weight_decay):
+    from riskbench.gradcore.optim import CHUNK
+
+    shapes = [(3, 4), (CHUNK + 777,), (1,), (2, 5, 3)]
+    fast, ref = _adam_graph(shapes, 0), _adam_graph(shapes, 0)
+    fast_state = gc.AdamState(lr=0.01, weight_decay=weight_decay)
+    ref_state = gc.AdamState(lr=0.01, weight_decay=weight_decay)
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        for name, shape in zip(fast.params, shapes):
+            grad = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=shape)
+            fast.params[name].grad[...] = grad
+            ref.params[name].grad[...] = grad
+        gc.adam_step(fast_state, fast)
+        _textbook_adam(ref_state, ref)
+        for name in fast.params:
+            assert fast.params[name].data.tobytes() == ref.params[name].data.tobytes(), name
+            assert not fast.params[name].grad.any()
+    assert fast_state.step == ref_state.step == 20
+
+
+def test_adam_step_allocates_nothing_parameter_sized():
+    import tracemalloc
+
+    g = _adam_graph([(200_000,), (7,)], 2)
+    state = gc.AdamState(lr=0.01, weight_decay=0.05)
+    param_bytes = g.params["p0"].data.nbytes
+    g.params["p0"].grad[...] = 1.0
+    gc.adam_step(state, g)  # packs the graph and allocates the moments
+    g.params["p0"].grad[...] = 0.5
+    tracemalloc.start()
+    try:
+        gc.adam_step(state, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes / 16, (peak, param_bytes)
+
+
+def test_adam_state_is_tied_to_its_graph():
+    state = gc.AdamState(lr=0.01)
+    gc.adam_step(state, _adam_graph([(3,)], 0))
+    with pytest.raises(ValueError, match="moments"):
+        gc.adam_step(state, _adam_graph([(4,)], 0))
+
+
+def test_graphs_sharing_a_tensor_never_step_a_stale_copy():
+    g1 = _adam_graph([(3,), (2,)], 0)
+    g2 = gc.ParamGraph()
+    g2.params["shared"] = g1.params["p1"]
+    s1, s2 = gc.AdamState(lr=0.1), gc.AdamState(lr=0.1)
+    for state, graph in ((s1, g1), (s2, g2), (s1, g1), (s2, g2)):
+        before = g1.params["p1"].data.copy()
+        g1.params["p1"].grad[...] = 1.0
+        gc.adam_step(state, graph)
+        assert np.all(g1.params["p1"].data < before)  # every step moves the shared tensor
+        data, grad = graph.flat()
+        assert np.shares_memory(data, g1.params["p1"].data)
+        assert np.shares_memory(grad, g1.params["p1"].grad)
+
+
+def _exact_param(g, name, shape):
+    """A parameter of small integers, so every gradient below is exact."""
+    return g.parameter(name, np.arange(np.prod(shape), dtype=np.float64).reshape(shape) - 2.0)
+
+
+def test_backward_add_and_mul_of_one_interior_node():
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (2, 3))
+    h = gc.mul(p, 3.0)
+    gc.tsum(gc.add(h, h)).backward()
+    assert np.array_equal(p.grad, np.full((2, 3), 6.0))
+    g.zero_grad()
+    gc.tsum(gc.mul(h, h)).backward()  # d/dp (3p)^2 = 18p
+    assert np.array_equal(p.grad, 18.0 * p.data)
+    g.zero_grad()
+    gc.tsum(gc.sub(h, h)).backward()
+    assert np.array_equal(p.grad, np.zeros((2, 3)))
+
+
+def test_backward_sum_of_two_interior_nodes_keeps_them_apart():
+    # add(h1, h2) hands one incoming gradient to both parents. Both are also
+    # read by a second branch that the sweep reaches after the sum and before
+    # either parent, so each takes an in-place contribution that must not
+    # reach the other.
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (2, 3))
+    w = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+    v = np.array([[3.0, 0.0, 1.0], [1.0, 5.0, 2.0]])
+    u = np.array([[2.0, 1.0, 0.0], [4.0, 1.0, 3.0]])
+    h1, h2 = gc.mul(p, 3.0), gc.mul(p, 5.0)
+    summed = gc.tsum(gc.mul(gc.add(h1, h2), gc.Tensor(w)))
+    branch = gc.tsum(gc.add(gc.mul(h1, gc.Tensor(v)), gc.mul(h2, gc.Tensor(u))))
+    gc.add(summed, branch).backward()
+    assert np.array_equal(p.grad, 3.0 * (w + v) + 5.0 * (w + u))
+
+
+def test_backward_node_feeding_two_consumers():
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (3,))
+    c = np.array([1.0, 2.0, 3.0])
+    h = gc.mul(p, 2.0)
+    gc.add(gc.tsum(gc.mul(h, gc.Tensor(c))), gc.tsum(gc.mul(h, h))).backward()
+    assert np.array_equal(p.grad, 2.0 * c + 8.0 * p.data)
+
+
+def test_backward_through_reshape_transpose_and_concat_views():
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (2, 3))
+    rng = np.random.default_rng(3)
+    w1, w2, w3 = (rng.integers(-4, 5, size=shape).astype(float)
+                  for shape in ((3, 2), (3, 2), (4, 3)))
+    h = gc.mul(p, 2.0)
+    loss = gc.add(gc.add(gc.tsum(gc.mul(gc.reshape(h, (3, 2)), gc.Tensor(w1))),
+                         gc.tsum(gc.mul(gc.transpose(h), gc.Tensor(w2)))),
+                  gc.tsum(gc.mul(gc.concat([h, h], axis=0), gc.Tensor(w3))))
+    loss.backward()
+    assert np.array_equal(p.grad, 2.0 * (w1.reshape(2, 3) + w2.T + w3[:2] + w3[2:]))
+
+
+def test_backward_broadcast_bias():
+    g = gc.ParamGraph()
+    row = _exact_param(g, "row", (1, 3))
+    vec = _exact_param(g, "vec", (3,))
+    x = gc.Tensor(np.ones((4, 3)))
+    w = gc.Tensor(np.arange(12.0).reshape(4, 3))
+    out = gc.add(gc.add(x, gc.mul(row, 2.0)), vec)
+    gc.tsum(gc.mul(out, w)).backward()
+    assert np.array_equal(row.grad, 2.0 * w.data.sum(axis=0, keepdims=True))
+    assert np.array_equal(vec.grad, w.data.sum(axis=0))
+
+
+def test_leaf_gradients_add_up_across_backward_calls_on_one_tape():
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (2, 2))
+    loss = gc.tsum(gc.mul(gc.add(p, p), 3.0))
+    loss.backward()
+    loss.backward()  # interior buffers start afresh; the leaf keeps adding
+    assert np.array_equal(p.grad, np.full((2, 2), 12.0))
+    gc.adam_step(gc.AdamState(lr=0.0), g)  # packs: the grad becomes a view
+    loss.backward()
+    gc.tsum(gc.mul(p, p)).backward()
+    assert np.array_equal(p.grad, 6.0 + 2.0 * p.data)
+
+
+def test_dsm_warmup_values_reach_the_main_graph(monkeypatch):
+    from riskbench.cohort import SynthSpec, generate_synthetic
+    from riskbench.models import DsmConfig, DsmModel
+    from riskbench.models import base as models_base
+    from riskbench.models import dsm as models_dsm
+
+    coh = generate_synthetic(SynthSpec(d=3, shapes=[1.4, 2.2], scales=[6.0, 8.0],
+                                       betas=[[1.0, 0, 0], [0, 1.0, 0]], horizon=15.0,
+                                       seed=2), 160)
+    cfg = dict(k=2, warmup_iters=25, max_epochs=1, patience=1, lr=1e-2, batch_size=64,
+               layers=1, nodes=8)
+
+    def fit():
+        model = DsmModel(DsmConfig(**cfg))
+        model.fit(coh, seed=4)
+        return model.graph.named_arrays()
+
+    fast = fit()
+    with monkeypatch.context() as patch:
+        patch.setattr(models_base, "adam_step", _textbook_adam)
+        patch.setattr(models_dsm, "adam_step", _textbook_adam)
+        ref = fit()
+        cfg["warmup_iters"] = 0
+        unwarmed = fit()
+    assert list(fast) == list(ref)
+    for name in fast:
+        assert fast[name].tobytes() == ref[name].tobytes(), name
+    assert any(not np.array_equal(ref[name], unwarmed[name]) for name in ref if ".base_" in name)
+
+
 def test_dropout_eval_mode_is_identity():
     rng = np.random.default_rng(3)
     x = gc.Tensor(rng.normal(size=(6, 6)))
