@@ -73,16 +73,21 @@ def make_phantoms(n: int, dims: tuple = (60, 40, 40, 2), seed: int = 0) -> list[
         raise DataError(f"expected (X, Y, Z, C) dims, got {dims}")
     rng = np.random.default_rng(seed)
     x, y, z, c = dims
-    grid = np.stack(np.meshgrid(np.arange(x), np.arange(y), np.arange(z),
-                                indexing="ij"), axis=-1).astype(np.float64)
+    axes = [np.arange(size, dtype=np.float64) for size in (x, y, z)]
+
+    def ellipsoid(center, semi):
+        """Voxels with (dx^2 + dy^2) + dz^2 <= 1, from three broadcast 1-D axes."""
+        dx, dy, dz = (((a - m) / s) ** 2 for a, m, s in zip(axes, center, semi))
+        return (dx[:, None, None] + dy[None, :, None]) + dz[None, None, :] <= 1.0
+
     out = []
     for _ in range(n):
         center = np.array([x, y, z]) * rng.uniform(0.42, 0.58, size=3)
         semi = np.array([x, y, z]) * rng.uniform(0.24, 0.36, size=3)
-        body = np.sum(((grid - center) / semi) ** 2, axis=-1) <= 1.0
+        body = ellipsoid(center, semi)
         organ_center = center + semi * rng.uniform(-0.3, 0.3, size=3)
         organ_semi = semi * rng.uniform(0.25, 0.4, size=3)
-        organ = np.sum(((grid - organ_center) / organ_semi) ** 2, axis=-1) <= 1.0
+        organ = ellipsoid(organ_center, organ_semi)
         base = rng.uniform(0.45, 0.75)
         vol = np.zeros(dims, dtype=np.float64)
         contrasts = [base, 1.1 - base]  # anticorrelated "water"/"fat"

@@ -319,6 +319,42 @@ def test_phantoms_deterministic():
         assert np.array_equal(va.data, vb.data)
 
 
+def _meshgrid_phantoms(n, dims, seed):
+    """The (X, Y, Z, 3) meshgrid form of `make_phantoms`, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    x, y, z, c = dims
+    grid = np.stack(np.meshgrid(np.arange(x), np.arange(y), np.arange(z),
+                                indexing="ij"), axis=-1).astype(np.float64)
+    out = []
+    for _ in range(n):
+        center = np.array([x, y, z]) * rng.uniform(0.42, 0.58, size=3)
+        semi = np.array([x, y, z]) * rng.uniform(0.24, 0.36, size=3)
+        body = np.sum(((grid - center) / semi) ** 2, axis=-1) <= 1.0
+        organ_center = center + semi * rng.uniform(-0.3, 0.3, size=3)
+        organ_semi = semi * rng.uniform(0.25, 0.4, size=3)
+        organ = np.sum(((grid - organ_center) / organ_semi) ** 2, axis=-1) <= 1.0
+        base = rng.uniform(0.45, 0.75)
+        vol = np.zeros(dims, dtype=np.float64)
+        contrasts = [base, 1.1 - base]
+        shift = rng.uniform(0.1, 0.2)
+        for ci in range(min(c, 2)):
+            vol[..., ci][body] = contrasts[ci]
+            vol[..., ci][organ] = contrasts[ci] + (shift if ci == 0 else -shift)
+        for ci in range(2, c):
+            vol[..., ci][body] = base
+        vol += rng.normal(0.0, 0.02, size=dims)
+        out.append(np.clip(vol, 0.0, 1.0).astype(np.float32))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(31, 20, 20, 2), (30, 20, 20, 1), (25, 18, 21, 3)])
+def test_phantoms_match_meshgrid_reference(dims):
+    got = make_phantoms(4, dims=dims, seed=21)
+    want = _meshgrid_phantoms(4, dims, seed=21)
+    for vol, ref in zip(got, want):
+        assert vol.data.tobytes() == ref.tobytes()
+
+
 def test_volume_file_round_trip(tmp_path):
     vol = make_phantoms(1, dims=(20, 15, 10, 2), seed=16)[0]
     path = tmp_path / "v.rbvl"
