@@ -144,6 +144,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                 raise ConfigError(f"cannot override through non-object {key!r}")
         node[keys[-1]] = value
     _check_keys(doc, _SCHEMA)
+    if doc["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {doc['seed']}")
+    if doc["workers"] < 1:
+        raise ConfigError(f"workers must be at least 1, got {doc['workers']}")
     return doc
 
 

@@ -422,3 +422,26 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "mae-train"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    doc = {**DESK_CV, "seed": -1, "mae": {"n_phantoms": 1, "dims": [30, 20, 20, 2]},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "seed must be non-negative" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("command", ["train", "cv", "mae-train"])
+def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
+    doc = {**DESK_CV, "mae": {"n_phantoms": 1, "dims": [30, 20, 20, 2]},
+           "output": {"dir": str(tmp_path / "out")}}
+    argv = [command, "--config", _write_config(tmp_path, doc)]
+    argv += ["--workers", str(workers)] if command == "cv" else ["--set", f"workers={workers}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "workers must be at least 1" in err
+    assert not (tmp_path / "out").exists()
