@@ -12,16 +12,17 @@ calls without zeroing add up. Single-threaded use of a graph is assumed.
 
 Interior nodes get no zero-filled gradient buffers. A sweep clears their
 gradients; a node's first contribution becomes its buffer and later ones
-add into it in place. A contribution is copied instead, into a buffer laid
-out like the node's data, when it is a view (reshape, transpose, concat
-slice, broadcast), is laid out differently, or is also handed to another
-parent, as `add` hands its incoming gradient to both operands. Once its
-closure has run, a node may have lent its buffer to a parent, so after a
-sweep only leaf gradients are meaningful. Buffers are laid out as
-zero-filled ones were, so reductions and matmuls see the same memory
-order, and 0 + x == x except that -0 becomes +0. Signed zeros only pass
-through products and sums into leaf accumulators that start at +0, so
-leaf gradients are bit-identical to zero-fill-then-add.
+add into it in place. A contribution is copied instead, into a buffer
+laid out like the node's data, when it is a view (reshape, transpose,
+concat slice, broadcast), is laid out differently, or is also handed to
+another parent, as `add` hands its incoming gradient to both operands. A
+node drops its buffer once its closure has run (a parent may have taken
+it over), so the sweep reuses freed memory and afterwards only leaves
+hold gradients. Buffers are laid out as zero-filled ones were, so
+reductions and matmuls see the same memory order, and 0 + x == x except
+that -0 becomes +0. Signed zeros only pass through products and sums
+into leaf accumulators that start at +0, so leaf gradients are
+bit-identical to zero-fill-then-add.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operators ----------------------------------------------------------
 

@@ -319,6 +319,7 @@ def test_backward_add_and_mul_of_one_interior_node():
     h = gc.mul(p, 3.0)
     gc.tsum(gc.add(h, h)).backward()
     assert np.array_equal(p.grad, np.full((2, 3), 6.0))
+    assert h.grad is None  # interior buffers are dropped once used
     g.zero_grad()
     gc.tsum(gc.mul(h, h)).backward()  # d/dp (3p)^2 = 18p
     assert np.array_equal(p.grad, 18.0 * p.data)
