@@ -251,7 +251,13 @@ def _model_spec(doc: dict) -> tuple[str, dict]:
         _check_keys(extras, typing.get_type_hints(MODEL_KINDS[kind][1]))
     except ConfigError as exc:
         raise ConfigError(f"model.extras for model kind {kind!r}: {exc}") from None
+    _check_at_least(extras, "max_epochs", 1, "model.extras")
     return kind, extras
+
+
+def _check_at_least(section: dict, key: str, low: int, where: str) -> None:
+    if key in section and section[key] < low:
+        raise ConfigError(f"{where}.{key} must be at least {low}, got {section[key]}")
 
 
 def _cv_settings(doc: dict) -> tuple[CvSettings, int, dict]:
@@ -263,6 +269,8 @@ def _cv_settings(doc: dict) -> tuple[CvSettings, int, dict]:
         settings = CvSettings()
     else:
         raise ConfigError(f"unknown cv preset {preset!r}")
+    for key, low in (("k", 2), ("n_iter", 1), ("max_epochs", 1)):
+        _check_at_least(cv, key, low, "cv")
     k = cv.get("k", settings.k)
     for field_name in ("n_iter", "max_epochs", "patience", "modality"):
         if field_name in cv:
@@ -461,14 +469,26 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _read_report(path: str) -> CVReport:
+    """A `cv` report.json, or its bare "report" object; anything else is a DataError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read report {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a report must be a JSON object")
+    try:
+        return CVReport.from_json(doc.get("report", doc))
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a cv report ({type(exc).__name__}: {exc})") from exc
+
+
 def cmd_report(args) -> int:
     digest = config_hash({"inputs": list(args.inputs)})
     print(f"config_hash={digest}")
-    reports = []
-    for path in args.inputs:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        reports.append(CVReport.from_json(doc.get("report", doc)))
-    markdown, table = emit_report(reports)
+    markdown, table = emit_report([_read_report(path) for path in args.inputs])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.md").write_text(markdown, encoding="utf-8")

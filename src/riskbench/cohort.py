@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 defers it to first use; every command uses it
 
 from .errors import DataError
 
@@ -333,7 +334,8 @@ def oracle_cif_curve(spec: SynthSpec, x: np.ndarray, tgrid: np.ndarray, r: int,
 
 def _strata_indices(cohort: Cohort) -> dict[int, np.ndarray]:
     """Ascending row indices of each event label present in the cohort."""
-    return {int(e): np.flatnonzero(cohort.events == e) for e in np.unique(cohort.events)}
+    present = np.flatnonzero(np.bincount(cohort.events))  # np.unique would load numpy.ma
+    return {int(e): np.flatnonzero(cohort.events == e) for e in present}
 
 
 def stratified_kfold(cohort: Cohort, k: int, seed: int) -> list[Cohort]:

@@ -30,12 +30,23 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf as _erf
-from scipy.special import expit as _sigmoid
 
 
 class ShapeError(ValueError):
     """Operand shapes do not conform; message names both shapes."""
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), elementwise; 0 where e^-x overflows, 0.5 at 0.
+
+    This is the formula of `scipy.special.expit`, written in numpy so that
+    importing gradcore does not import scipy. It is not bit-equal to expit:
+    numpy's vectorised `exp` and the C library's `exp` round differently,
+    so about 2% of float64 inputs differ, by at most 4 ulp. The
+    `exp(-logaddexp(0, -x))` form differs far more often.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _accumulate(t: "Tensor", g, owned: bool = True) -> None:
@@ -408,14 +419,14 @@ def softplus(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, g * _sigmoid(a.data))
+            _accumulate(a, g * logistic(a.data))
 
     return Tensor(np.logaddexp(0.0, a.data), _parents=(a,), _backward=bwd)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    y = _sigmoid(a.data)
+    y = logistic(a.data)
 
     def bwd(g):
         if a.requires_grad:
@@ -425,6 +436,8 @@ def sigmoid(a) -> Tensor:
 
 
 def terf(a) -> Tensor:
+    from scipy.special import erf  # only lognormal DSM needs it; scipy is slow to import
+
     a = as_tensor(a)
     two_over_sqrt_pi = 2.0 / np.sqrt(np.pi)
 
@@ -432,7 +445,7 @@ def terf(a) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g * two_over_sqrt_pi * np.exp(-a.data * a.data))
 
-    return Tensor(_erf(a.data), _parents=(a,), _backward=bwd)
+    return Tensor(erf(a.data), _parents=(a,), _backward=bwd)
 
 
 def clamp_min(a, floor: float) -> Tensor:

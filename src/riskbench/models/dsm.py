@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, expit
 
 from ..errors import DataError
 from ..gradcore import (
@@ -38,6 +37,7 @@ from ..gradcore import (
 )
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
+from ..gradcore.tensor import logistic
 from .base import PROB_FLOOR, BaseConfig, CifModel, evaluate_pairs
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -267,7 +267,7 @@ def _covariate_free_nll(cfg: DsmConfig, base_a, base_b, log_u_event, member, log
         shape = np.logaddexp(0.0, base_a)
         scale = np.logaddexp(0.0, base_b)
         log_scale = np.log(scale)
-        dp1, dp2 = expit(base_a), expit(base_b) / scale
+        dp1, dp2 = logistic(base_a), logistic(base_b) / scale
         shape_e = per_event(shape)
         dist = lu - per_event(log_scale)  # log(u / scale)
         w = shape_e * dist
@@ -283,9 +283,11 @@ def _covariate_free_nll(cfg: DsmConfig, base_a, base_b, log_u_event, member, log
         dcdf2 = dcdf1 * -per_censored(shape)
         dcdf1 *= dist
     else:  # p1 = mu, p2 = sigma
+        from scipy.special import erf
+
         sigma = np.logaddexp(0.0, base_b)
         inv_sigma = 1.0 / sigma
-        dp1, dp2 = 1.0, expit(base_b)
+        dp1, dp2 = 1.0, logistic(base_b)
         inv_sigma_e = per_event(inv_sigma)
         zz = (lu - per_event(base_a)) * inv_sigma_e
         log_pdf = per_event(-np.log(sigma) - 0.5 * LOG_2PI - np.log(k)) - lu - 0.5 * zz * zz

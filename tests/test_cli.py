@@ -406,7 +406,9 @@ def test_features_missing_or_bad_category_map_exit_3(tmp_path, capsys, text):
     assert "cats.json" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_stats_and_integrate():
+def _scipy_modules_after(code: str) -> str:
+    """Run `code` after `import riskbench.cli` in a fresh interpreter; print
+    the scipy modules it has loaded by the end."""
     import os
     import subprocess
     import sys
@@ -417,11 +419,29 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
     src = str(Path(riskbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    probe = ("import sys, riskbench.cli; "
-             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    probe = (f"import sys, riskbench.cli\n{code}\n"
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("") == "[]"
+
+
+def test_weibull_dsm_train_and_deephit_nfg_cv_load_no_scipy(tmp_path):
+    runs = []
+    for command, kind, extras in [
+            ("train", "dsm", {"distribution": "weibull", "warmup_iters": 20, "max_epochs": 2}),
+            ("cv", "deephit", {}), ("cv", "nfg", {})]:
+        doc = {**DESK_CV, "model": {"kind": kind, "extras": extras},
+               "cv": {**DESK_CV["cv"], "n_iter": 1, "max_epochs": 2},
+               "output": {"dir": str(tmp_path / kind)}}
+        runs.append([command, "--config", _write_config(tmp_path, doc, f"{kind}.json")])
+    code = f"assert [riskbench.cli.main(argv) for argv in {runs!r}] == [0, 0, 0]"
+    assert _scipy_modules_after(code) == "[]"
+    for out in ("dsm/dsm.rbck", "deephit/report.json", "nfg/report.json"):
+        assert (tmp_path / out).exists()
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "mae-train"])
@@ -444,4 +464,40 @@ def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "workers must be at least 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file"),
+    ("<directory>", "Is a directory"),
+    ("{not json", "invalid JSON"),
+    ('{"report": {"modality": "synthetic"}}', "model_kind"),
+    ("[1, 2]", "JSON object"),
+])
+def test_report_bad_input_exit_3(tmp_path, capsys, text, message):
+    path = tmp_path / "in.json"
+    if text == "<directory>":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--inputs", str(path), "--out", str(tmp_path / "merged")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(path) in err and message in err
+    assert not (tmp_path / "merged").exists()
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("train", "model.extras.max_epochs", 0, "must be at least 1"),
+    ("cv", "model.extras.max_epochs", -1, "must be at least 1"),
+    ("cv", "cv.max_epochs", 0, "must be at least 1"),
+    ("cv", "cv.k", 1, "must be at least 2"),
+    ("cv", "cv.n_iter", 0, "must be at least 1"),
+])
+def test_training_budget_below_minimum_exit_2(tmp_path, capsys, command, key, value, message):
+    doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
+    argv = [command, "--config", _write_config(tmp_path, doc), "--set", f"{key}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{key} {message}, got {value}" in err
     assert not (tmp_path / "out").exists()

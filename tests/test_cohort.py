@@ -17,6 +17,7 @@ from riskbench.cohort import (
     holdout_split,
     oracle_cif,
     oracle_cif_curve,
+    _strata_indices,
     stratified_kfold,
 )
 from riskbench.errors import DataError
@@ -233,6 +234,23 @@ def test_kfold_partition_properties():
     for i in range(len(id_sets)):
         for j in range(i + 1, len(id_sets)):
             assert not id_sets[i] & id_sets[j]
+
+
+@pytest.mark.parametrize("events", [
+    [0, 2, 1, 1, 0, 2, 0, 1, 2, 2],
+    [1, 0, 0, 1, 1, 0],  # two risks, no risk-2 events
+    [2, 2, 2],  # neither censored nor risk-1 subjects
+    [],
+])
+def test_strata_indices_match_unique_labels(events):
+    n = len(events)
+    cohort = Cohort([f"u{i}" for i in range(n)], np.zeros((n, 1)), np.ones(n), events,
+                    ["risk_1", "risk_2"], ["x1"])
+    strata = _strata_indices(cohort)
+    expected = {int(e): np.flatnonzero(cohort.events == e) for e in np.unique(cohort.events)}
+    assert list(strata) == list(expected)
+    for e, rows in expected.items():
+        assert strata[e].dtype == rows.dtype and np.array_equal(strata[e], rows)
 
 
 def test_kfold_small_stratum_errors():

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from riskbench import gradcore as gc
-from riskbench.gradcore.tensor import ShapeError
+from riskbench.gradcore.tensor import ShapeError, logistic
 
 
 def test_softmax_symmetry():
@@ -16,6 +18,25 @@ def test_softmax_rows_sum_to_one():
     s = gc.softmax(x, axis=-1)
     assert np.all(s.data > 0)
     assert np.max(np.abs(s.data.sum(axis=-1) - 1.0)) < 1e-12
+
+
+def test_logistic_matches_scipy_expit():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.normal(scale=5.0, size=100_000),
+                        rng.uniform(-700.0, 700.0, size=100_000)])
+    ref = expit(x)
+    assert np.all(np.abs(logistic(x) - ref) <= 1e-14 * ref)
+
+
+def test_logistic_exact_half_at_zero_and_quiet_at_extremes():
+    assert logistic(np.array(0.0)) == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = logistic(np.array([-1000.0, 1000.0]))
+        assert np.array_equal(out, [0.0, 1.0])
+        assert np.array_equal(gc.sigmoid(gc.Tensor([-1000.0, 1000.0])).data, [0.0, 1.0])
 
 
 def test_matmul_identity():

@@ -15,6 +15,7 @@ from riskbench.pipeline import (
     nested_cv,
     random_search,
     t_confidence_interval,
+    t_quantile,
 )
 
 
@@ -197,6 +198,21 @@ def test_ci_matches_hand_arithmetic():
     assert abs(agg["mean"] - 0.60) < 1e-12
     assert abs(agg["lo"] - (0.60 - mult * sd / np.sqrt(5))) < 1e-12
     assert abs(agg["hi"] - (0.60 + mult * sd / np.sqrt(5))) < 1e-12
+
+
+@pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+def test_t_quantile_matches_scipy_stdtrit(level):
+    from scipy.special import stdtrit
+
+    for df in range(1, 61):
+        expected = float(stdtrit(df, 0.5 + level / 2.0))
+        assert abs(t_quantile(df, level) - expected) <= 1e-12 * expected, df
+
+
+@pytest.mark.parametrize("df, level", [(0, 0.95), (3, 0.0), (3, 1.0)])
+def test_t_quantile_rejects_bad_arguments(df, level):
+    with pytest.raises(ValueError):
+        t_quantile(df, level)
 
 
 # -- nested CV -------------------------------------------------------------------
