@@ -267,7 +267,9 @@ def _covariate_free_nll(cfg: DsmConfig, base_a, base_b, log_u_event, member, log
         shape = np.logaddexp(0.0, base_a)
         scale = np.logaddexp(0.0, base_b)
         log_scale = np.log(scale)
-        dp1, dp2 = logistic(base_a), logistic(base_b) / scale
+        # one logistic call for both: at (R, k) numpy's per-call cost dominates
+        dp = logistic(np.concatenate((base_a, base_b)))
+        dp1, dp2 = dp[:n_risks], dp[n_risks:] / scale
         shape_e = per_event(shape)
         dist = lu - per_event(log_scale)  # log(u / scale)
         w = shape_e * dist
