@@ -470,7 +470,8 @@ def cmd_embed(args) -> int:
 
 
 def _read_report(path: str) -> CVReport:
-    """A `cv` report.json, or its bare "report" object; anything else is a DataError."""
+    """A `cv` report.json, or its bare "report" object, with a finite numeric
+    mean/lo/hi aggregate cell per risk name; anything else is a DataError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -480,9 +481,22 @@ def _read_report(path: str) -> CVReport:
     if not isinstance(doc, dict):
         raise DataError(f"{path}: a report must be a JSON object")
     try:
-        return CVReport.from_json(doc.get("report", doc))
+        report = CVReport.from_json(doc.get("report", doc))
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a cv report ({type(exc).__name__}: {exc})") from exc
+    if not isinstance(report.aggregate, dict) or not isinstance(report.risk_names, list):
+        raise DataError(f"{path}: aggregate must be a JSON object and risk_names a list")
+    for name in report.risk_names:
+        cell = report.aggregate.get(name) if isinstance(name, str) else None
+        if not isinstance(cell, dict):
+            raise DataError(f"{path}: no aggregate cell for risk {name!r}")
+        for key in ("mean", "lo", "hi"):
+            value = cell.get(key)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise DataError(f"{path}: aggregate {name!r} {key} must be a finite "
+                                f"number, got {value!r}")
+    return report
 
 
 def cmd_report(args) -> int:

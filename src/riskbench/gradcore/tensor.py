@@ -23,6 +23,12 @@ reductions and matmuls see the same memory order, and 0 + x == x except
 that -0 becomes +0. Signed zeros only pass through products and sums
 into leaf accumulators that start at +0, so leaf gradients are
 bit-identical to zero-fill-then-add.
+
+`index` (also `Tensor.__getitem__`) is the one op whose backward zero-fills:
+it scatters `g` into a fresh zero array shaped like its input with
+`np.add.at`, so an entry the key selects twice receives both gradients,
+and hands that array on as an owned contribution. Every key, slice or
+integer array, takes this one path.
 """
 
 from __future__ import annotations
@@ -179,11 +185,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return powc(self, exponent)
-
     def __neg__(self):
         return mul(self, -1.0)
+
+    def __getitem__(self, key):
+        return index(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -355,18 +361,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
-def powc(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent."""
-    a = as_tensor(a)
-    c = float(exponent)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * c * a.data ** (c - 1.0))
-
-    return Tensor(a.data**c, _parents=(a,), _backward=bwd)
-
-
 def texp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
@@ -386,17 +380,6 @@ def tlog(a) -> Tensor:
             _accumulate(a, g / a.data)
 
     return Tensor(np.log(a.data), _parents=(a,), _backward=bwd)
-
-
-def tsqrt(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.sqrt(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * 0.5 / y)
-
-    return Tensor(y, _parents=(a,), _backward=bwd)
 
 
 def tanh(a) -> Tensor:
@@ -537,6 +520,19 @@ def transpose(a, axes=None) -> Tensor:
             _accumulate(a, g.transpose(inv))
 
     return Tensor(a.data.transpose(axes), _parents=(a,), _backward=bwd)
+
+
+def index(a, key) -> Tensor:
+    """`a.data[key]` for any numpy key; `Tensor.__getitem__` calls this."""
+    a = as_tensor(a)
+
+    def bwd(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, key, g)
+            _accumulate(a, ga)
+
+    return Tensor(a.data[key], _parents=(a,), _backward=bwd)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

@@ -127,7 +127,7 @@ class MaeModel:
         for block in self.dec_blocks:
             x = block(x, rng=rng, training=training)
         pred = self.unembed(self.dec_norm(x))
-        pred_masked = _take_rows(pred, np.arange(len(order) - n_masked, len(order)))
+        pred_masked = pred[len(order) - n_masked :]
         target = Tensor(grid.values[plan.masked].astype(np.float64))
         diff = sub(pred_masked, target)
         return pred_masked, tmean(mul(diff, diff))
@@ -148,13 +148,6 @@ class MaeModel:
         model = cls(MaeConfig(**cfg))
         restore_checkpoint(model.graph, path)
         return model
-
-
-def _take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Row selection as a taped matmul with a constant selector."""
-    sel = np.zeros((rows.size, x.shape[0]))
-    sel[np.arange(rows.size), rows] = 1.0
-    return Tensor(sel) @ x
 
 
 @dataclass

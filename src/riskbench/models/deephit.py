@@ -107,11 +107,9 @@ class DeepHitModel(CifModel):
         y = self._masses(x, rng, training)  # (nb, R*L)
         bins = np.maximum(self._bin_of(t), 1)  # events/censoring at t=0 use bin 1
 
-        # event term: mass of the subject's own (risk, bin)
-        pick = np.zeros((nb, R * L))
-        rows = np.nonzero(e > 0)[0]
-        pick[rows, (e[rows] - 1) * L + (bins[rows] - 1)] = 1.0
-        own_mass = tsum(mul(y, Tensor(pick)), axis=-1)
+        # event term: mass of the subject's own (risk, bin); censored rows
+        # read column 0, which the e > 0 mask of _clamped_log_sum zeroes
+        own_mass = y[np.arange(nb), np.where(e > 0, (e - 1) * L + bins - 1, 0)]
         event_ll = self._clamped_log_sum(own_mass, e > 0, training)
 
         # censored term: mass at or beyond the censoring bin, over all risks
@@ -127,11 +125,10 @@ class DeepHitModel(CifModel):
         """Pairwise penalty exp(-(F_r(t_i|x_i) - F_r(t_i|x_j)) / sigma) over
         pairs with e_i = r and t_i < t_j, averaged within each risk and
         summed over risks so rare risks keep full ranking pressure."""
-        nb = len(t)
-        L, R = self.n_bins, self.n_risks
+        L = self.n_bins
         lower = np.tril(np.ones((L, L)))  # lower[j, l] = 1 for j <= l
         total = None
-        for r in range(R):
+        for r in range(self.n_risks):
             idx = np.nonzero(e == r + 1)[0]
             if idx.size == 0:
                 continue
@@ -139,17 +136,12 @@ class DeepHitModel(CifModel):
             n_pairs = int(pair_mask.sum())
             if n_pairs == 0:
                 continue
-            sel = np.zeros((nb, R * L))
-            sel[:, r * L : (r + 1) * L] = 1.0
-            y_r = mul(y, Tensor(sel))
-            y_r = tsum(y_r.reshape(nb, R, L), axis=1)  # (nb, L), zeros elsewhere
-            cum = matmul(y_r, Tensor(lower))  # running CIF per bin
+            cum = matmul(y[:, r * L : (r + 1) * L], Tensor(lower))  # running CIF per bin
             onehot = np.zeros((idx.size, L))
             onehot[np.arange(idx.size), np.maximum(self._bin_of(t[idx]), 1) - 1] = 1.0
+            # matmul, not a gather: np.add.at sums same-bin events' gradients out of BLAS order
             f_at_ti = matmul(cum, Tensor(onehot.T))  # (nb, n_ev): F_r(t_i | x_j)
-            own_sel = np.zeros((nb, idx.size))
-            own_sel[idx, np.arange(idx.size)] = 1.0
-            own = tsum(mul(f_at_ti, Tensor(own_sel)), axis=0)  # (n_ev,)
+            own = f_at_ti[idx, np.arange(idx.size)]  # (n_ev,)
             diff = tsub(own.reshape(idx.size, 1), transpose(f_at_ti, (1, 0)))
             contrib = mul(texp(mul(diff, -1.0 / self.config.sigma)),
                           Tensor(pair_mask.astype(np.float64)))

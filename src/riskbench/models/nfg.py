@@ -108,10 +108,6 @@ class NfgModel(CifModel):
     def _balance(self, h: Tensor) -> Tensor:
         return softmax(tadd(h @ self.balance_w, self.balance_b), axis=-1)
 
-    def _balance_col(self, balance: Tensor, r: int) -> Tensor:
-        """B(E(x))_r as an (n, 1) column."""
-        return mul(balance, Tensor(_one_hot(r, self.n_risks))).sum(axis=-1, keepdims=True)
-
     def _risk_cif(self, r: int, u_col: Tensor, proj: Tensor, b_col: Tensor):
         """CIF (n, 1) of risk r, plus M, exp(-u*M) and the monotone record."""
         m, record = self.monotone[r].forward(u_col, proj)
@@ -120,7 +116,7 @@ class NfgModel(CifModel):
 
     def _risk_cif_density(self, r: int, u_col: Tensor, h: Tensor, balance: Tensor):
         """CIF (n,) and density in rescaled time (n,) for risk r."""
-        b_col = self._balance_col(balance, r)
+        b_col = balance[:, r : r + 1]  # B(E(x))_r as an (n, 1) column
         cif, m, decay, record = self._risk_cif(r, u_col, h @ self.monotone[r].w_emb, b_col)
         dm = self.monotone[r].tangent(record)
         # dF/du = B_r * exp(-u*M) * (M + u * dM/du)
@@ -144,7 +140,7 @@ class NfgModel(CifModel):
         """Encoder, balance and emb @ w_emb once; the time path per pair."""
         h = self.encoder(Tensor(x))
         proj = (h @ self.monotone[r - 1].w_emb).data
-        b_col = self._balance_col(self._balance(h), r - 1).data
+        b_col = self._balance(h).data[:, r - 1 : r]
         u = times / self.t_scale
 
         def at(ti, ri):
@@ -166,9 +162,3 @@ class NfgModel(CifModel):
         net = self.monotone[r - 1]
         m, record = net.forward(Tensor(u), h @ net.w_emb)
         return m.data.copy(), net.tangent(record).data.copy()
-
-
-def _one_hot(index: int, size: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v

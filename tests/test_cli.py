@@ -487,6 +487,25 @@ def test_report_bad_input_exit_3(tmp_path, capsys, text, message):
     assert not (tmp_path / "merged").exists()
 
 
+@pytest.mark.parametrize("aggregate, message", [
+    ({}, "'risk_1'"),
+    ({"risk_1": {"mean": 0.7, "hi": 0.8}}, "lo"),
+    ({"risk_1": {"mean": "0.7", "lo": 0.6, "hi": 0.8}}, "mean"),
+    ({"risk_1": {"mean": 0.7, "lo": float("nan"), "hi": 0.8}}, "lo"),
+    ([{"mean": 0.7, "lo": 0.6, "hi": 0.8}], "aggregate"),
+], ids=["empty", "no_lo", "string_mean", "nan_lo", "list"])
+def test_report_bad_aggregate_exit_3(tmp_path, capsys, aggregate, message):
+    doc = {"report": {"model_kind": "nfg", "modality": "synthetic", "risk_names": ["risk_1"],
+                      "k": 3, "seed": 0, "folds": [], "aggregate": aggregate}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--inputs", str(path), "--out", str(tmp_path / "merged")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(path) in err and message in err
+    assert not (tmp_path / "merged").exists()
+
+
 @pytest.mark.parametrize("command, key, value, message", [
     ("train", "model.extras.max_epochs", 0, "must be at least 1"),
     ("cv", "model.extras.max_epochs", -1, "must be at least 1"),

@@ -102,9 +102,40 @@ def test_mlp_matches_finite_differences():
     assert report.passed, str(report)
 
 
-@pytest.mark.parametrize("op_name", ["exp", "log", "tanh", "softplus", "relu",
-                                     "erf", "sigmoid", "sqrt", "layer_norm",
-                                     "softmax", "logsumexp"])
+# Row of test_each_primitive_matches_finite_differences that audits each op.
+AUDIT_ROWS = {
+    "texp": ["exp"], "tlog": ["log"], "tanh": ["tanh"], "softplus": ["softplus"],
+    "relu": ["relu"], "terf": ["erf"], "sigmoid": ["sigmoid"],
+    "layer_norm": ["layer_norm"], "softmax": ["softmax"], "logsumexp": ["logsumexp"],
+    "index": ["index_slice", "index_gather"], "div": ["div"], "clamp_min": ["clamp_min"],
+}
+
+# Taped ops audited by another finite-difference test instead of a row.
+COVERED_BY = {
+    "add": "test_broadcast_add_and_mul_gradients",
+    "mul": "test_broadcast_add_and_mul_gradients",
+    "sub": "test_mlp_matches_finite_differences",
+    "matmul": "test_mlp_matches_finite_differences",
+    "tsum": "test_each_primitive_matches_finite_differences",  # every row's loss
+    "tmean": "test_each_primitive_matches_finite_differences",  # every row's loss
+    "concat": "test_concat_and_slicing_gradients",
+    "reshape": "test_attention_block_matches_finite_differences",
+    "transpose": "test_attention_block_matches_finite_differences",
+    "sdpa": "test_attention_block_matches_finite_differences",
+    # Finite differences need a repeatable loss, and dropout draws a fresh
+    # mask on every call; its backward is checked entry by entry instead.
+    "dropout": "test_dropout_training_scales_surviving_entries",
+}
+
+
+def _widest_gap_midpoint(values: np.ndarray) -> float:
+    """A floor as far as possible from every entry, with entries on both sides."""
+    s = np.sort(values, axis=None)
+    i = int(np.argmax(np.diff(s)))
+    return float(s[i] + s[i + 1]) / 2.0
+
+
+@pytest.mark.parametrize("op_name", [row for rows in AUDIT_ROWS.values() for row in rows])
 def test_each_primitive_matches_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
     ops = {
@@ -115,13 +146,18 @@ def test_each_primitive_matches_finite_differences(op_name):
         "relu": gc.relu,
         "erf": gc.terf,
         "sigmoid": gc.sigmoid,
-        "sqrt": lambda t: gc.tsqrt(gc.add(gc.mul(t, t), 0.5)),
         "layer_norm": gc.layer_norm,
         "softmax": lambda t: gc.softmax(t, axis=-1),
         "logsumexp": lambda t: gc.logsumexp(t, axis=-1, keepdims=True),
+        "index_slice": lambda t: gc.mul(t[1:2, :], t[:, 2:3]),  # both read t[1, 2]
+        "index_gather": lambda t: t[np.array([3, 0, 3, 1])],
+        "div": lambda t: gc.div(t, gc.add(gc.mul(t, t), 1.0)),
+        # the floor is fixed before the audit, far from every entry of p
+        "clamp_min": lambda t: gc.clamp_min(t, floor),
     }
     g = gc.ParamGraph()
     p = g.parameter("p", rng.normal(size=(4, 6)))
+    floor = _widest_gap_midpoint(p.data)
     w = gc.Tensor(rng.normal(size=(4, 6)))
 
     def loss_fn():
@@ -129,6 +165,22 @@ def test_each_primitive_matches_finite_differences(op_name):
 
     report = gc.grad_check(lambda: (g, loss_fn), tolerance=1e-4)
     assert report.passed, f"{op_name}: {report}"
+
+
+def test_every_taped_op_has_a_finite_difference_audit():
+    import inspect
+
+    from riskbench.gradcore import tensor
+
+    taped = {name for name in gc.__all__
+             if inspect.isfunction(getattr(gc, name))
+             and getattr(gc, name).__module__ == tensor.__name__
+             and name != "as_tensor"}  # as_tensor wraps a value and records nothing
+    unaudited = taped - set(AUDIT_ROWS) - set(COVERED_BY)
+    assert not unaudited, f"taped ops without a finite-difference audit: {sorted(unaudited)}"
+    assert not (set(AUDIT_ROWS) | set(COVERED_BY)) - taped, "audit map names a missing op"
+    for test_name in COVERED_BY.values():
+        assert callable(globals().get(test_name)), f"{test_name} is not in this module"
 
 
 def test_broadcast_add_and_mul_gradients():
@@ -399,6 +451,37 @@ def test_backward_broadcast_bias():
     gc.tsum(gc.mul(out, w)).backward()
     assert np.array_equal(row.grad, 2.0 * w.data.sum(axis=0, keepdims=True))
     assert np.array_equal(vec.grad, w.data.sum(axis=0))
+
+
+def test_index_backward_adds_the_gradient_of_every_selection():
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (3, 4))
+    h = gc.mul(p, 2.0)
+    rows, cols = np.array([2, 0, 2, 2]), np.array([1, 3, 1, 1])
+    picked = h[rows, cols]  # (2, 1) is selected three times
+    block = h[1:, ::2]
+    assert np.array_equal(picked.data, h.data[rows, cols])
+    assert np.array_equal(block.data, h.data[1:, ::2])
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    wb = np.array([[5.0, -6.0], [7.0, 8.0]])
+    gc.tsum(gc.add(gc.tsum(gc.mul(picked, gc.Tensor(w))),
+                   gc.tsum(gc.mul(block, gc.Tensor(wb))))).backward()
+    expected = np.zeros((3, 4))
+    expected[2, 1] = 1.0 + 3.0 + 4.0
+    expected[0, 3] = 2.0
+    expected[1:, ::2] += wb
+    assert np.array_equal(p.grad, 2.0 * expected)
+    assert h.grad is None and picked.grad is None
+
+
+def test_index_under_no_grad_builds_no_tape():
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (3, 4))
+    with g.no_grad():
+        out = p[np.array([0, 0, 2]), 1:3]
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    assert np.array_equal(out.data, p.data[[0, 0, 2], 1:3])
 
 
 def test_leaf_gradients_add_up_across_backward_calls_on_one_tape():

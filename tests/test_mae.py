@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskbench import gradcore as gc
 from riskbench.errors import DataError
 from riskbench.gradcore import grad_check
 from riskbench.mae import (
@@ -214,6 +215,42 @@ def test_mae_loss_gradients_match_finite_differences():
     report = grad_check(lambda: (model.graph, loss_fn), tolerance=1e-4,
                         max_entries_per_param=40, rng=rng)
     assert report.passed, str(report)
+
+
+def _selector_forward(model, grid, plan):
+    """MaeModel.forward with the masked rows picked by a 0/1 selector matmul."""
+    enc = model.encode(grid, plan.visible)
+    n_masked = plan.masked.size
+    mask_rep = gc.mul(gc.Tensor(np.ones((n_masked, 1))), model.mask_token)
+    order = np.concatenate([plan.visible, plan.masked])
+    pos = sinusoidal_positions(grid.positions[order], model.config.embed_dim)
+    x = gc.concat([enc, mask_rep], axis=0) + gc.Tensor(pos)
+    for block in model.dec_blocks:
+        x = block(x)
+    pred = model.unembed(model.dec_norm(x))
+    sel = np.zeros((n_masked, len(order)))
+    sel[np.arange(n_masked), np.arange(len(order) - n_masked, len(order))] = 1.0
+    pred_masked = gc.Tensor(sel) @ pred
+    diff = gc.sub(pred_masked, gc.Tensor(grid.values[plan.masked].astype(np.float64)))
+    return pred_masked, gc.tmean(gc.mul(diff, diff))
+
+
+def test_forward_bit_equal_to_selector_matrix_form():
+    _, grid, flags = _small_setup(11)
+    plan = sample_mask(flags, 0.7, seed=4)
+    model = MaeModel(MaeConfig(embed_dim=16, enc_layers=1, dec_layers=1, heads=2), seed=5)
+    results = []
+    for forward in (model.forward, lambda g, p: _selector_forward(model, g, p)):
+        model.graph.zero_grad()
+        pred, loss = forward(grid, plan)
+        loss.backward()
+        results.append((pred.data.copy(), loss.item(),
+                        {name: t.grad.copy() for name, t in model.graph.params.items()}))
+    (pred, loss, grads), (ref_pred, ref_loss, ref_grads) = results
+    assert np.array_equal(pred, ref_pred) and loss == ref_loss
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+    assert np.any(ref_grads["mask_token"] != 0.0)
 
 
 # -- training ------------------------------------------------------------------------

@@ -647,6 +647,95 @@ def test_deephit_censored_keep_matches_loop():
     assert set(np.unique(got)) <= {0.0, 1.0}
 
 
+def _loss_and_leaf_grads(m, loss_fn):
+    m.graph.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), {name: p.grad.copy() for name, p in m.graph.params.items()}
+
+
+def _selector_deephit_loss(m, x, t, e):
+    """DeepHit's loss with every entry picked by a dense 0/1 selector, as
+    it was written before gradcore had a taped index."""
+    from riskbench.models.deephit import _censored_keep
+
+    nb, L, R = len(t), m.n_bins, m.n_risks
+    y = m._masses(x, None, training=True)
+    bins = np.maximum(m._bin_of(t), 1)
+    pick = np.zeros((nb, R * L))
+    rows = np.nonzero(e > 0)[0]
+    pick[rows, (e[rows] - 1) * L + (bins[rows] - 1)] = 1.0
+    own_mass = gc.tsum(gc.mul(y, gc.Tensor(pick)), axis=-1)
+    event_ll = m._clamped_log_sum(own_mass, e > 0, True)
+    remaining = gc.tsum(gc.mul(y, gc.Tensor(_censored_keep(bins, e, L, R))), axis=-1)
+    loss = m._nll(event_ll, remaining, e, True)
+    lower = np.tril(np.ones((L, L)))
+    total = None
+    for r in range(R):
+        idx = np.nonzero(e == r + 1)[0]
+        pair_mask = t[None, :] > t[idx][:, None]
+        sel = np.zeros((nb, R * L))
+        sel[:, r * L : (r + 1) * L] = 1.0
+        y_r = gc.tsum(gc.mul(y, gc.Tensor(sel)).reshape(nb, R, L), axis=1)
+        cum = gc.matmul(y_r, gc.Tensor(lower))
+        onehot = np.zeros((idx.size, L))
+        onehot[np.arange(idx.size), np.maximum(m._bin_of(t[idx]), 1) - 1] = 1.0
+        f_at_ti = gc.matmul(cum, gc.Tensor(onehot.T))
+        own_sel = np.zeros((nb, idx.size))
+        own_sel[idx, np.arange(idx.size)] = 1.0
+        own = gc.tsum(gc.mul(f_at_ti, gc.Tensor(own_sel)), axis=0)
+        diff = gc.sub(own.reshape(idx.size, 1), gc.transpose(f_at_ti, (1, 0)))
+        contrib = gc.mul(gc.texp(gc.mul(diff, -1.0 / m.config.sigma)),
+                         gc.Tensor(pair_mask.astype(np.float64)))
+        term = gc.mul(gc.tsum(contrib), 1.0 / int(pair_mask.sum()))
+        total = term if total is None else gc.add(total, term)
+    return gc.add(loss, gc.mul(total, m.config.alpha))
+
+
+def test_deephit_loss_bit_equal_to_selector_matrix_form():
+    m = _bare(DeepHitModel, _tiny_cfg(DeepHitConfig, bins=6, alpha=0.5), d=3,
+              n_risks=2, t_scale=7.0, edges=np.linspace(1.0, 6.0, 6), seed=8)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(48, 3))
+    t = np.round(rng.uniform(0.0, 7.0, size=48), 1)
+    t[0] = 0.0
+    e = rng.integers(0, 3, size=48)
+    e[:3] = [1, 0, 2]  # an event at t=0, and censored rows
+    new = _loss_and_leaf_grads(m, lambda: m._loss(x, t, e, None, training=True))
+    old = _loss_and_leaf_grads(m, lambda: _selector_deephit_loss(m, x, t, e))
+    assert new[0] == old[0]
+    for name, grad in old[1].items():
+        assert np.array_equal(new[1][name], grad), name
+    assert all(np.any(grad != 0.0) for grad in old[1].values())
+
+
+def _selector_nfg_risk_cif_density(self, r, u_col, h, balance):
+    """NfgModel._risk_cif_density with B(E(x))_r picked by a one-hot product."""
+    one_hot = np.zeros(self.n_risks)
+    one_hot[r] = 1.0
+    b_col = gc.mul(balance, gc.Tensor(one_hot)).sum(axis=-1, keepdims=True)
+    cif, m, decay, record = self._risk_cif(r, u_col, h @ self.monotone[r].w_emb, b_col)
+    dm = self.monotone[r].tangent(record)
+    density = gc.mul(gc.mul(b_col, decay), gc.add(m, gc.mul(u_col, dm)))
+    return cif.reshape(-1), density.reshape(-1)
+
+
+def test_nfg_loss_bit_equal_to_one_hot_form(monkeypatch):
+    m = _bare(NfgModel, _tiny_cfg(NfgConfig, monotone_nodes=8), d=3, n_risks=3,
+              t_scale=7.0, seed=9)
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(40, 3))
+    t = rng.uniform(0.0, 7.0, size=40)
+    e = rng.integers(0, 4, size=40)
+    new = _loss_and_leaf_grads(m, lambda: m._loss(x, t, e, None, training=True))
+    monkeypatch.setattr(NfgModel, "_risk_cif_density", _selector_nfg_risk_cif_density)
+    old = _loss_and_leaf_grads(m, lambda: m._loss(x, t, e, None, training=True))
+    assert new[0] == old[0]
+    for name, grad in old[1].items():
+        assert np.array_equal(new[1][name], grad), name
+    assert np.any(old[1]["balance.w"] != 0.0)
+
+
 # -- shared likelihood ---------------------------------------------------------------
 
 
