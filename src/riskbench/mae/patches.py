@@ -101,5 +101,7 @@ def sample_mask(flags: np.ndarray, ratio: float = 0.70, seed: int = 0) -> MaskPl
     n_masked = round(ratio * fg.size)  # ties round to even
     rng = np.random.default_rng(seed)
     masked = np.sort(rng.choice(fg, size=n_masked, replace=False))
-    visible = np.setdiff1d(fg, masked)
+    is_masked = np.zeros(flags.size, dtype=bool)
+    is_masked[masked] = True
+    visible = fg[~is_masked[fg]]  # np.setdiff1d(fg, masked) loads numpy.ma
     return MaskPlan(visible, masked, ratio, seed)

@@ -5,8 +5,10 @@ type r, t_i < t_j and t_i lies at or before the evaluation horizon; j may
 be censored or belong to any risk. The pair counts as concordant when the
 model assigns i the higher incidence at time t_i, with predictions closer
 than 1e-12 scored as half-concordant. The index needs F_r(t_i | x_j) only
-at the event times t_i, so a model is queried once per risk, with all of
-those times in one batched `cif_curves` call.
+on the comparable pairs and each event's own (i, i), so a model is queried
+once per risk through one `cif_pairs` evaluator, which runs on just those
+pairs, BLOCK_PAIRS at a time: memory stays O(n + BLOCK_PAIRS). The full
+event-by-subject `cif_score_matrix` is kept as the brute-force reference.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models.base import CHUNK_ROWS, evaluate_pairs
+
 TIE_TOL = 1e-12
+# comparable pairs per block, a whole number of query chunks
+BLOCK_PAIRS = 8 * CHUNK_ROWS
 
 
 @dataclass
@@ -48,31 +54,44 @@ def cif_score_matrix(model, cohort, r: int) -> np.ndarray:
 
 def ctd_index(cohort, model=None, r: int = 1, horizon: float | None = None,
               scores: np.ndarray | None = None) -> CtdResult:
-    """Concordance over comparable pairs, vectorized per event subject.
+    """Concordance over the comparable pairs, streamed in blocks.
 
     Either a fitted CifModel or a precomputed score matrix (as built by
-    cif_score_matrix) must be given.
+    cif_score_matrix) must be given; both are read on the same pairs.
     """
     times = cohort.times
-    events = cohort.events
     if horizon is None:
         horizon = float(times.max())
-    if scores is None:
-        if model is None:
-            raise ValueError("need a model or a precomputed score matrix")
-        scores = cif_score_matrix(model, cohort, r)
-    conc = 0.0
-    pairs = 0
-    for i in np.nonzero((events == r) & (times <= horizon))[0]:
-        later = times > times[i]
-        if not np.any(later):
-            continue
-        diff = scores[i, i] - scores[i, later]
-        conc += float(np.sum(diff > TIE_TOL)) + 0.5 * float(np.sum(np.abs(diff) <= TIE_TOL))
-        pairs += int(np.sum(later))
-    if pairs == 0:
+    if scores is None and model is None:
+        raise ValueError("need a model or a precomputed score matrix")
+    # subjects are taken in time order, so the subjects comparable with
+    # event i are the suffix that starts at first_later[i]
+    order = np.argsort(times, kind="stable")
+    first_later = np.searchsorted(times[order], times, side="right")
+    rows = np.nonzero((cohort.events == r) & (times <= horizon)
+                      & (first_later < cohort.n))[0]
+    if rows.size == 0:
         raise ValueError(f"no comparable pairs for risk {r}")
-    return CtdResult(conc / pairs, pairs, r, horizon)
+    if scores is None:
+        at = model.cif_pairs(cohort.features[order], times[rows], r)
+    else:
+        def at(ti, ri):
+            return scores[rows[ti], order[ri]]
+    rank = np.empty(cohort.n, dtype=np.intp)
+    rank[order] = np.arange(cohort.n)
+    own = evaluate_pairs(at, np.arange(rows.size), rank[rows])
+    # the pairs run row after row: flat index p belongs to the first row k
+    # with p < ends[k] and compares it with sorted position p - ends[k] + n
+    ends = np.cumsum(cohort.n - first_later[rows])
+    pairs = int(ends[-1])
+    greater = ties = 0
+    for lo in range(0, pairs, BLOCK_PAIRS):
+        flat = np.arange(lo, min(lo + BLOCK_PAIRS, pairs))
+        k = np.searchsorted(ends, flat, side="right")
+        diff = own[k] - evaluate_pairs(at, k, flat - ends[k] + cohort.n)
+        greater += int(np.count_nonzero(diff > TIE_TOL))
+        ties += int(np.count_nonzero(np.abs(diff) <= TIE_TOL))
+    return CtdResult((greater + 0.5 * ties) / pairs, pairs, r, horizon)
 
 
 def ctd_bruteforce(cohort, scores: np.ndarray, r: int = 1,

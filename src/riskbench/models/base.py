@@ -2,10 +2,11 @@
 
 Every model fits on a cohort and afterwards answers F_r(t|x), the
 probability of event r occurring by time t, through one batched query:
-`cif_curves(x, times, r)` runs the covariate path once and evaluates every
-query time from it, without a tape. Training is mini-batch Adam with early
-stopping on a validation likelihood; time inputs are rescaled by the
-training-set maximum so exponentials stay tame (queries rescale
+`cif_pairs(x, times, r)` runs the covariate path once and returns an
+evaluator of chosen (time, subject) pairs, which runs without a tape;
+`cif_curves` evaluates it over the full grid. Training is mini-batch Adam
+with early stopping on a validation likelihood; time inputs are rescaled
+by the training-set maximum so exponentials stay tame (queries rescale
 consistently, leaving CIF values unchanged).
 
 `_build` makes every model's ReLU encoder before its `_build_heads`, and
@@ -72,22 +73,20 @@ def _rng_stream(seed: int, label: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), label)))
 
 
-def evaluate_pairs(n_times: int, n_rows: int, fn) -> np.ndarray:
-    """(n_times, n_rows) array of fn(time_index, row_index) over all pairs.
+def evaluate_pairs(fn, ti: np.ndarray, ri: np.ndarray) -> np.ndarray:
+    """fn over the pairs (ti[k], ri[k]), in order, one value per pair.
 
-    The pairs run time-major through the flattened grid and `fn` sees at
-    most CHUNK_ROWS of them per call, as two index arrays of equal length;
-    it returns one value per pair.
+    `fn` sees at most CHUNK_ROWS pairs per call, as two index arrays of
+    equal length, and returns one value per pair.
     """
-    out = np.empty(n_times * n_rows)
-    for lo in range(0, out.size, CHUNK_ROWS):
-        flat = np.arange(lo, min(lo + CHUNK_ROWS, out.size))
-        out[lo : lo + flat.size] = fn(flat // n_rows, flat % n_rows)
-    return out.reshape(n_times, n_rows)
+    out = np.empty(ti.size)
+    for lo in range(0, ti.size, CHUNK_ROWS):
+        out[lo : lo + CHUNK_ROWS] = fn(ti[lo : lo + CHUNK_ROWS], ri[lo : lo + CHUNK_ROWS])
+    return out
 
 
 class CifModel:
-    """Base class: fit(cohort, seed) then cif_curves(x, times, r) or cif(x, t, r)."""
+    """Base class: fit(cohort, seed), then cif_pairs, cif_curves or cif."""
 
     kind = "abstract"
     config_class = BaseConfig
@@ -115,8 +114,10 @@ class CifModel:
               rng: np.random.Generator | None, training: bool):
         raise NotImplementedError
 
-    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
-        """(len(times), n) incidences of risk r at positive, finite times."""
+    def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
+        """Covariate path of x (n, d) once; returns at(ti, ri), the risk-r
+        incidences F_r(times[ti] | x[ri]) of those index pairs, for finite
+        non-negative times."""
         raise NotImplementedError
 
     def _pre_fit(self, train: Cohort, rng: np.random.Generator) -> None:
@@ -152,12 +153,13 @@ class CifModel:
 
     # public surface ------------------------------------------------------
 
-    def cif_curves(self, x: np.ndarray, times, r: int) -> np.ndarray:
-        """F_r(times[i] | x[j]) as a (len(times), n) array; x is (n, d).
+    def cif_pairs(self, x: np.ndarray, times, r: int):
+        """Evaluator at(ti, ri) of F_r(times[ti] | x[ri]), one value per pair.
 
-        The covariate path runs once for all rows; every (time, row) pair is
-        then evaluated from it, CHUNK_ROWS pairs at a time. No tape is built.
-        Times must be finite and non-negative, else ValueError; F_r(0|x) = 0.
+        The covariate path runs here, once for all rows of x (n, d); each call
+        of `at` then evaluates only its (time, row) index pairs. No tape is
+        built. Times must be finite and non-negative, else ValueError;
+        F_r(0|x) = 0.
         """
         if not self._fitted:
             raise RuntimeError(f"{self.kind}: predict before fit")
@@ -168,12 +170,25 @@ class CifModel:
             raise ValueError(f"time must be non-negative, got {times[times < 0][0]}")
         if not 1 <= r <= self.n_risks:
             raise ValueError(f"risk {r} outside 1..{self.n_risks}")
-        x = np.asarray(x, dtype=np.float64)
-        curves = np.zeros((times.size, x.shape[0]))
-        positive = times > 0.0
         with self.graph.no_grad():
-            curves[positive] = self._cif_curves(x, times[positive], r)
-        return curves
+            at = self._cif_pairs(np.asarray(x, dtype=np.float64), times, r)
+        zero = times == 0.0
+
+        def tape_free(ti, ri):
+            with self.graph.no_grad():
+                return np.where(zero[ti], 0.0, at(ti, ri))
+
+        return tape_free
+
+    def cif_curves(self, x: np.ndarray, times, r: int) -> np.ndarray:
+        """F_r(times[i] | x[j]) as a (len(times), n) array; x is (n, d).
+
+        `cif_pairs` evaluated over the full grid, time-major.
+        """
+        at = self.cif_pairs(x, times, r)
+        n_times, n = np.size(times), np.shape(x)[0]
+        ti, ri = np.divmod(np.arange(n_times * n), n)
+        return evaluate_pairs(at, ti, ri).reshape(n_times, n)
 
     def cif(self, x: np.ndarray, t: float, r: int) -> np.ndarray | float:
         """F_r(t|x) for one time: a float for one subject, else one per row."""

@@ -41,6 +41,25 @@ def _censored_keep(bins: np.ndarray, e: np.ndarray, n_bins: int, n_risks: int) -
     return np.tile(block, (1, n_risks)).astype(np.float64)
 
 
+def _linear_quantiles(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile(values, probs) for probs in [0, 1], bit for bit.
+
+    np.quantile itself calls np.unique, which loads numpy.ma (3 modules).
+    This is its default 'linear' method: the same virtual indices, the
+    same out-of-range index at the top, and the same two-sided lerp.
+    """
+    s = np.sort(values)
+    virtual = (s.size - 1) * probs
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    top = virtual >= s.size - 1
+    below[top] = above[top] = -1
+    gamma = virtual - below
+    a, b = s[below], s[above]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 @dataclass
 class DeepHitConfig(BaseConfig):
     bins: int = 15
@@ -58,9 +77,10 @@ class DeepHitModel(CifModel):
     def _prepare(self, train) -> None:
         super()._prepare(train)
         L = self.config.bins
-        qs = np.quantile(train.times, np.linspace(0.0, 1.0, L + 1))
+        qs = _linear_quantiles(train.times, np.linspace(0.0, 1.0, L + 1))
         qs[0] = 0.0
-        edges = np.unique(qs)
+        qs.sort()
+        edges = qs[np.concatenate(([True], qs[1:] != qs[:-1]))]  # np.unique(qs)
         if edges[0] == 0.0:
             edges = edges[1:]  # keep upper edges only
         if len(edges) < L:
@@ -151,15 +171,17 @@ class DeepHitModel(CifModel):
 
     # -- prediction ------------------------------------------------------------------
 
-    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
-        """Masses once; each distinct bin's running sum once, gathered per time."""
+    def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
+        """Masses once; each queried bin's running sum once, gathered per pair."""
         y = self._masses(x, None, training=False).data
         lo = (r - 1) * self.n_bins
         bins = self._bin_of(times)
+        queried = np.zeros(self.n_bins + 1, dtype=bool)
+        queried[bins] = True  # a mask, not np.unique, which loads numpy.ma
         sums = np.zeros((self.n_bins + 1, x.shape[0]))
-        for l in np.unique(bins):
+        for l in np.flatnonzero(queried):
             sums[l] = y[:, lo : lo + l].sum(axis=1)
-        return sums[bins]
+        return lambda ti, ri: sums[bins[ti], ri]
 
     def _extra_state(self) -> dict:
         return {"edges": self.edges.tolist()}

@@ -38,7 +38,7 @@ from ..gradcore import (
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
 from ..gradcore.tensor import logistic
-from .base import PROB_FLOOR, BaseConfig, CifModel, evaluate_pairs
+from .base import PROB_FLOOR, BaseConfig, CifModel
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -212,7 +212,7 @@ class DsmModel(CifModel):
 
     # -- prediction -------------------------------------------------------------
 
-    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
+    def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
         """Encoder, gates and component (a, b) once; the CDFs per pair."""
         h = self.encoder(Tensor(x))
         a, b = (p.data for p in self._component_params(r - 1, h))
@@ -223,7 +223,7 @@ class DsmModel(CifModel):
             _, cdf = self._log_pdf_and_cdf(Tensor(u[ti, None]), Tensor(a[ri]), Tensor(b[ri]))
             return tsum(mul(Tensor(gates[ri]), cdf), axis=-1).data
 
-        return evaluate_pairs(times.size, x.shape[0], at)
+        return at
 
     def gate_weights(self, x: np.ndarray, r: int) -> np.ndarray:
         """Mixture gates pi_{r,j}(x); rows sum to one."""

@@ -32,7 +32,7 @@ from ..gradcore import (
 )
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
-from .base import BaseConfig, CifModel, evaluate_pairs
+from .base import BaseConfig, CifModel
 
 
 @dataclass
@@ -136,7 +136,7 @@ class NfgModel(CifModel):
             total_cif = cif if total_cif is None else tadd(total_cif, cif)
         return self._nll(loglik, tsub(1.0, total_cif), e, training)
 
-    def _cif_curves(self, x: np.ndarray, times: np.ndarray, r: int) -> np.ndarray:
+    def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
         """Encoder, balance and emb @ w_emb once; the time path per pair."""
         h = self.encoder(Tensor(x))
         proj = (h @ self.monotone[r - 1].w_emb).data
@@ -148,7 +148,7 @@ class NfgModel(CifModel):
                                      Tensor(b_col[ri]))
             return cif.data[:, 0]
 
-        return evaluate_pairs(times.size, x.shape[0], at)
+        return at
 
     def balance_head(self, x: np.ndarray) -> np.ndarray:
         """Softmax risk-balance probabilities B(E(x)); rows sum to one."""

@@ -406,9 +406,9 @@ def test_features_missing_or_bad_category_map_exit_3(tmp_path, capsys, text):
     assert "cats.json" in capsys.readouterr().err
 
 
-def _scipy_modules_after(code: str) -> str:
+def _modules_after(code: str, package: str = "scipy") -> str:
     """Run `code` after `import riskbench.cli` in a fresh interpreter; print
-    the scipy modules it has loaded by the end."""
+    the modules of `package` it has loaded by the end."""
     import os
     import subprocess
     import sys
@@ -420,13 +420,13 @@ def _scipy_modules_after(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     probe = (f"import sys, riskbench.cli\n{code}\n"
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+             f"print([m for m in sys.modules if (m + '.').startswith({package + '.'!r})])")
     return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True).stdout.splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("") == "[]"
+    assert _modules_after("") == "[]"
 
 
 def test_weibull_dsm_train_and_deephit_nfg_cv_load_no_scipy(tmp_path):
@@ -439,9 +439,24 @@ def test_weibull_dsm_train_and_deephit_nfg_cv_load_no_scipy(tmp_path):
                "output": {"dir": str(tmp_path / kind)}}
         runs.append([command, "--config", _write_config(tmp_path, doc, f"{kind}.json")])
     code = f"assert [riskbench.cli.main(argv) for argv in {runs!r}] == [0, 0, 0]"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
     for out in ("dsm/dsm.rbck", "deephit/report.json", "nfg/report.json"):
         assert (tmp_path / out).exists()
+
+
+def test_deephit_cv_and_mae_train_load_no_numpy_ma(tmp_path):
+    cv = {**DESK_CV, "model": {"kind": "deephit", "extras": {}},
+          "cv": {**DESK_CV["cv"], "n_iter": 1, "max_epochs": 2},
+          "output": {"dir": str(tmp_path / "cv")}}
+    mae = {"seed": 4, "mae": {"n_phantoms": 4, "dims": [30, 20, 20, 2], "embed_dim": 32,
+                              "enc_layers": 1, "dec_layers": 1, "epochs": 1},
+           "output": {"dir": str(tmp_path / "mae")}}
+    runs = [["cv", "--config", _write_config(tmp_path, cv, "cv.json")],
+            ["mae-train", "--config", _write_config(tmp_path, mae, "mae.json")]]
+    code = f"assert [riskbench.cli.main(argv) for argv in {runs!r}] == [0, 0]"
+    assert _modules_after(code, "numpy.ma") == "[]"
+    assert (tmp_path / "cv" / "report.json").exists()
+    assert (tmp_path / "mae" / "mae.rbck").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "mae-train"])

@@ -1,4 +1,5 @@
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def _widest_gap_midpoint(values: np.ndarray) -> float:
 
 @pytest.mark.parametrize("op_name", [row for rows in AUDIT_ROWS.values() for row in rows])
 def test_each_primitive_matches_finite_differences(op_name):
-    rng = np.random.default_rng(hash(op_name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     ops = {
         "exp": gc.texp,
         "log": lambda t: gc.tlog(gc.add(gc.mul(t, t), 1.0)),

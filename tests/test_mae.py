@@ -131,6 +131,9 @@ def test_mask_count_rounds_for_all_ratios(ratio):
         assert plan.visible.size == f - plan.masked.size
         merged = np.sort(np.concatenate([plan.visible, plan.masked]))
         assert np.array_equal(merged, np.nonzero(flags)[0])
+        want = np.setdiff1d(np.nonzero(flags)[0], plan.masked)
+        assert plan.visible.dtype == want.dtype
+        assert plan.visible.tobytes() == want.tobytes()
 
 
 def test_mask_deterministic_per_seed():

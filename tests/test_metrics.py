@@ -1,8 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riskbench.cohort import Cohort
-from riskbench.metrics import cif_score_matrix, ctd_bruteforce, ctd_index
+from riskbench.cohort import Cohort, SynthSpec, generate_synthetic
+from riskbench.metrics import BLOCK_PAIRS, cif_score_matrix, ctd_bruteforce, ctd_index
+from riskbench.models import (
+    DeepHitConfig,
+    DeepHitModel,
+    DsmConfig,
+    DsmModel,
+    NfgConfig,
+    NfgModel,
+)
+from riskbench.models.base import CHUNK_ROWS
 
 
 def _cohort(times, events, n_risks=2):
@@ -25,8 +38,8 @@ class _ScoreModel:
     def __init__(self, per_subject_scores):
         self.scores = np.asarray(per_subject_scores, dtype=np.float64)
 
-    def cif_curves(self, x, times, r):
-        return np.tile(self.scores, (len(times), 1))
+    def cif_pairs(self, x, times, r):
+        return lambda ti, ri: self.scores[ri]
 
 
 def test_perfect_ordering_scores_one():
@@ -164,3 +177,98 @@ def test_cif_score_matrix_queries_event_times_once_per_risk():
             want = cohort.times[i] / 10.0 + r if i in rows else 0.0  # non-event rows stay zero
             assert np.all(scores[i] == want)
     assert len(model.calls) == 2
+
+
+# -- the model path: comparable pairs only, streamed --------------------------------
+
+SPEC = SynthSpec(d=2, shapes=[1.4, 2.2], scales=[6.0, 8.0], betas=[[1.2, 0.0], [0.0, 1.2]],
+                 horizon=15.0, seed=5)
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    """One small fitted model per kind on a two-feature, two-risk cohort."""
+    small = dict(lr=1e-2, batch_size=64, layers=1, nodes=8, max_epochs=4, patience=5)
+    models = {"nfg": NfgModel(NfgConfig(monotone_nodes=8, **small)),
+              "deephit": DeepHitModel(DeepHitConfig(bins=6, **small)),
+              "dsm": DsmModel(DsmConfig(k=2, warmup_iters=20, **small))}
+    train = generate_synthetic(SPEC, 160)
+    for model in models.values():
+        model.fit(train, seed=1)
+    return models
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_model_path_equals_bruteforce_on_the_score_matrix(fitted_models, data):
+    kind = data.draw(st.sampled_from(sorted(fitted_models)), label="kind")
+    n = data.draw(st.integers(2, 30), label="n")
+    # times on a coarse grid (0 included) and a few distinct feature rows, so
+    # tied times and tied scores are common
+    times = 1.5 * np.array(data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    events = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    grid = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    x = np.array(data.draw(st.lists(grid, min_size=n, max_size=n)), dtype=np.float64)
+    horizon = data.draw(st.none() | st.floats(0.0, 20.0), label="horizon")
+    r = data.draw(st.integers(1, 2), label="r")
+    cohort = Cohort([f"m{i}" for i in range(n)], x, times, events, ["risk_1", "risk_2"],
+                    ["x1", "x2"])
+    model = fitted_models[kind]
+    try:
+        want = ctd_bruteforce(cohort, cif_score_matrix(model, cohort, r), r=r, horizon=horizon)
+    except ValueError:
+        with pytest.raises(ValueError, match=f"no comparable pairs for risk {r}"):
+            ctd_index(cohort, model, r=r, horizon=horizon)
+        return
+    got = ctd_index(cohort, model, r=r, horizon=horizon)
+    assert (got.value, got.pairs) == (want.value, want.pairs)
+
+
+def test_model_path_evaluates_each_comparable_pair_once(fitted_models, monkeypatch):
+    model = fitted_models["nfg"]
+    cohort = generate_synthetic(SPEC, 900)
+    encoder_calls, chunks = [], []
+    encoder, hook = model.encoder, model._cif_pairs
+
+    def counted_encoder(*args, **kwargs):
+        encoder_calls.append(args[0].shape[0])
+        return encoder(*args, **kwargs)
+
+    def recording_hook(x, times, r):
+        at = hook(x, times, r)
+
+        def counted(ti, ri):
+            chunks.append(ti.size)
+            return at(ti, ri)
+
+        return counted
+
+    monkeypatch.setattr(model, "encoder", counted_encoder)
+    monkeypatch.setattr(model, "_cif_pairs", recording_hook)
+    horizon = 10.0
+    for r in (1, 2):
+        chunks.clear()
+        got = ctd_index(cohort, model, r=r, horizon=horizon)
+        later = cohort.times[None, :] > cohort.times[:, None]
+        scored = (cohort.events == r) & (cohort.times <= horizon) & later.any(axis=1)
+        assert got.pairs == int(later[scored].sum()) > BLOCK_PAIRS  # two blocks or more
+        assert sum(chunks) == got.pairs + int(scored.sum())
+        assert max(chunks) == CHUNK_ROWS
+    assert encoder_calls == [cohort.n, cohort.n]  # one covariate pass per risk
+    monkeypatch.undo()
+    for r in (1, 2):
+        want = ctd_bruteforce(cohort, cif_score_matrix(model, cohort, r), r=r, horizon=horizon)
+        got = ctd_index(cohort, model, r=r, horizon=horizon)
+        assert (got.value, got.pairs) == (want.value, want.pairs)
+
+
+def test_model_path_memory_stays_far_below_a_score_matrix(fitted_models):
+    cohort = generate_synthetic(SPEC, 3000)
+    events = int(np.sum(cohort.events == 1))
+    tracemalloc.start()
+    try:
+        ctd_index(cohort, fitted_models["nfg"], r=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < events * cohort.n * 8 / 8  # an eighth of the E x n float64 rows

@@ -1,5 +1,6 @@
 import gc as pygc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -554,6 +555,41 @@ def test_deephit_bin_edges_strictly_increasing():
     m = DeepHitModel(FIT_CONFIGS["deephit"]())
     m.fit(coh, seed=2)
     assert np.all(np.diff(m.edges) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e3) | st.sampled_from([0.0, 1.0, 2.5]), min_size=1,
+                max_size=60), st.integers(1, 20))
+def test_deephit_bin_edges_equal_quantile_unique_form(times, bins):
+    from types import SimpleNamespace
+
+    from riskbench.models.deephit import _linear_quantiles
+
+    times = np.array(times)
+    probs = np.linspace(0.0, 1.0, bins + 1)
+    assert _linear_quantiles(times, probs).tobytes() == np.quantile(times, probs).tobytes()
+    qs = np.quantile(times, probs)
+    qs[0] = 0.0
+    want = np.unique(qs)
+    want = want[1:] if want[0] == 0.0 else want
+    m = DeepHitModel(DeepHitConfig(bins=bins))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # merged bins
+        m._prepare(SimpleNamespace(times=times))
+    assert m.edges.tobytes() == want.tobytes()
+
+
+def test_deephit_cif_curves_equal_unique_bin_form(fitted):
+    coh, models = fitted
+    m = models["deephit"]
+    times = np.concatenate(([0.0], coh.times[:40], [2.0 * coh.times.max()]))
+    y = m._masses(coh.features, None, training=False).data
+    bins = m._bin_of(times)
+    for r in (1, 2):
+        sums = np.zeros((m.n_bins + 1, coh.n))
+        for l in np.unique(bins):
+            sums[l] = y[:, (r - 1) * m.n_bins : (r - 1) * m.n_bins + l].sum(axis=1)
+        assert m.cif_curves(coh.features, times, r).tobytes() == sums[bins].tobytes()
 
 
 def test_deephit_alpha_zero_is_pure_likelihood():
