@@ -2,7 +2,8 @@
 
 Outer folds estimate generalization; per fold, a stratified 10% holdout
 of the training data drives a random hyperparameter search, the winner is
-refit on the whole training fold, and per-risk time-dependent concordance
+refit on the training fold (early-stopped on a second stratified 10% holdout
+that the refit does not train on), and per-risk time-dependent concordance
 is scored on the untouched test fold. Aggregates carry t-score 95%
 confidence intervals. Fold jobs derive child seeds from (seed, fold,
 iteration), so results do not depend on worker scheduling.
@@ -275,9 +276,10 @@ def run_fold(payload: tuple) -> dict:
         best, search_log = random_search(
             grid, settings.n_iter, inner_train, inner_valid, model_kind,
             seed=child_seed(seed, fold_idx, 2), shared_fields=shared)
-        _, refit_valid = holdout_split(train_t, 0.10, seed=child_seed(seed, fold_idx, 4))
+        refit_train, refit_valid = holdout_split(
+            train_t, 0.10, seed=child_seed(seed, fold_idx, 4))
         model = build_model(model_kind, **best)
-        history = model.fit(train_t, seed=child_seed(seed, fold_idx, 3), valid=refit_valid)
+        history = model.fit(refit_train, seed=child_seed(seed, fold_idx, 3), valid=refit_valid)
     if settings.checkpoint_dir is not None:
         from pathlib import Path
 

@@ -247,6 +247,28 @@ def test_nested_cv_audit_counts_fits():
     assert report.audit["fits"] == 3 * (1 + 2 + 1)
 
 
+def test_refit_validates_on_rows_it_does_not_train_on(monkeypatch):
+    from riskbench.models.base import CifModel
+
+    fits = []
+    fit = CifModel.fit
+
+    def recording_fit(self, train, seed, valid=None):
+        fits.append((set(train.ids), set(valid.ids)))
+        return fit(self, train, seed, valid=valid)
+
+    monkeypatch.setattr(CifModel, "fit", recording_fit)
+    cohort = _cohort(240, seed=35)
+    nested_cv(cohort, "nfg", k=3, seed=2, settings=_fast_settings())
+    assert len(fits) == 3 * (2 + 1)  # per fold: 2 search trials, then the refit
+    for fold in range(3):
+        search_train, search_valid = fits[3 * fold]
+        refit_train, refit_valid = fits[3 * fold + 2]
+        assert refit_valid and not refit_train & refit_valid
+        # the refit trains on the fold's training rows outside its own holdout
+        assert refit_train | refit_valid == search_train | search_valid
+
+
 def test_emit_report_cells_and_best_flag():
     def fake_report(kind, modality, means):
         folds = [FoldResult(i, {}, {n: m for n, m in means.items()}, {}, 0)
