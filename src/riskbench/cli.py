@@ -12,12 +12,12 @@ randomness derives from the single `seed` key. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import hashlib
 import json
 import math
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -50,68 +50,106 @@ from .mae import (
     save_volume,
     train_mae,
 )
-from .models import MODEL_KINDS, build_model
+from .models import MODEL_KINDS, BaseConfig, build_model
 from .pipeline import CVReport, CvSettings, HParamGrid, emit_report, nested_cv, report_to_json_str
 
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
 
-_SCHEMA: dict = {
-    "seed": int,
-    "workers": int,
-    "data": {
-        "cohort_csv": str,
-        "synthetic": {
-            "n": int, "d": int, "shapes": list, "scales": list,
-            "betas": list, "horizon": float, "seed": int,
-        },
-        "features_csv": str,
-        "category_map": str,
-    },
-    "features": {"standardize": bool, "pca_components": int},
-    "model": {"kind": str, "extras": dict},
-    "grid": {
-        "lr_range": list, "batch_range": list, "dropout_choices": list,
-        "layers_range": list, "nodes_choices": list,
-        "dsm_distribution_choices": list, "dsm_k_choices": list,
-        "deephit_alpha_choices": list,
-    },
-    "cv": {
-        "k": int, "preset": str, "n_iter": int, "max_epochs": int,
-        "patience": float, "modality": str, "save_fold_checkpoints": bool,
-    },
-    "mae": {
-        "n_phantoms": int, "dims": list, "volumes_dir": str,
-        "patch_size": list, "mask_ratio": float, "embed_dim": int,
-        "enc_layers": int, "dec_layers": int, "heads": int, "mlp_ratio": int,
-        "epochs": int, "lr": float, "weight_decay": float, "dropout": float,
-        "threshold": float, "min_fraction": float, "checkpoint": str,
-    },
-    "output": {"dir": str},
+
+class _Rule(dict):
+    """A config leaf: "type" ("int", "float", "str" or "bool") and a bound, "min" /
+    "max" / "below" (exclusive), "positive" or "choices"; or, for a non-empty list,
+    "items" (each item's rule), "len" and "ordered" (non-decreasing). Numbers are finite."""
+
+    def violation(self, value) -> str | None:
+        """What `value` must be, if it breaks this rule; otherwise None."""
+        if "items" in self:
+            item = _Rule(self["items"])
+            ok = (isinstance(value, list) and len(value) == self.get("len", len(value)) > 0
+                  and not any(map(item.violation, value))
+                  and (not self.get("ordered") or value == sorted(value)))
+            return None if ok else self.noun()
+        if not _TYPES[self["type"]][0](value):
+            return self.noun()
+        ok = (value in self["choices"] if "choices" in self else isinstance(value, (str, bool))
+              or self.get("min", value) <= value <= self.get("max", value)
+              and value < self.get("below", value + 1) and (value > 0 or not self.get("positive")))
+        return None if ok else self.bound()
+
+    def noun(self, plural: bool = False) -> str:
+        if "items" in self:
+            ordered = ", in non-decreasing order" if self.get("ordered") else ""
+            return (f"{'lists' if plural else 'a list'} of {self.get('len', 'one or more')} "
+                    f"{_Rule(self['items']).noun(plural=True)}{ordered}")
+        each = plural and len(self) > 1 and f", each {self.bound()}"
+        return _TYPES[self["type"]][1 + plural] + (each or "")
+
+    def bound(self) -> str:
+        if "choices" in self:
+            return "one of " + ", ".join(map(repr, self["choices"]))
+        if "max" in self or "below" in self:
+            high = f"{self['max']}]" if "max" in self else f"{self['below']})"
+            return f"in [{self['min']}, {high}"
+        if self.get("positive"):
+            return "positive"
+        return "non-negative" if self["min"] == 0 else f"at least {self['min']}"
+
+
+_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max, "a finite number", "finite numbers"),
+    "str": (lambda v: isinstance(v, str), "a string", "strings"),
+    "bool": (lambda v: isinstance(v, bool), "true or false", "booleans"),
 }
 
-_DEFAULTS = {"seed": 0, "workers": 1}
+
+def _field_rules(config_class) -> dict:
+    """One rule per field of a config dataclass: its type, bounded by its metadata."""
+    return {f.name: _Rule(type=f.type, **f.metadata) for f in dataclasses.fields(config_class)}
 
 
-def _check_keys(doc: dict, schema: dict, path: str = "") -> None:
+_STR, _BOOL = _Rule(type="str"), _Rule(type="bool")
+
+# The keys a dataclass field does not configure; the `data.synthetic`, `grid`,
+# `mae` and `model.extras` sections take the rest from the field metadata.
+_SCHEMA: dict = {
+    "seed": _Rule(type="int", min=0),
+    "workers": _Rule(type="int", min=1),
+    "data": {"cohort_csv": _STR, "features_csv": _STR, "category_map": _STR,
+             "synthetic": {"n": _Rule(type="int", min=1), **_field_rules(SynthSpec)}},
+    "features": {"standardize": _BOOL, "pca_components": _Rule(type="int", min=0)},
+    "model": {"kind": _Rule(type="str", choices=tuple(MODEL_KINDS))},
+    "grid": _field_rules(HParamGrid),
+    "cv": {"k": _Rule(type="int", min=2), "preset": _Rule(type="str", choices=("full", "desk")),
+           "n_iter": _Rule(type="int", min=1), "max_epochs": _Rule(type="int", min=1),
+           "patience": _Rule(type="float", min=0), "modality": _STR,
+           "save_fold_checkpoints": _BOOL},
+    "mae": {"n_phantoms": _Rule(type="int", min=1), "volumes_dir": _STR, "checkpoint": _STR,
+            "dims": _Rule(items={"type": "int", "min": 1}, len=4), **_field_rules(MaeConfig)},
+    "output": {"dir": _STR},
+}
+
+
+def _check_keys(doc: dict, schema: dict, path: str = "", note: str = "") -> None:
+    """Check `doc` against `schema`: a _Rule is a leaf, a dict a section, and a
+    (section, note) pair a section whose errors end with the note."""
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ConfigError(f"unknown config key {where!r}")
-        expected = schema[key]
-        if isinstance(expected, dict) and not isinstance(expected, type):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where!r} must be an object")
-            _check_keys(value, expected, where)
-        elif expected is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"config key {where!r} must be a number")
-        elif expected is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"config key {where!r} must be an integer")
-        elif not isinstance(value, expected):
-            raise ConfigError(f"config key {where!r} must be {expected.__name__}")
+        tail = f" ({note}, field {key!r})" if note else ""
+        node = schema.get(key)
+        if node is None:
+            raise ConfigError(f"unknown config key {where!r}{tail}")
+        if isinstance(node, _Rule):
+            if problem := node.violation(value):
+                raise ConfigError(f"{where} must be {problem}, got {value!r}{tail}")
+            continue
+        section, inner = node if isinstance(node, tuple) else (node, "")
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}{tail}")
+        _check_keys(value, section, where, inner)
 
 
 def _parse_set(override: str) -> tuple[list[str], object]:
@@ -126,7 +164,7 @@ def _parse_set(override: str) -> tuple[list[str], object]:
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
-    doc: dict = dict(_DEFAULTS)
+    doc: dict = {"seed": 0, "workers": 1}
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -143,11 +181,11 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot override through non-object {key!r}")
         node[keys[-1]] = value
-    _check_keys(doc, _SCHEMA)
-    if doc["seed"] < 0:
-        raise ConfigError(f"seed must be non-negative, got {doc['seed']}")
-    if doc["workers"] < 1:
-        raise ConfigError(f"workers must be at least 1, got {doc['workers']}")
+    model = doc.get("model")
+    kind = str(model.get("kind", "dsm")) if isinstance(model, dict) else "dsm"
+    extras = _field_rules(MODEL_KINDS[kind][1] if kind in MODEL_KINDS else BaseConfig)
+    _check_keys(doc, {**_SCHEMA, "model": {**_SCHEMA["model"],
+                                           "extras": (extras, f"model kind {kind!r}")}})
     return doc
 
 
@@ -187,29 +225,10 @@ def _load_cohort(doc: dict):
 
 
 def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
-    """`data.synthetic` as (spec, n); missing, ill-typed or out-of-range fields exit 2."""
+    """`data.synthetic`, which load_config has checked, as (spec, n); every key is required."""
     missing = [key for key in _SCHEMA["data"]["synthetic"] if key not in synth]
     if missing:
         raise ConfigError(f"data.synthetic is missing {', '.join(missing)}")
-
-    def finite_numbers(values) -> bool:
-        return isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in values)
-
-    for key in ("shapes", "scales"):
-        if not finite_numbers(synth[key]):
-            raise ConfigError(f"data.synthetic.{key} must be a list of finite numbers")
-    if not all(finite_numbers(row) for row in synth["betas"]):
-        raise ConfigError("data.synthetic.betas must be a list of lists of finite numbers")
-    for key in ("n", "d"):
-        if synth[key] < 1:
-            raise ConfigError(f"data.synthetic.{key} must be at least 1, got {synth[key]}")
-    if synth["seed"] < 0:
-        raise ConfigError(f"data.synthetic.seed must be non-negative, got {synth['seed']}")
-    if not (math.isfinite(synth["horizon"]) and synth["horizon"] > 0):
-        raise ConfigError(
-            f"data.synthetic.horizon must be finite and positive, got {synth['horizon']}")
     spec = {key: value for key, value in synth.items() if key != "n"}
     return SynthSpec(**spec), synth["n"]
 
@@ -241,47 +260,21 @@ def _join_features(cohort, features_csv: str):
 
 
 def _model_spec(doc: dict) -> tuple[str, dict]:
-    """The model kind and its config extras, checked against the kind's config."""
+    """The model kind and its config extras, which load_config has checked."""
     model = doc.get("model", {})
-    kind = model.get("kind", "dsm")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    extras = model.get("extras") or {}
-    try:
-        _check_keys(extras, typing.get_type_hints(MODEL_KINDS[kind][1]))
-    except ConfigError as exc:
-        raise ConfigError(f"model.extras for model kind {kind!r}: {exc}") from None
-    _check_at_least(extras, "max_epochs", 1, "model.extras")
-    return kind, extras
-
-
-def _check_at_least(section: dict, key: str, low: int, where: str) -> None:
-    if key in section and section[key] < low:
-        raise ConfigError(f"{where}.{key} must be at least {low}, got {section[key]}")
+    return model.get("kind", "dsm"), model.get("extras") or {}
 
 
 def _cv_settings(doc: dict) -> tuple[CvSettings, int, dict]:
     cv = doc.get("cv", {})
-    preset = cv.get("preset", "full")
-    if preset == "desk":
-        settings = CvSettings.desk()
-    elif preset == "full":
-        settings = CvSettings()
-    else:
-        raise ConfigError(f"unknown cv preset {preset!r}")
-    for key, low in (("k", 2), ("n_iter", 1), ("max_epochs", 1)):
-        _check_at_least(cv, key, low, "cv")
-    k = cv.get("k", settings.k)
-    for field_name in ("n_iter", "max_epochs", "patience", "modality"):
-        if field_name in cv:
-            setattr(settings, field_name, cv[field_name])
-    feats = doc.get("features", {})
-    settings.standardize = feats.get("standardize", True)
-    settings.pca_components = feats.get("pca_components", 0)
     kind, extras = _model_spec(doc)
-    settings.extra_fields = extras or None
-    grid = HParamGrid.from_dict(doc.get("grid", {}))
-    return settings, k, {"grid": grid, "kind": kind}
+    chosen = {key: cv[key] for key in ("k", "n_iter", "max_epochs", "patience", "modality")
+              if key in cv}
+    preset = CvSettings.desk() if cv.get("preset") == "desk" else CvSettings()
+    settings = dataclasses.replace(preset, **chosen, **doc.get("features", {}),
+                                   extra_fields=extras or None)
+    grid = HParamGrid(**{key: tuple(value) for key, value in doc.get("grid", {}).items()})
+    return settings, settings.k, {"grid": grid, "kind": kind}
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +402,13 @@ def cmd_cv(args) -> int:
 
 
 def _mae_config(doc: dict) -> MaeConfig:
-    mae = {k: v for k, v in doc.get("mae", {}).items()
-           if k not in ("n_phantoms", "dims", "volumes_dir", "checkpoint")}
-    if "patch_size" in mae:
-        mae["patch_size"] = tuple(mae["patch_size"])
-    return MaeConfig(**mae)
+    config = MaeConfig(**{k: v for k, v in doc.get("mae", {}).items()
+                          if k in MaeConfig.__dataclass_fields__})
+    if config.embed_dim % config.heads:
+        raise ConfigError(f"mae.embed_dim must be divisible by mae.heads, "
+                          f"got {config.embed_dim} and {config.heads}")
+    config.patch_size = tuple(config.patch_size)
+    return config
 
 
 def _mae_volumes(doc: dict) -> tuple[list[str], list]:
@@ -433,8 +428,8 @@ def cmd_mae_train(args) -> int:
     doc = load_config(args.config, args.set)
     digest = config_hash(doc)
     print(f"config_hash={digest}")
-    _names, volumes = _mae_volumes(doc)
     config = _mae_config(doc)
+    _names, volumes = _mae_volumes(doc)
     model, history = train_mae(volumes, config, seed=doc["seed"])
     out = _out_dir(doc) / "mae.rbck"
     model.save(out)

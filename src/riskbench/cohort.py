@@ -198,12 +198,12 @@ class SynthSpec:
     uniform on [0, horizon].
     """
 
-    d: int
-    shapes: list[float]
-    scales: list[float]
-    betas: list[list[float]]
-    horizon: float
-    seed: int
+    d: int = field(metadata={"min": 1})  # bounds as in `models.BaseConfig`
+    shapes: list[float] = field(metadata={"items": {"type": "float", "positive": True}})
+    scales: list[float] = field(metadata={"items": {"type": "float", "positive": True}})
+    betas: list[list[float]] = field(metadata={"items": {"items": {"type": "float"}}})
+    horizon: float = field(metadata={"positive": True})
+    seed: int = field(metadata={"min": 0})
 
     def __post_init__(self):
         if len(self.shapes) != len(self.scales) or len(self.shapes) != len(self.betas):

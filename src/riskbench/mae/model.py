@@ -10,7 +10,7 @@ touches masked content.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +57,22 @@ def sinusoidal_positions(positions: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass
 class MaeConfig:
-    embed_dim: int = 64
-    enc_layers: int = 2
-    dec_layers: int = 1
-    heads: int = 4
-    mlp_ratio: int = 4
-    patch_size: tuple = (15, 10, 10)
-    mask_ratio: float = 0.70
-    lr: float = 1e-4
-    weight_decay: float = 0.05
-    epochs: int = 4
-    dropout: float = 0.0
-    threshold: float = 0.05
-    min_fraction: float = 0.10
+    """Settings, bounded as in `models.BaseConfig`; `embed_dim` must be a multiple of `heads`."""
+
+    embed_dim: int = field(default=64, metadata={"min": 1})
+    enc_layers: int = field(default=2, metadata={"min": 0})
+    dec_layers: int = field(default=1, metadata={"min": 0})
+    heads: int = field(default=4, metadata={"min": 1})
+    mlp_ratio: int = field(default=4, metadata={"min": 1})
+    patch_size: tuple = field(default=(15, 10, 10),
+                              metadata={"items": {"type": "int", "min": 1}, "len": 3})
+    mask_ratio: float = field(default=0.70, metadata={"min": 0, "below": 1})
+    lr: float = field(default=1e-4, metadata={"positive": True})
+    weight_decay: float = field(default=0.05, metadata={"min": 0})
+    epochs: int = field(default=4, metadata={"min": 1})
+    dropout: float = field(default=0.0, metadata={"min": 0, "below": 1})
+    threshold: float = field(default=0.05, metadata={"min": 0, "max": 1})
+    min_fraction: float = field(default=0.10, metadata={"min": 0, "max": 1})
 
 
 class MaeModel:

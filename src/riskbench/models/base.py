@@ -17,7 +17,7 @@ the terms each model's `_loss` supplies.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,16 @@ CHUNK_ROWS = 2048
 
 @dataclass
 class BaseConfig:
-    lr: float = 1e-3
-    batch_size: int = 256
-    dropout: float = 0.0
-    layers: int = 2
-    nodes: int = 32
-    weight_decay: float = 0.0
-    patience: float = 10
-    max_epochs: int = 1000
+    """Training settings; each field's metadata bounds it for the CLI check (`cli._Rule`)."""
+
+    lr: float = field(default=1e-3, metadata={"positive": True})
+    batch_size: int = field(default=256, metadata={"min": 1})
+    dropout: float = field(default=0.0, metadata={"min": 0, "below": 1})
+    layers: int = field(default=2, metadata={"min": 0})
+    nodes: int = field(default=32, metadata={"min": 1})
+    weight_decay: float = field(default=0.0, metadata={"min": 0})
+    patience: float = field(default=10, metadata={"min": 0})
+    max_epochs: int = field(default=1000, metadata={"min": 1})
 
 
 @dataclass

@@ -10,7 +10,7 @@ likelihood plus an optional pairwise ranking penalty.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,9 @@ def _linear_quantiles(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DeepHitConfig(BaseConfig):
-    bins: int = 15
-    alpha: float = 0.1  # ranking penalty coefficient
-    sigma: float = 1.0  # ranking penalty sharpness
+    bins: int = field(default=15, metadata={"min": 1})
+    alpha: float = field(default=0.1, metadata={"min": 0})  # ranking penalty coefficient
+    sigma: float = field(default=1.0, metadata={"positive": True})  # ranking penalty sharpness
 
 
 class DeepHitModel(CifModel):

@@ -14,7 +14,7 @@ survival to the shared `CifModel._nll` and adds the budget hinge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +49,10 @@ def inv_softplus(y: float) -> float:
 
 @dataclass
 class DsmConfig(BaseConfig):
-    k: int = 3
-    distribution: str = "weibull"  # or "lognormal"
-    warmup_iters: int = 10_000
-    warmup_lr: float = 1e-2
+    k: int = field(default=3, metadata={"min": 1})
+    distribution: str = field(default="weibull", metadata={"choices": ("weibull", "lognormal")})
+    warmup_iters: int = field(default=10_000, metadata={"min": 0})
+    warmup_lr: float = field(default=1e-2, metadata={"positive": True})
     # Per-risk mixtures each saturate at 1, so nothing structural stops the
     # summed incidence from crossing 1 between censored observations. A
     # hinge on the total just past the training horizon keeps fitted models
@@ -60,9 +60,9 @@ class DsmConfig(BaseConfig):
     # The bound holds only up to budget_horizon x the largest training time:
     # later the per-risk mixtures keep rising towards 1 each, and the sum
     # exceeds 1 (1.27 at 2x on a two-risk test cohort).
-    budget_weight: float = 2000.0
-    budget_margin: float = 0.003
-    budget_horizon: float = 1.05  # in rescaled time units
+    budget_weight: float = field(default=2000.0, metadata={"min": 0})
+    budget_margin: float = field(default=0.003, metadata={"min": 0})
+    budget_horizon: float = field(default=1.05, metadata={"positive": True})  # rescaled time units
 
 
 class DsmModel(CifModel):

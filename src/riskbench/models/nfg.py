@@ -15,7 +15,7 @@ embedding term E(x) @ W once and runs just the time path per query time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .base import BaseConfig, CifModel
 
 @dataclass
 class NfgConfig(BaseConfig):
-    monotone_layers: int = 2
-    monotone_nodes: int = 32
+    monotone_layers: int = field(default=2, metadata={"min": 0})
+    monotone_nodes: int = field(default=32, metadata={"min": 1})
 
 
 class MonotoneNet:

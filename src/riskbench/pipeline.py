@@ -37,16 +37,26 @@ def child_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _bounded(default: tuple, item: dict, pair: bool = False):
+    """A grid field whose items each meet `item` (a bound as in `BaseConfig`); a
+    pair is a range (lo, hi) with lo <= hi."""
+    shape = {"len": 2, "ordered": True} if pair else {}
+    return field(default=default, metadata={"items": item, **shape})
+
+
 @dataclass
 class HParamGrid:
-    lr_range: tuple = (1e-4, 1e-2)  # log-uniform
-    batch_range: tuple = (100, 1000)  # integer uniform, inclusive
-    dropout_choices: tuple = (0.0, 0.25, 0.5, 0.75)
-    layers_range: tuple = (1, 4)  # integer uniform, inclusive
-    nodes_choices: tuple = (32, 64, 128, 256, 512)
-    dsm_distribution_choices: tuple = ("weibull", "lognormal")
-    dsm_k_choices: tuple = (2, 3, 4, 6)
-    deephit_alpha_choices: tuple = (0.0, 0.1, 0.5, 1.0)
+    # lr is drawn log-uniform; batch size and layers uniform on their inclusive ranges
+    lr_range: tuple = _bounded((1e-4, 1e-2), {"type": "float", "positive": True}, pair=True)
+    batch_range: tuple = _bounded((100, 1000), {"type": "int", "min": 1}, pair=True)
+    dropout_choices: tuple = _bounded((0.0, 0.25, 0.5, 0.75),
+                                      {"type": "float", "min": 0, "below": 1})
+    layers_range: tuple = _bounded((1, 4), {"type": "int", "min": 0}, pair=True)
+    nodes_choices: tuple = _bounded((32, 64, 128, 256, 512), {"type": "int", "min": 1})
+    dsm_distribution_choices: tuple = _bounded(
+        ("weibull", "lognormal"), {"type": "str", "choices": ("weibull", "lognormal")})
+    dsm_k_choices: tuple = _bounded((2, 3, 4, 6), {"type": "int", "min": 1})
+    deephit_alpha_choices: tuple = _bounded((0.0, 0.1, 0.5, 1.0), {"type": "float", "min": 0})
 
     def sample(self, rng: np.random.Generator, model_kind: str) -> dict:
         out = {
@@ -63,16 +73,6 @@ class HParamGrid:
         elif model_kind == "deephit":
             out["alpha"] = float(rng.choice(self.deephit_alpha_choices))
         return out
-
-    @staticmethod
-    def from_dict(doc: dict) -> "HParamGrid":
-        grid = HParamGrid()
-        for key, value in doc.items():
-            if not hasattr(grid, key):
-                raise DataError(f"unknown grid field {key!r}")
-            setattr(grid, key, tuple(value))
-        return grid
-
 
 # ---------------------------------------------------------------------------
 # random search

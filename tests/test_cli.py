@@ -535,3 +535,198 @@ def test_training_budget_below_minimum_exit_2(tmp_path, capsys, command, key, va
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{key} {message}, got {value}" in err
     assert not (tmp_path / "out").exists()
+
+
+# -- the config schema, tested from the schema itself ------------------------------------------
+
+
+def _schema_leaves():
+    """(model kind or None, dotted path, rule) for every leaf of the final schema."""
+    from riskbench.cli import _SCHEMA, _field_rules, _Rule
+    from riskbench.models import MODEL_KINDS
+
+    def walk(section, path):
+        for key, node in section.items():
+            if isinstance(node, _Rule):
+                yield None, path + [key], node
+            else:
+                yield from walk(node, path + [key])
+
+    leaves = list(walk(_SCHEMA, []))
+    for kind, (_model, config_class) in MODEL_KINDS.items():
+        leaves += [(kind, ["model", "extras", name], rule)
+                   for name, rule in _field_rules(config_class).items()]
+    return leaves
+
+
+def _good(rule):
+    """A value that meets `rule`."""
+    if "items" in rule:
+        return [_good(rule["items"])] * rule.get("len", 1)
+    if "choices" in rule:
+        return rule["choices"][0]
+    if rule["type"] in ("str", "bool"):
+        return {"str": "s", "bool": True}[rule["type"]]
+    if "below" in rule or "max" in rule:
+        return 0.5
+    return rule.get("min", 1)
+
+
+def _wrong_type(rule):
+    return "x" if "items" in rule else {"int": 1.5, "float": "1", "str": 5, "bool": 1}[rule["type"]]
+
+
+def _out_of_bound(rule) -> list:
+    """Values of the right type that break `rule`'s bound."""
+    if "items" in rule:
+        item, size = rule["items"], rule.get("len", 1)
+        bad = [[]] + [[_good(item)] * (size - 1) + [v] for v in _out_of_bound(item)]
+        bad += [[_wrong_type(item)] * size]
+        if "len" in rule:
+            bad.append([_good(item)] * (size + 1))
+        if rule.get("ordered"):
+            bad.append([_good(item) + 1, _good(item)])
+        return bad
+    if "choices" in rule:
+        return ["not-a-choice"]
+    bad = [float("nan"), float("inf")] if rule["type"] == "float" else []
+    if "min" in rule:
+        bad.append(rule["min"] - 1)
+    if rule.get("positive"):
+        bad.append(0)
+    for key, step in (("max", 1), ("below", 0)):
+        if key in rule:
+            bad.append(rule[key] + step)
+    return bad
+
+
+_LEAF_CASES = [(kind, path, value)
+               for kind, path, rule in _schema_leaves()
+               for value in [_wrong_type(rule)] + _out_of_bound(rule)]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value", _LEAF_CASES,
+    ids=[f"{kind or ''}:{'.'.join(path)}={value!r}" for kind, path, value in _LEAF_CASES])
+def test_every_schema_leaf_rejects_wrong_type_and_out_of_bound(tmp_path, capsys, kind, path,
+                                                               value):
+    doc = json.loads(json.dumps({**DESK_CV, "output": {"dir": str(tmp_path / "out")}}))
+    if kind is not None:
+        doc["model"] = {"kind": kind, "extras": {}}
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    assert main(["cv", "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and ".".join(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schema_leaves_cover_every_config_dataclass_field():
+    import dataclasses
+
+    from riskbench.cohort import SynthSpec
+    from riskbench.mae import MaeConfig
+    from riskbench.models import MODEL_KINDS
+    from riskbench.pipeline import HParamGrid
+
+    paths = {(kind, ".".join(path)) for kind, path, _rule in _schema_leaves()}
+    for section, config_class in [("data.synthetic", SynthSpec), ("grid", HParamGrid),
+                                  ("mae", MaeConfig)]:
+        for field in dataclasses.fields(config_class):
+            assert (None, f"{section}.{field.name}") in paths
+    for kind, (_model, config_class) in MODEL_KINDS.items():
+        for field in dataclasses.fields(config_class):
+            assert (kind, f"model.extras.{field.name}") in paths
+    assert len(_LEAF_CASES) > 3 * len(paths)
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("cv", ["grid.lr_range=[1]"], "grid.lr_range"),
+    ("cv", ["grid.nodes_choices=[]"], "grid.nodes_choices"),
+    ("cv", ["grid.lr_range=[0.1,0.001]"], "grid.lr_range"),
+    ("train", ["model.kind=dsm", 'model.extras={"nodes":0}'], "model.extras.nodes"),
+    ("train", ["model.kind=dsm", 'model.extras={"k":0}'], "model.extras.k"),
+    ("train", ["model.kind=deephit", 'model.extras={"bins":0}'], "model.extras.bins"),
+    ("train", ["model.kind=dsm", 'model.extras={"dropout":1.0}'], "model.extras.dropout"),
+    ("train", ["model.kind=nfg", 'model.extras={"dropout":1.0}'], "model.extras.dropout"),
+    ("train", ["model.kind=deephit", 'model.extras={"dropout":1.0}'], "model.extras.dropout"),
+    ("mae-train", ["mae.epochs=0"], "mae.epochs"),
+    ("mae-train", ["mae.heads=3"], "mae.heads"),
+    ("cv", ["features.pca_components=-1"], "features.pca_components"),
+    ("cv", ["cv.patience=-1"], "cv.patience"),
+    ("train", ["model.kind=dsm", 'model.extras={"lr":-1}'], "model.extras.lr"),
+    ("train", ['model.extras={"batch_size":0}'], "model.extras.batch_size"),
+    ("cv", ["grid.batch_range=[0,0]"], "grid.batch_range"),
+])
+def test_config_probe_exits_2_naming_its_key(tmp_path, capsys, command, overrides, key):
+    doc = {**DESK_CV, "mae": {"n_phantoms": 1, "dims": [30, 20, 20, 2]},
+           "output": {"dir": str(tmp_path / "out")}}
+    argv = [command, "--config", _write_config(tmp_path, doc)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def _shipped_configs():
+    """Every config the benchmark, the README and the tests run, as (name, doc)."""
+    import re
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    configs = [(f"{name}-toy{toy}", w.build(seed, "out", toy))
+               for name, w in WORKLOADS.items() for toy in (False, True) for seed in (0, 1)]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    configs.append(("README run.json", json.loads(
+        re.search(r"cat > run.json <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1))))
+    mae = {"n_phantoms": 10, "dims": [30, 20, 20, 2], "embed_dim": 64, "enc_layers": 1,
+           "dec_layers": 1, "epochs": 1}
+    configs += [
+        ("DESK_CV", DESK_CV),
+        ("numeric failure", {**DESK_CV, "model": {"kind": "dsm", "extras": {
+            "lr": 1e12, "warmup_iters": 0, "max_epochs": 3, "layers": 1, "nodes": 8}}}),
+        ("patience 1e9", {**DESK_CV, "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+                          "cv": {**DESK_CV["cv"], "max_epochs": 4, "patience": 1e9}}),
+        ("float fields", {**DESK_CV, "model": {"kind": "nfg", "extras": {
+            "patience": 2.5, "lr": 1, "max_epochs": 1}}}),
+        ("weibull dsm", {**DESK_CV, "model": {"kind": "dsm", "extras": {
+            "distribution": "weibull", "warmup_iters": 20, "max_epochs": 2}}}),
+        ("category map", {**DESK_CV, "data": {**DESK_CV["data"], "category_map": "c.json",
+                                              "features_csv": "f.csv"},
+                          "features": {"pca_components": 1},
+                          "cv": {**DESK_CV["cv"], "n_iter": 1, "save_fold_checkpoints": True}}),
+        ("cohort csv", {**DESK_CV, "data": {"cohort_csv": "c.csv"}, "workers": 2}),
+        ("mae", {"seed": 4, "mae": mae}),
+        ("mae heads", {"seed": 4, "mae": {**mae, "embed_dim": 16, "heads": 2,
+                                          "checkpoint": "m.rbck"}}),
+        ("acceptance 7 mae", {"seed": 4, "mae": {**mae, "n_phantoms": 6, "embed_dim": 32}}),
+        ("volumes", {"seed": 9, "mae": {"n_phantoms": 3, "dims": [30, 20, 20, 2],
+                                        "volumes_dir": "vols"}}),
+        ("pinned grid", {**DESK_CV, "grid": {"batch_range": [256, 256], "layers_range": [2, 2],
+                                             "nodes_choices": [64], "dropout_choices": [0.0]}}),
+    ]
+    return configs
+
+
+@pytest.mark.parametrize("name, doc", _shipped_configs(), ids=lambda v: v if isinstance(v, str)
+                         else "")
+def test_schema_accepts_every_shipped_config(tmp_path, name, doc):
+    from riskbench.cli import _cv_settings, _mae_config, _synth_spec, load_config
+
+    loaded = load_config(_write_config(tmp_path, doc), [])
+    assert loaded == {"seed": 0, "workers": 1, **doc}
+    _cv_settings(loaded)
+    if "mae" in loaded:
+        _mae_config(loaded)
+    if "synthetic" in loaded.get("data", {}):
+        _synth_spec(loaded["data"]["synthetic"])
