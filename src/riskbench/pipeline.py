@@ -262,12 +262,12 @@ def _fold_features(train: Cohort, test: Cohort, settings: CvSettings):
 def run_fold(payload: tuple) -> dict:
     """One outer fold: inner search, refit, test scoring. Pickle-friendly."""
     cohort, fold_ids, model_kind, grid, settings, seed, fold_idx = payload
-    audit = LeakageAudit()
-    fold_id_set = set(fold_ids)
+    fold_id_set = frozenset(fold_ids)
     in_test = np.array([sid in fold_id_set for sid in cohort.ids], dtype=bool)
     test = cohort.subset(np.flatnonzero(in_test))
     train_full = cohort.subset(np.flatnonzero(~in_test))
-    with audit.active(tag=f"fold{fold_idx}"):
+    audit = LeakageAudit(fold_id_set, tag=f"fold{fold_idx}")
+    with audit.active():
         train_t, test_t = _fold_features(train_full, test, settings)
         inner_train, inner_valid = holdout_split(
             train_t, 0.10, seed=child_seed(seed, fold_idx, 1))
@@ -289,10 +289,9 @@ def run_fold(payload: tuple) -> dict:
         res = ctd_index(test_t, model, r=r)
         ctd[name] = res.value
         pairs[name] = res.pairs
-    leaks = audit.leaks(test.ids)
     return {"fold": fold_idx, "chosen": best, "ctd": ctd, "pairs": pairs,
             "best_epoch": history.best_epoch, "search": search_log,
-            "audit_fits": len(audit.events), "leaks": leaks}
+            "audit_fits": audit.fits, "leaks": audit.leaks}
 
 
 def nested_cv(cohort: Cohort, model_kind: str, grid: HParamGrid | None = None,

@@ -1,9 +1,11 @@
-"""Leakage audit: records which subject ids every fitting call saw.
+"""Leakage audit: checks the subject ids every fitting call sees.
 
-The cross-validation driver activates an audit; any parameter-fitting
-entry point (model fit, standardization, PCA) then reports the ids it
-consumed. After a run the driver asserts that no test-fold id ever
-reached a fit.
+The cross-validation driver activates an audit that holds the fold's test
+ids; any parameter-fitting entry point (model fit, standardization, PCA)
+then reports the ids it consumed. Each report is checked on arrival, and
+the audit keeps only the number of fits and the names of those that saw a
+test id, so its memory does not grow with the fits or their sizes. After
+the fold the driver asserts that no fit saw a test id.
 """
 
 from __future__ import annotations
@@ -17,41 +19,24 @@ _current: contextvars.ContextVar["LeakageAudit | None"] = contextvars.ContextVar
 
 
 @dataclass
-class FitEvent:
-    name: str
-    ids: frozenset[str]
-    tag: str
-
-
-@dataclass
 class LeakageAudit:
-    events: list[FitEvent] = field(default_factory=list)
+    forbidden: frozenset[str]
     tag: str = ""
+    fits: int = 0
+    leaks: list[str] = field(default_factory=list)  # "tag:name" of each fit that leaked
 
     @contextmanager
-    def active(self, tag: str = ""):
-        prev_tag = self.tag
-        self.tag = tag or prev_tag
+    def active(self):
         token = _current.set(self)
         try:
             yield self
         finally:
             _current.reset(token)
-            self.tag = prev_tag
 
     def record(self, name: str, ids) -> None:
-        self.events.append(FitEvent(name, frozenset(ids), self.tag))
-
-    def leaks(self, forbidden_ids, tag: str | None = None) -> list[str]:
-        """Names of fits (matching tag, if given) that saw a forbidden id."""
-        forbidden = frozenset(forbidden_ids)
-        out = []
-        for event in self.events:
-            if tag is not None and event.tag != tag:
-                continue
-            if event.ids & forbidden:
-                out.append(f"{event.tag or '?'}:{event.name}")
-        return out
+        self.fits += 1
+        if not self.forbidden.isdisjoint(ids):
+            self.leaks.append(f"{self.tag or '?'}:{name}")
 
 
 def record_fit(name: str, ids) -> None:

@@ -269,6 +269,42 @@ def test_refit_validates_on_rows_it_does_not_train_on(monkeypatch):
         assert refit_train | refit_valid == search_train | search_valid
 
 
+def test_nested_cv_raises_when_a_fit_sees_a_test_id(monkeypatch):
+    from riskbench.models.base import CifModel
+
+    cohort = _cohort(240, seed=35)
+    fit = CifModel.fit
+
+    def leaky_fit(self, train, seed, valid=None):
+        return fit(self, train, seed, valid=cohort)  # early-stops on every row, test rows too
+
+    monkeypatch.setattr(CifModel, "fit", leaky_fit)
+    with pytest.raises(RuntimeError, match=r"leakage audit failed.*'fold0:nfg\.fit'"):
+        nested_cv(cohort, "nfg", k=3, seed=2, settings=_fast_settings())
+
+
+def test_leakage_audit_memory_does_not_grow_with_fits():
+    import tracemalloc
+
+    from riskbench.pipeline_audit import LeakageAudit, record_fit
+
+    ids = [f"s{i:06d}" for i in range(300)]
+    audit = LeakageAudit(frozenset(f"t{i:06d}" for i in range(300)), tag="fold0")
+    retained = []
+    tracemalloc.start()
+    try:
+        with audit.active():
+            for n_fits in (10, 400):
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(n_fits):
+                    record_fit("nfg.fit", ids)
+                retained.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert audit.fits == 410 and audit.leaks == []
+    assert max(retained) < 1_000  # bytes, whether 10 or 400 fits of 300 ids each
+
+
 def test_emit_report_cells_and_best_flag():
     def fake_report(kind, modality, means):
         folds = [FoldResult(i, {}, {n: m for n, m in means.items()}, {}, 0)
