@@ -30,6 +30,7 @@ from .cohort import (
     code_sets_from_json,
     generate_synthetic,
     imaging_dates_from_csv,
+    open_input,
     records_from_csv,
 )
 from .errors import ConfigError, DataError, NumericError
@@ -168,8 +169,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         doc.update(loaded)
@@ -236,7 +237,7 @@ def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
 def _join_features(cohort, features_csv: str):
     """Fuse an external id-keyed feature CSV onto the cohort by subject id."""
     rows: dict[str, list[float]] = {}
-    with open(features_csv, "r", encoding="utf-8") as fh:
+    with open_input(features_csv) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[0] != "id":
             raise DataError(f"{features_csv}: first column must be 'id'")
@@ -526,6 +527,13 @@ def cmd_make_volumes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--set", action="append", default=[],
@@ -556,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort", required=True)
     p.add_argument("--category-map")
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--pca", type=int, default=0)
+    p.add_argument("--pca", type=_non_negative, default=0, help="components (0 = no PCA)")
     p.add_argument("--fuse", help="second cohort CSV to concatenate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)

@@ -400,8 +400,16 @@ def cohort_to_csv(cohort: Cohort, path) -> None:
             writer.writerow([sid, repr(t), e] + [repr(v) for v in x])
 
 
+def open_input(path, newline: str | None = None):
+    """`path` opened for reading as UTF-8 text; a DataError naming it if that fails."""
+    try:
+        return open(path, "r", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:3] != ["id", "time", "event"]:
@@ -427,7 +435,7 @@ def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:
 def records_from_csv(path) -> list[DiagnosisRecord]:
     """Read `id,code,date` rows with ISO-8601 dates."""
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "code", "date"]:
@@ -445,7 +453,7 @@ def records_from_csv(path) -> list[DiagnosisRecord]:
 
 def imaging_dates_from_csv(path) -> dict[str, dt.date]:
     dates = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "date"]:
@@ -459,8 +467,11 @@ def imaging_dates_from_csv(path) -> dict[str, dt.date]:
 
 
 def code_sets_from_json(path) -> dict[str, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open_input(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or not all(isinstance(v, list) for v in doc.values()):
         raise DataError(f"{path}: expected a JSON object mapping risk name to code list")
     return {str(k): [str(c) for c in v] for k, v in doc.items()}

@@ -173,8 +173,8 @@ def category_map_from_json(path, names: list[str]) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             mapping = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"category map not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read category map {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(mapping, dict):

@@ -730,3 +730,66 @@ def test_schema_accepts_every_shipped_config(tmp_path, name, doc):
         _mae_config(loaded)
     if "synthetic" in loaded.get("data", {}):
         _synth_spec(loaded["data"]["synthetic"])
+
+
+def _label_inputs(tmp_path) -> dict:
+    (tmp_path / "records.csv").write_text("id,code,date\na,I25,2016-06-01\n", encoding="utf-8")
+    (tmp_path / "imaging.csv").write_text("id,date\na,2015-01-01\n", encoding="utf-8")
+    (tmp_path / "codes.json").write_text(json.dumps({"cvd": ["I25"]}), encoding="utf-8")
+    return {name: str(tmp_path / f"{name}.{ext}")
+            for name, ext in (("records", "csv"), ("imaging", "csv"), ("codes", "json"))}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("data.cohort_csv", "No such file"),
+    ("data.features_csv", "No such file"),
+    ("data.features_csv=<directory>", "Is a directory"),
+    ("features --cohort", "No such file"),
+    ("features --fuse", "No such file"),
+    ("label --records", "No such file"),
+    ("label --imaging", "No such file"),
+    ("label --codes", "No such file"),
+    ("label --codes=<invalid JSON>", "invalid JSON"),
+])
+def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message):
+    bad = tmp_path / "bad.input"
+    if case.endswith("<directory>"):
+        bad.mkdir()
+    elif case.endswith("<invalid JSON>"):
+        bad.write_text("{not json", encoding="utf-8")
+    doc = {**DESK_CV, "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+           "output": {"dir": str(tmp_path / "out")}}
+    cfg = _write_config(tmp_path, doc)
+    main(["synth", "--config", cfg])
+    cohort = str(tmp_path / "out" / "cohort.csv")
+    label = _label_inputs(tmp_path)
+    if case.startswith("data."):
+        key = case.split("=")[0]
+        argv = ["train", "--config", cfg, "--set", f"{key}={bad}"]
+    elif case.startswith("features"):
+        flags = {"--cohort": cohort, "--out": str(tmp_path / "r.csv")}
+        flags[case.split()[1]] = str(bad)
+        argv = ["features"] + [part for pair in flags.items() for part in pair]
+    else:
+        label[case.split()[1].split("=")[0].lstrip("-")] = str(bad)
+        argv = ["label", "--records", label["records"], "--imaging", label["imaging"],
+                "--codes", label["codes"], "--censor-date", "2020-01-01",
+                "--out", str(tmp_path / "labels.csv")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err and message in err
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "labels.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "-7"])
+def test_features_negative_pca_exit_2(tmp_path, capsys, value):
+    doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
+    main(["synth", "--config", _write_config(tmp_path, doc)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["features", "--cohort", str(tmp_path / "out" / "cohort.csv"),
+              "--pca", value, "--out", str(tmp_path / "r.csv")])
+    assert exit_info.value.code == 2
+    assert "--pca" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
