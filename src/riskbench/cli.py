@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, label, features, train, cv, mae-train, embed, report.
-Runs are driven by a JSON config (schema-checked, unknown keys rejected)
-with `--set section.key=value` overrides. Every command prints the
-resolved config hash; outputs carry it for provenance (JSON outputs
-embed it, CSV and checkpoint outputs get a .meta.json sidecar). All
-randomness derives from the single `seed` key. Exit codes: 0 success,
+Runs are driven by a JSON config with `--set section.key=value` overrides;
+every key's type and bound is checked before any work, and unknown keys are
+rejected. Every command prints the resolved config hash; outputs carry it
+for provenance (JSON outputs embed it, CSV and checkpoint outputs get a
+.meta.json sidecar). All randomness derives from the single `seed` key. Exit codes: 0 success,
 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -108,7 +108,7 @@ _TYPES = {
 
 
 def _field_rules(config_class) -> dict:
-    """One rule per field of a config dataclass: its type, bounded by its metadata."""
+    """One rule per config dataclass field: its (string) annotation, bounded by its metadata."""
     return {f.name: _Rule(type=f.type, **f.metadata) for f in dataclasses.fields(config_class)}
 
 
@@ -173,6 +173,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object, got {loaded!r}")
         doc.update(loaded)
     for override in overrides or []:
         keys, value = _parse_set(override)

@@ -793,3 +793,12 @@ def test_features_negative_pca_exit_2(tmp_path, capsys, value):
     assert exit_info.value.code == 2
     assert "--pca" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"run"', "null"])
+def test_config_file_that_is_not_an_object_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err and "JSON object" in err
