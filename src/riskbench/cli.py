@@ -171,7 +171,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: a config must be a JSON object, got {loaded!r}")
@@ -233,7 +233,10 @@ def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
     if missing:
         raise ConfigError(f"data.synthetic is missing {', '.join(missing)}")
     spec = {key: value for key, value in synth.items() if key != "n"}
-    return SynthSpec(**spec), synth["n"]
+    try:  # the cross-field rules: one shape, scale and beta row per risk, d betas each
+        return SynthSpec(**spec), synth["n"]
+    except DataError as exc:
+        raise ConfigError(f"data.synthetic: {exc}") from exc
 
 
 def _join_features(cohort, features_csv: str):
@@ -474,7 +477,7 @@ def _read_report(path: str) -> CVReport:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read report {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: a report must be a JSON object")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -400,12 +401,22 @@ def cohort_to_csv(cohort: Cohort, path) -> None:
             writer.writerow([sid, repr(t), e] + [repr(v) for v in x])
 
 
+@contextmanager
 def open_input(path, newline: str | None = None):
-    """`path` opened for reading as UTF-8 text; a DataError naming it if that fails."""
+    """`path` opened for reading as UTF-8 text, for a `with` block.
+
+    A file that cannot be opened, or whose bytes read in the block are not
+    UTF-8, is a DataError naming the path.
+    """
     try:
-        return open(path, "r", encoding="utf-8", newline=newline)
+        fh = open(path, "r", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:

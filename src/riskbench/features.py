@@ -175,7 +175,7 @@ def category_map_from_json(path, names: list[str]) -> list[str]:
             mapping = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read category map {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(mapping, dict):
         raise DataError(f"{path}: category map must be a JSON object")

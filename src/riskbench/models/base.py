@@ -60,15 +60,23 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
+    """One fit's record. `warmup_iters` counts the iterations of the model's
+    warm-up solve; `warmup_stop` says why it ended: "gtol" (converged),
+    "valid" (no validation gain), "cap" (iteration cap) or "none" (no
+    warm-up ran)."""
+
     epochs: list[EpochRecord]
     best_epoch: int
     best_valid: float
     clamped_terms: int = 0
+    warmup_iters: int = 0
+    warmup_stop: str = "none"
 
     def to_json(self) -> dict:
         return {"epochs": [asdict(e) for e in self.epochs],
                 "best_epoch": self.best_epoch, "best_valid": self.best_valid,
-                "clamped_terms": self.clamped_terms}
+                "clamped_terms": self.clamped_terms, "warmup_iters": self.warmup_iters,
+                "warmup_stop": self.warmup_stop}
 
 
 def _rng_stream(seed: int, label: int) -> np.random.Generator:
@@ -122,8 +130,10 @@ class CifModel:
         non-negative times."""
         raise NotImplementedError
 
-    def _pre_fit(self, train: Cohort, rng: np.random.Generator) -> None:
-        """Optional warm-up phase before the main loop."""
+    def _pre_fit(self, train: Cohort, valid: Cohort) -> tuple[int, str]:
+        """Optional warm-up before the main loop; returns its iterations and
+        stop reason, as `TrainHistory` records them."""
+        return 0, "none"
 
     def _extra_state(self) -> dict:
         return {}
@@ -220,8 +230,9 @@ class CifModel:
         self.d = train.d
         self._prepare(train)
         self._build(_rng_stream(seed, 0))
-        self._pre_fit(train, _rng_stream(seed, 1))
+        warmup_iters, warmup_stop = self._pre_fit(train, valid)
         history = self._fit_loop(train, valid, seed)
+        history.warmup_iters, history.warmup_stop = warmup_iters, warmup_stop
         self._fitted = True
         return history
 

@@ -261,6 +261,29 @@ def test_unknown_model_extras_key_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("key", ["warmup_lr", "budget_weight", "budget_margin", "budget_horizon"])
+def test_removed_dsm_keys_exit_2(tmp_path, capsys, key):
+    doc = {**DESK_CV, "model": {"kind": "dsm", "extras": {key: 1.0}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{key}'" in err and "'dsm'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, extras", [("dsm", {"warmup_iters": 20}), ("nfg", {})])
+def test_train_history_records_warmup(tmp_path, kind, extras):
+    doc = {**DESK_CV, "model": {"kind": kind, "extras": {**extras, "max_epochs": 2}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 0
+    hist = json.loads((tmp_path / "out" / f"{kind}.history.json").read_text(encoding="utf-8"))
+    if kind == "dsm":
+        assert 0 < hist["warmup_iters"] <= 20
+        assert hist["warmup_stop"] in ("gtol", "valid", "cap")
+    else:
+        assert (hist["warmup_iters"], hist["warmup_stop"]) == (0, "none")
+
+
 def test_embed_damaged_checkpoint_exit_3(tmp_path, capsys):
     out = tmp_path / "out"
     doc = {"seed": 4,
@@ -346,7 +369,7 @@ def test_cv_model_extras_epoch_budget_overrides_cv_settings(tmp_path, monkeypatc
     assert epochs_run == [1] * 9  # 3 folds x (2 search trials + 1 refit)
 
 
-@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("command", ["synth", "train", "cv"])
 @pytest.mark.parametrize("change, message", [
     ({"n": None}, "missing n"),
     ({"d": None}, "missing d"),
@@ -357,6 +380,8 @@ def test_cv_model_extras_epoch_budget_overrides_cv_settings(tmp_path, monkeypatc
     ({"n": 0}, "synthetic.n must"),
     ({"horizon": 1e400}, "synthetic.horizon must"),
     ({"horizon": 0.0}, "synthetic.horizon must"),
+    ({"scales": [6.0]}, "data.synthetic: shapes, scales and betas must have one entry per risk"),
+    ({"betas": [[1.2, 0, 0, 0], [0, 1.2, 0]]}, "data.synthetic: beta length 3 != feature dim 4"),
 ])
 def test_bad_synthetic_spec_exit_2(tmp_path, capsys, command, change, message):
     synth = {**DESK_CV["data"]["synthetic"], **change}
@@ -365,6 +390,7 @@ def test_bad_synthetic_spec_exit_2(tmp_path, capsys, command, change, message):
     assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def _cv_with_category_map(tmp_path, mapping, pca_components):
@@ -392,12 +418,14 @@ def test_cv_category_map_gives_per_category_pca(tmp_path):
         assert sidecar["d"] == 2  # two categories x one component
 
 
-@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]", "<random bytes>"])
 def test_features_missing_or_bad_category_map_exit_3(tmp_path, capsys, text):
     doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
     main(["synth", "--config", _write_config(tmp_path, doc)])
     cats = tmp_path / "cats.json"
-    if text is not None:
+    if text == "<random bytes>":
+        cats.write_bytes(b"\xff" + np.random.default_rng(0).bytes(299))
+    elif text is not None:
         cats.write_text(text, encoding="utf-8")
     capsys.readouterr()
     rc = main(["features", "--cohort", str(tmp_path / "out" / "cohort.csv"),
@@ -486,6 +514,7 @@ def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     (None, "No such file"),
     ("<directory>", "Is a directory"),
     ("{not json", "invalid JSON"),
+    ("<random bytes>", "invalid JSON"),
     ('{"report": {"modality": "synthetic"}}', "model_kind"),
     ("[1, 2]", "JSON object"),
 ])
@@ -493,6 +522,8 @@ def test_report_bad_input_exit_3(tmp_path, capsys, text, message):
     path = tmp_path / "in.json"
     if text == "<directory>":
         path.mkdir()
+    elif text == "<random bytes>":
+        path.write_bytes(b"\xff" + np.random.default_rng(0).bytes(299))
     elif text is not None:
         path.write_text(text, encoding="utf-8")
     capsys.readouterr()
@@ -750,13 +781,19 @@ def _label_inputs(tmp_path) -> dict:
     ("label --imaging", "No such file"),
     ("label --codes", "No such file"),
     ("label --codes=<invalid JSON>", "invalid JSON"),
-])
+] + [(f"{case}=<random bytes>", "not UTF-8 text")
+     for case in ("data.cohort_csv", "data.features_csv", "features --cohort", "features --fuse",
+                  "label --records", "label --imaging", "label --codes")])
 def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message):
     bad = tmp_path / "bad.input"
     if case.endswith("<directory>"):
         bad.mkdir()
     elif case.endswith("<invalid JSON>"):
         bad.write_text("{not json", encoding="utf-8")
+    elif case.endswith("<random bytes>"):
+        # 0xff never occurs in UTF-8
+        bad.write_bytes(b"\xff" + np.random.default_rng(0).bytes(299))
+    case = case.split("=")[0]
     doc = {**DESK_CV, "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
            "output": {"dir": str(tmp_path / "out")}}
     cfg = _write_config(tmp_path, doc)
@@ -764,14 +801,13 @@ def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message
     cohort = str(tmp_path / "out" / "cohort.csv")
     label = _label_inputs(tmp_path)
     if case.startswith("data."):
-        key = case.split("=")[0]
-        argv = ["train", "--config", cfg, "--set", f"{key}={bad}"]
+        argv = ["train", "--config", cfg, "--set", f"{case}={bad}"]
     elif case.startswith("features"):
         flags = {"--cohort": cohort, "--out": str(tmp_path / "r.csv")}
         flags[case.split()[1]] = str(bad)
         argv = ["features"] + [part for pair in flags.items() for part in pair]
     else:
-        label[case.split()[1].split("=")[0].lstrip("-")] = str(bad)
+        label[case.split()[1].lstrip("-")] = str(bad)
         argv = ["label", "--records", label["records"], "--imaging", label["imaging"],
                 "--codes", label["codes"], "--censor-date", "2020-01-01",
                 "--out", str(tmp_path / "labels.csv")]
@@ -802,3 +838,11 @@ def test_config_file_that_is_not_an_object_exit_2(tmp_path, capsys, text):
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(cfg) in err and "JSON object" in err
+
+
+def test_config_file_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff" + np.random.default_rng(0).bytes(299))
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err and "invalid JSON" in err

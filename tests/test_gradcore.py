@@ -502,7 +502,6 @@ def test_dsm_warmup_values_reach_the_main_graph(monkeypatch):
     from riskbench.cohort import SynthSpec, generate_synthetic
     from riskbench.models import DsmConfig, DsmModel
     from riskbench.models import base as models_base
-    from riskbench.models import dsm as models_dsm
 
     coh = generate_synthetic(SynthSpec(d=3, shapes=[1.4, 2.2], scales=[6.0, 8.0],
                                        betas=[[1.0, 0, 0], [0, 1.0, 0]], horizon=15.0,
@@ -518,7 +517,6 @@ def test_dsm_warmup_values_reach_the_main_graph(monkeypatch):
     fast = fit()
     with monkeypatch.context() as patch:
         patch.setattr(models_base, "adam_step", _textbook_adam)
-        patch.setattr(models_dsm, "adam_step", _textbook_adam)
         ref = fit()
         cfg["warmup_iters"] = 0
         unwarmed = fit()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbench import gradcore as gc
-from riskbench.cohort import Cohort, SynthSpec, generate_synthetic
+from riskbench.cohort import Cohort, SynthSpec, generate_synthetic, holdout_split
 from riskbench.errors import DataError
 from riskbench.metrics import ctd_index
 from riskbench.models import (
@@ -107,7 +107,9 @@ def _likelihood_cif(m, x, t, r):
         h = m.encoder(gc.Tensor(x))
         return m._risk_cif_density(r - 1, u, h, m._balance(h))[0].data
     if m.kind == "dsm":
-        return m._risk_terms(r - 1, u, m.encoder(gc.Tensor(x)))[1].data
+        log_gates, _, cdf = m._mixture(u, m.encoder(gc.Tensor(x)))
+        k = m.config.k
+        return (np.exp(log_gates.data) * cdf.data)[:, (r - 1) * k : r * k].sum(axis=1)
     y = m._masses(x, None, training=False).data
     lo = (r - 1) * m.n_bins
     return y[:, lo : lo + int(m._bin_of(np.array([t]))[0])].sum(axis=1)
@@ -162,11 +164,29 @@ def test_cif_curves_monotone_bounded_and_summing_below_one(fitted, kind, grid):
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
         assert np.all(np.diff(c, axis=0) >= -1e-12)
     total = curves[0] + curves[1]
-    if kind == "dsm":
-        # DSM's budget hinge bounds the sum only up to 1.05x the training
-        # horizon; past it the sum can exceed 1 (a known limitation)
-        total = total[times <= tmax]
     assert np.all(total <= 1.0 + 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["weibull", "lognormal"]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40))
+def test_dsm_incidences_sum_below_one_up_to_ten_times_training_max(fitted, distribution, k,
+                                                                   n_risks, seed, grid):
+    # one gate softmax over all components bounds the sum at any time, for
+    # any parameters: a fitted model and one with every parameter perturbed
+    coh, models = fitted
+    tmax = float(coh.times.max())
+    rng = np.random.default_rng(seed)
+    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=k, nodes=4, distribution=distribution), d=coh.d,
+              n_risks=n_risks, t_scale=tmax, seed=seed % 1000)
+    for p in m.graph.params.values():
+        p.data[...] += rng.normal(0.0, 0.5, size=p.data.shape)
+    m.gate_b.data[...] = rng.normal(0.0, 3.0, size=n_risks * k)
+    times = np.sort(np.asarray(grid)) * tmax
+    x = coh.features[:25]
+    for model in (models["dsm"], m):
+        total = sum(model.cif_curves(x, times, r) for r in range(1, model.n_risks + 1))
+        assert np.all(total <= 1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("kind", list(MODELS))
@@ -281,14 +301,19 @@ def test_model_loss_gradients_match_finite_differences(kind):
 
 def test_dsm_single_component_matches_weibull_closed_form():
     m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=1, nodes=4), d=3, n_risks=2)
-    # freeze: shape=2, scale=3, no encoder shifts, gate trivially 1
+    # freeze: shape=2, scale=3, no encoder shifts; the gate pi_1(x) weighs it
     m.graph.params["risk0.base_a"].data[...] = inv_softplus(2.0)
     m.graph.params["risk0.base_b"].data[...] = inv_softplus(3.0)
     m.graph.params["risk0.head_a"].data[...] = 0.0
     m.graph.params["risk0.head_b"].data[...] = 0.0
+    m.graph.params["gate_b"].data[...] = [0.3, -0.4]
     x = np.random.default_rng(0).normal(size=(5, 3))
+    logits = (m.encoder(gc.Tensor(x)).data @ m.graph.params["gate_w"].data
+              + m.graph.params["gate_b"].data)
+    pi_1 = np.exp(logits[:, 0]) / np.exp(logits).sum(axis=1)
+    assert np.ptp(pi_1) > 0.01  # the gate depends on x
     for t in (0.0, 0.7, 2.0, 9.0):
-        expected = 1.0 - np.exp(-((t / 3.0) ** 2))
+        expected = pi_1 * (1.0 - np.exp(-((t / 3.0) ** 2)))
         got = m.cif(x, t, 1)
         assert np.all(np.abs(got - expected) < 1e-10), t
 
@@ -334,16 +359,19 @@ def test_dsm_recovers_base_shape_on_single_risk_data():
 
 
 def _dsm_covariate_free(distribution, k, n_risks, seed=0):
-    """A DSM with zero shift heads and gate weights, and a cohort for it.
+    """A DSM with zero shift heads and gate weights, uneven gate biases, and
+    a cohort for it.
 
-    Scale 0.3 (rescaled time) makes the budget hinge active at 1.05, and the
-    censored row at t=1e3 has survival below PROB_FLOOR.
+    Scale 0.3 (rescaled time) puts every component near 1 at t=1e3, so the
+    censored row there has survival below PROB_FLOOR.
     """
     cfg = _tiny_cfg(DsmConfig, k=k, nodes=4, distribution=distribution)
     m = _bare(DsmModel, cfg, d=3, n_risks=n_risks, seed=seed)
     rng = np.random.default_rng(seed + 1)
+    m.gate_w.data[...] = 0.0
+    m.gate_b.data[...] = rng.normal(0.0, 0.7, size=n_risks * k)
     for r in range(n_risks):
-        for name in ("head_a", "head_b", "gate_w", "gate_b"):
+        for name in ("head_a", "head_b"):
             m.graph.params[f"risk{r}.{name}"].data[...] = 0.0
         if distribution == "weibull":
             a, b = inv_softplus(1.5), inv_softplus(0.3)
@@ -364,10 +392,10 @@ def _closed_form(m, t, e):
 
     log_u = np.log(np.maximum(t / m.t_scale, 1e-10))
     member = (e[e > 0] == np.arange(1, m.n_risks + 1)[:, None]).astype(float)
-    log_u_cens = np.append(log_u[e == 0], np.log(m.config.budget_horizon))
-    return _covariate_free_nll(m.config, np.array([p.data for p in m.base_a]),
-                               np.array([p.data for p in m.base_b]),
-                               log_u[None, e > 0], member, log_u_cens[None, :])
+    params = np.array([[p.data for p in m.base_a], [p.data for p in m.base_b],
+                       m.gate_b.data.reshape(m.n_risks, m.config.k)])
+    return _covariate_free_nll(m.config.distribution, params, log_u[None, e > 0], member,
+                               log_u[None, e == 0])
 
 
 @pytest.mark.parametrize("distribution", ["weibull", "lognormal"])
@@ -376,27 +404,24 @@ def _closed_form(m, t, e):
 def test_dsm_covariate_free_nll_matches_tape_likelihood(distribution, k, n_risks):
     m, x, t, e = _dsm_covariate_free(distribution, k, n_risks)
     x0 = np.zeros((1, 3))
-    horizon = m.config.budget_horizon * m.t_scale
-    total = sum(m.cif_curves(x0, np.append(t, horizon), r + 1)[:, 0]
-                for r in range(n_risks))
-    surv = 1.0 - total[:-1][e == 0]
+    total = sum(m.cif_curves(x0, t, r + 1)[:, 0] for r in range(n_risks))
+    surv = 1.0 - total[e == 0]
     assert np.any(surv < PROB_FLOOR) and np.any(surv > 0.5)
-    assert total[-1] > 1.0 - m.config.budget_margin  # hinge active
     loss = m._loss(x, t, e, None, training=False)
     loss.backward()
-    value, grads_a, grads_b = _closed_form(m, t, e)
+    value, grad = _closed_form(m, t, e)
     assert abs(value - loss.item()) <= 1e-12 * abs(loss.item())
-    tape = np.concatenate([p.grad for p in m.base_a + m.base_b])
-    closed = np.concatenate([grads_a.ravel(), grads_b.ravel()])
-    assert np.max(np.abs(closed - tape)) <= 1e-12 * np.max(np.abs(tape))
+    tape = np.concatenate([p.grad for p in m.base_a + m.base_b] + [m.gate_b.grad])
+    assert np.max(np.abs(grad.ravel() - tape)) <= 1e-12 * np.max(np.abs(tape))
 
 
 @pytest.mark.parametrize("distribution", ["weibull", "lognormal"])
 def test_dsm_covariate_free_gradient_matches_finite_differences(distribution):
     m, _x, t, e = _dsm_covariate_free(distribution, k=3, n_risks=2, seed=5)
-    _, grads_a, grads_b = _closed_form(m, t, e)
+    _, grad = _closed_form(m, t, e)
     step = 1e-6
-    for params, grads in ((m.base_a, grads_a), (m.base_b, grads_b)):
+    for params, grads in ((m.base_a, grad[0]), (m.base_b, grad[1]),
+                          ([m.gate_b], [grad[2].ravel()])):
         for p, g in zip(params, grads):
             for j in range(p.data.size):
                 keep = p.data[j]
@@ -411,16 +436,110 @@ def test_dsm_covariate_free_gradient_matches_finite_differences(distribution):
 
 @pytest.mark.parametrize("iters", [0, 40])
 def test_dsm_warmup_steps_only_base_parameters(iters):
-    coh = _synth(200, seed=4)
-    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=2, warmup_iters=iters), d=coh.d,
-              n_risks=2, t_scale=float(coh.times.max()), seed=3)
+    train, valid = holdout_split(_synth(200, seed=4), 0.1, seed=0)
+    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=2, warmup_iters=iters), d=train.d,
+              n_risks=2, t_scale=float(train.times.max()), seed=3)
     before = m.graph.named_arrays()
-    m._pre_fit(coh, np.random.default_rng(0))
+    ran, stop = m._pre_fit(train, valid)
     after = m.graph.named_arrays()
     for name in before:
         moved = not np.array_equal(before[name], after[name])
-        assert moved == (iters > 0 and ".base_" in name), name
+        assert moved == (iters > 0 and (".base_" in name or name == "gate_b")), name
     assert all(np.all(p.grad == 0.0) for p in m.graph.params.values())
+    assert (ran, stop) == (0, "none") if iters == 0 else 0 < ran <= iters
+
+
+def _rosenbrock(x):
+    a, b = x
+    value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+    return value, np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
+
+
+def test_bfgs_converges_on_rosenbrock_and_honours_the_cap():
+    from riskbench.models.dsm import GTOL, _bfgs
+
+    start = np.array([-1.2, 1.0])
+    best, iters, stop = _bfgs(_rosenbrock, lambda x: _rosenbrock(x)[0], start, 500)
+    assert stop == "gtol" and iters < 500
+    assert np.max(np.abs(best - 1.0)) < 1e-5
+    assert np.max(np.abs(_rosenbrock(best)[1])) < GTOL
+    assert _bfgs(_rosenbrock, lambda x: _rosenbrock(x)[0], start, 3)[1:] == (3, "cap")
+    # flat value, nonzero gradient: no step is acceptable
+    best, iters, stop = _bfgs(lambda x: (1.0, np.ones(2)), lambda x: 1.0, start, 50)
+    assert (iters, stop) == (0, "gtol") and np.array_equal(best, start)
+
+
+def test_bfgs_stops_without_validation_gain_and_keeps_best_iterate():
+    from riskbench.models.dsm import VALID_PATIENCE, _bfgs
+
+    seen = []
+
+    def valid_nll(x):  # improves over the first two steps, never again
+        seen.append(x.copy())
+        return [5.0, 4.0, 3.0][len(seen) - 1] if len(seen) <= 3 else 3.5
+
+    best, iters, stop = _bfgs(_rosenbrock, valid_nll, np.array([-1.2, 1.0]), 500)
+    assert (iters, stop) == (2 + VALID_PATIENCE, "valid")
+    assert len(seen) == iters + 1
+    assert np.array_equal(best, seen[2])
+
+
+def test_bfgs_caps_each_step_and_rejects_overflowing_trials():
+    from riskbench.models.dsm import MAX_STEP, _bfgs
+
+    def objective(x):  # minimum at 0; exp(-500 x) overflows for x < -1.42
+        value = float(np.sum(np.exp(-500.0 * x) + 500.0 * x))
+        return value, 500.0 * (1.0 - np.exp(-500.0 * x))
+
+    trials = []
+
+    def recorded(x):
+        trials.append(x.copy())
+        return objective(x)
+
+    start = np.array([0.1, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, iters, stop = _bfgs(recorded, lambda x: objective(x)[0], start, 1)
+    assert (iters, stop) == (1, "cap")
+    assert all(np.max(np.abs(x - start)) <= MAX_STEP for x in trials)
+    assert any(np.any(-500.0 * x > 709.8) for x in trials)  # an overflowing trial was tried
+    assert np.isfinite(objective(best)[0]) and objective(best)[0] < objective(start)[0]
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_history_records_warmup_iterations_and_stop(kind):
+    hist = MODELS[kind](FIT_CONFIGS[kind]()).fit(_synth(200, seed=2), seed=1)
+    doc = hist.to_json()
+    if kind == "dsm":
+        assert 0 < doc["warmup_iters"] <= 30
+        assert doc["warmup_stop"] in ("gtol", "valid", "cap")
+    else:
+        assert (doc["warmup_iters"], doc["warmup_stop"]) == (0, "none")
+
+
+@pytest.mark.parametrize("old_config", [True, False])
+def test_dsm_load_rejects_checkpoint_with_per_risk_gates(tmp_path, old_config):
+    # checkpoints from before the joint gate held one gate per risk, and
+    # their sidecars the warm-up rate and budget fields; such a model must
+    # not be read as if its gates were joint
+    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=2, nodes=4), d=3, n_risks=2)
+    path = tmp_path / "dsm.rbck"
+    m.save(path)
+    arrays = m.graph.named_arrays()
+    gate_w, gate_b = arrays.pop("gate_w"), arrays.pop("gate_b")
+    for r in range(2):
+        arrays[f"risk{r}.gate_w"] = gate_w[:, 2 * r : 2 * r + 2]
+        arrays[f"risk{r}.gate_b"] = gate_b[2 * r : 2 * r + 2]
+    gc.save_checkpoint(path, arrays)
+    if old_config:
+        sidecar = tmp_path / "dsm.rbck.json"
+        doc = json.loads(sidecar.read_text())
+        doc["config"].update(warmup_lr=1e-2, budget_weight=2000.0, budget_margin=0.003,
+                             budget_horizon=1.05)
+        sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="warmup_lr" if old_config else "'gate_w'"):
+        DsmModel.load(path)
 
 
 def test_dsm_censored_only_rejected():
