@@ -4,7 +4,7 @@ Observed times are quantized into L quantile bins; a shared encoder feeds
 per-risk subnetworks (which also see the raw covariates) whose stacked
 logits pass through one joint softmax, so all L*R masses sum to one. The
 CIF is the running sum of a risk's bin masses. The loss is the discrete
-likelihood plus an optional pairwise ranking penalty.
+likelihood plus an optional pairwise ranking penalty, factored over risks.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from ..gradcore import (
     mul,
     softmax,
     texp,
-    transpose,
     tsum,
 )
 from ..gradcore import add as tadd
-from ..gradcore import sub as tsub
 from .base import BaseConfig, CifModel
 
 
@@ -64,7 +62,8 @@ def _linear_quantiles(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
 class DeepHitConfig(BaseConfig):
     bins: int = field(default=15, metadata={"min": 1})
     alpha: float = field(default=0.1, metadata={"min": 0})  # ranking penalty coefficient
-    sigma: float = field(default=1.0, metadata={"positive": True})  # ranking penalty sharpness
+    # ranking penalty sharpness, floored so exp(+-1 / sigma) stays finite and normal
+    sigma: float = field(default=1.0, metadata={"min": 0.002})
 
 
 class DeepHitModel(CifModel):
@@ -136,38 +135,37 @@ class DeepHitModel(CifModel):
         remaining = tsum(mul(y, Tensor(_censored_keep(bins, e, L, R))), axis=-1)
         loss = self._nll(event_ll, remaining, e, training)
         if self.config.alpha > 0.0:
-            penalty = self._ranking_penalty(y, t, e)
+            penalty = self._ranking_penalty(y, t, e, bins)
             if penalty is not None:
                 loss = tadd(loss, mul(penalty, self.config.alpha))
         return loss
 
-    def _ranking_penalty(self, y: Tensor, t: np.ndarray, e: np.ndarray):
-        """Pairwise penalty exp(-(F_r(t_i|x_i) - F_r(t_i|x_j)) / sigma) over
-        pairs with e_i = r and t_i < t_j, averaged within each risk and
-        summed over risks so rare risks keep full ranking pressure."""
-        L = self.n_bins
-        lower = np.tril(np.ones((L, L)))  # lower[j, l] = 1 for j <= l
-        total = None
-        for r in range(self.n_risks):
-            idx = np.nonzero(e == r + 1)[0]
-            if idx.size == 0:
-                continue
-            pair_mask = t[None, :] > t[idx][:, None]  # (n_ev, nb)
-            n_pairs = int(pair_mask.sum())
-            if n_pairs == 0:
-                continue
-            cum = matmul(y[:, r * L : (r + 1) * L], Tensor(lower))  # running CIF per bin
-            onehot = np.zeros((idx.size, L))
-            onehot[np.arange(idx.size), np.maximum(self._bin_of(t[idx]), 1) - 1] = 1.0
-            # matmul, not a gather: np.add.at sums same-bin events' gradients out of BLAS order
-            f_at_ti = matmul(cum, Tensor(onehot.T))  # (nb, n_ev): F_r(t_i | x_j)
-            own = f_at_ti[idx, np.arange(idx.size)]  # (n_ev,)
-            diff = tsub(own.reshape(idx.size, 1), transpose(f_at_ti, (1, 0)))
-            contrib = mul(texp(mul(diff, -1.0 / self.config.sigma)),
-                          Tensor(pair_mask.astype(np.float64)))
-            term = mul(tsum(contrib), 1.0 / n_pairs)
-            total = term if total is None else tadd(total, term)
-        return total
+    def _ranking_penalty(self, y: Tensor, t: np.ndarray, e: np.ndarray, bins: np.ndarray):
+        """Pairwise penalty exp(-(C[i, c_i] - C[j, c_i]) / sigma) over pairs with
+        e_i = r and t_i < t_j, averaged within each risk and summed over risks
+        so rare risks keep full ranking pressure; None when no risk has a pair.
+
+        C = y @ blockdiag(tril(1)) is each risk's mass at or after a bin (not
+        its running CIF: ROADMAP item 8); c_i = (e_i - 1) * L + bin(t_i) - 1.
+        A term factors as exp(C[j, c_i] / sigma) * exp(-C[i, c_i] / sigma), so
+        one pass over all risks sums w_i exp(-C[i, c_i] / sigma) (M @ exp(C /
+        sigma))[i, c_i], with constant M[i, j] = t_j > t_i and w_i = 1 / (pairs
+        of e_i's risk), or 0. sigma >= 0.002 keeps exp(+-C / sigma) normal.
+        """
+        L, R = self.n_bins, self.n_risks
+        ev = np.nonzero(e > 0)[0]
+        risk = e[ev] - 1
+        later = (t[None, :] > t[ev][:, None]).astype(np.float64)  # M, (n_ev, nb)
+        pairs = np.bincount(risk, weights=later.sum(axis=1), minlength=R)
+        if not pairs.any():
+            return None
+        weight = (1.0 / np.where(pairs > 0, pairs, np.inf))[risk]
+        cols = risk * L + bins[ev] - 1
+        cum = matmul(y, Tensor(np.kron(np.eye(R), np.tril(np.ones((L, L))))))  # C, (nb, R*L)
+        inv = 1.0 / self.config.sigma
+        later_sum = matmul(Tensor(later), texp(mul(cum, inv)))[np.arange(ev.size), cols]
+        own = texp(mul(cum[ev, cols], -inv))
+        return tsum(mul(mul(own, later_sum), weight))
 
     # -- prediction ------------------------------------------------------------------
 

@@ -690,6 +690,7 @@ def test_schema_leaves_cover_every_config_dataclass_field():
     ("train", ["model.kind=dsm", 'model.extras={"lr":-1}'], "model.extras.lr"),
     ("train", ['model.extras={"batch_size":0}'], "model.extras.batch_size"),
     ("cv", ["grid.batch_range=[0,0]"], "grid.batch_range"),
+    ("train", ["model.kind=deephit", 'model.extras={"sigma":0.001}'], "model.extras.sigma"),
 ])
 def test_config_probe_exits_2_naming_its_key(tmp_path, capsys, command, overrides, key):
     doc = {**DESK_CV, "mae": {"n_phantoms": 1, "dims": [30, 20, 20, 2]},

@@ -719,7 +719,7 @@ def test_deephit_alpha_zero_is_pure_likelihood():
     x, t, e = coh.features[:60], coh.times[:60], coh.events[:60]
     with_rank = m._loss(x, t, e, None, training=False).item()
     y = m._masses(x, None, training=False)
-    penalty = m._ranking_penalty(y, t, e).item()
+    penalty = m._ranking_penalty(y, t, e, np.maximum(m._bin_of(t), 1)).item()
     m.config.alpha = 0.0
     pure = m._loss(x, t, e, None, training=False).item()
     assert abs(with_rank - (pure + 0.5 * penalty)) < 1e-12
@@ -809,9 +809,37 @@ def _loss_and_leaf_grads(m, loss_fn):
     return loss.item(), {name: p.grad.copy() for name, p in m.graph.params.items()}
 
 
+def _pairwise_ranking_penalty(m, y, t, e):
+    """DeepHit's ranking penalty as it was written before the factored pass:
+    per risk, the (n_ev, nb) differences of every event-later pair."""
+    L = m.n_bins
+    lower = np.tril(np.ones((L, L)))
+    total = None
+    for r in range(m.n_risks):
+        idx = np.nonzero(e == r + 1)[0]
+        if idx.size == 0:
+            continue
+        pair_mask = t[None, :] > t[idx][:, None]  # (n_ev, nb)
+        n_pairs = int(pair_mask.sum())
+        if n_pairs == 0:
+            continue
+        cum = gc.matmul(y[:, r * L : (r + 1) * L], gc.Tensor(lower))
+        onehot = np.zeros((idx.size, L))
+        onehot[np.arange(idx.size), np.maximum(m._bin_of(t[idx]), 1) - 1] = 1.0
+        f_at_ti = gc.matmul(cum, gc.Tensor(onehot.T))  # (nb, n_ev)
+        own = f_at_ti[idx, np.arange(idx.size)]  # (n_ev,)
+        diff = gc.sub(own.reshape(idx.size, 1), gc.transpose(f_at_ti, (1, 0)))
+        contrib = gc.mul(gc.texp(gc.mul(diff, -1.0 / m.config.sigma)),
+                         gc.Tensor(pair_mask.astype(np.float64)))
+        term = gc.mul(gc.tsum(contrib), 1.0 / n_pairs)
+        total = term if total is None else gc.add(total, term)
+    return total
+
+
 def _selector_deephit_loss(m, x, t, e):
-    """DeepHit's loss with every entry picked by a dense 0/1 selector, as
-    it was written before gradcore had a taped index."""
+    """DeepHit's likelihood with every entry picked by a dense 0/1 selector, as
+    it was written before gradcore had a taped index, plus the pairwise
+    ranking penalty when alpha > 0."""
     from riskbench.models.deephit import _censored_keep
 
     nb, L, R = len(t), m.n_bins, m.n_risks
@@ -824,31 +852,14 @@ def _selector_deephit_loss(m, x, t, e):
     event_ll = m._clamped_log_sum(own_mass, e > 0, True)
     remaining = gc.tsum(gc.mul(y, gc.Tensor(_censored_keep(bins, e, L, R))), axis=-1)
     loss = m._nll(event_ll, remaining, e, True)
-    lower = np.tril(np.ones((L, L)))
-    total = None
-    for r in range(R):
-        idx = np.nonzero(e == r + 1)[0]
-        pair_mask = t[None, :] > t[idx][:, None]
-        sel = np.zeros((nb, R * L))
-        sel[:, r * L : (r + 1) * L] = 1.0
-        y_r = gc.tsum(gc.mul(y, gc.Tensor(sel)).reshape(nb, R, L), axis=1)
-        cum = gc.matmul(y_r, gc.Tensor(lower))
-        onehot = np.zeros((idx.size, L))
-        onehot[np.arange(idx.size), np.maximum(m._bin_of(t[idx]), 1) - 1] = 1.0
-        f_at_ti = gc.matmul(cum, gc.Tensor(onehot.T))
-        own_sel = np.zeros((nb, idx.size))
-        own_sel[idx, np.arange(idx.size)] = 1.0
-        own = gc.tsum(gc.mul(f_at_ti, gc.Tensor(own_sel)), axis=0)
-        diff = gc.sub(own.reshape(idx.size, 1), gc.transpose(f_at_ti, (1, 0)))
-        contrib = gc.mul(gc.texp(gc.mul(diff, -1.0 / m.config.sigma)),
-                         gc.Tensor(pair_mask.astype(np.float64)))
-        term = gc.mul(gc.tsum(contrib), 1.0 / int(pair_mask.sum()))
-        total = term if total is None else gc.add(total, term)
-    return gc.add(loss, gc.mul(total, m.config.alpha))
+    if m.config.alpha > 0.0:
+        loss = gc.add(loss, gc.mul(_pairwise_ranking_penalty(m, y, t, e), m.config.alpha))
+    return loss
 
 
-def test_deephit_loss_bit_equal_to_selector_matrix_form():
-    m = _bare(DeepHitModel, _tiny_cfg(DeepHitConfig, bins=6, alpha=0.5), d=3,
+def _deephit_loss_pair(alpha):
+    """(factored, oracle) loss and leaf gradients of one 48-row batch."""
+    m = _bare(DeepHitModel, _tiny_cfg(DeepHitConfig, bins=6, alpha=alpha), d=3,
               n_risks=2, t_scale=7.0, edges=np.linspace(1.0, 6.0, 6), seed=8)
     rng = np.random.default_rng(31)
     x = rng.normal(size=(48, 3))
@@ -858,10 +869,134 @@ def test_deephit_loss_bit_equal_to_selector_matrix_form():
     e[:3] = [1, 0, 2]  # an event at t=0, and censored rows
     new = _loss_and_leaf_grads(m, lambda: m._loss(x, t, e, None, training=True))
     old = _loss_and_leaf_grads(m, lambda: _selector_deephit_loss(m, x, t, e))
+    assert all(np.any(grad != 0.0) for grad in old[1].values())
+    return new, old
+
+
+def _rel_err(got, want) -> float:
+    """max |got - want| over max |want|: error relative to the array's scale."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.max(np.abs(want))
+    return float(np.max(np.abs(got - want)) / scale) if scale > 0 else float(np.max(np.abs(got)))
+
+
+def test_deephit_likelihood_bit_equal_to_selector_matrix_form():
+    new, old = _deephit_loss_pair(alpha=0.0)
     assert new[0] == old[0]
     for name, grad in old[1].items():
         assert np.array_equal(new[1][name], grad), name
-    assert all(np.any(grad != 0.0) for grad in old[1].values())
+
+
+def test_deephit_loss_with_ranking_penalty_matches_pairwise_form():
+    new, old = _deephit_loss_pair(alpha=0.5)
+    assert _rel_err(new[0], old[0]) <= 1e-12
+    for name, grad in old[1].items():
+        assert _rel_err(new[1][name], grad) <= 1e-12, name
+
+
+def _penalty_model(n_risks, n_bins, sigma):
+    """A DeepHit model with bins on 1..n_bins; the penalty reads nothing else."""
+    m = DeepHitModel(DeepHitConfig(sigma=sigma))
+    m.n_risks = n_risks
+    m.edges = np.arange(1.0, n_bins + 1.0)
+    return m
+
+
+def _penalty_and_logit_grad(penalty_fn, m, logits, t, e):
+    """The penalty of softmax(logits) and its gradient with respect to the logits."""
+    leaf = gc.Tensor(logits, requires_grad=True)
+    penalty = penalty_fn(m, gc.softmax(leaf, axis=-1), t, e)
+    if penalty is None:
+        return None, None
+    penalty.backward()
+    return penalty.item(), leaf.grad
+
+
+def _factored(m, y, t, e):
+    return m._ranking_penalty(y, t, e, np.maximum(m._bin_of(t), 1))
+
+
+@st.composite
+def _penalty_batches(draw):
+    R, L = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    nb = draw(st.integers(1, 24))
+    # times on a grid of L + 2 values from 0 past the last edge: ties, t=0
+    t = np.array(draw(st.lists(st.integers(0, L + 1), min_size=nb, max_size=nb)), float)
+    risks = draw(st.lists(st.integers(1, R), min_size=1, max_size=R, unique=True))
+    e = np.array(draw(st.lists(st.sampled_from([0] + risks), min_size=nb, max_size=nb)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    logits = np.random.default_rng(seed).normal(scale=2.0, size=(nb, R * L))
+    sigma = draw(st.sampled_from([0.002, 0.1, 1.0, 10.0]))
+    return _penalty_model(R, L, sigma), logits, t, e
+
+
+def _assert_penalty_matches_pairwise(m, logits, t, e):
+    got = _penalty_and_logit_grad(_factored, m, logits, t, e)
+    want = _penalty_and_logit_grad(_pairwise_ranking_penalty, m, logits, t, e)
+    if want[0] is None:
+        assert got[0] is None
+        return
+    assert _rel_err(got[0], want[0]) <= 1e-12
+    # The softmax can cancel a logit gradient down to rounding noise (with one
+    # risk, C's first column is the total mass, 1): measure the error against
+    # the scale of the gradient with respect to the masses, penalty / sigma.
+    scale = max(np.max(np.abs(want[1])), want[0] / m.config.sigma)
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(_penalty_batches())
+def test_deephit_factored_penalty_matches_pairwise_oracle(batch):
+    _assert_penalty_matches_pairwise(*batch)
+
+
+@pytest.mark.parametrize("sigma", [0.002, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("case", ["ties_and_t0", "risk_without_events", "risk_without_pairs",
+                                  "all_censored"])
+def test_deephit_factored_penalty_matches_pairwise_oracle_on_edge_cases(case, sigma):
+    t = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 5.0])
+    e = {"ties_and_t0": [1, 2, 1, 0, 2, 1, 2, 0],
+         "risk_without_events": [1, 0, 1, 0, 1, 0, 1, 0],  # risk 2 has no event
+         "risk_without_pairs": [1, 0, 1, 1, 0, 0, 0, 2],  # risk 2's event is the latest
+         "all_censored": [0] * 8}[case]
+    m = _penalty_model(2, 4, sigma)
+    logits = np.random.default_rng(5).normal(scale=2.0, size=(8, 8))
+    _assert_penalty_matches_pairwise(m, logits, t, np.array(e))
+    penalty = _factored(m, gc.softmax(gc.Tensor(logits), axis=-1), t, np.array(e))
+    assert (penalty is None) == (case == "all_censored")
+
+
+def test_deephit_penalty_gradient_matches_finite_differences():
+    t = np.array([0.0, 1.0, 1.0, 2.5, 3.0, 4.0, 4.0, 6.0])
+    e = np.array([1, 2, 0, 1, 2, 1, 0, 0])
+    m = _penalty_model(2, 5, 0.1)
+    graph = gc.ParamGraph()
+    leaf = graph.parameter("logits", np.random.default_rng(6).normal(size=(8, 10)))
+    report = gc.grad_check(
+        lambda: (graph, lambda: _factored(m, gc.softmax(leaf, axis=-1), t, e)),
+        tolerance=1e-6, h=1e-6)
+    assert report.passed, str(report)
+
+
+def test_deephit_penalty_tape_holds_no_pairwise_array():
+    """Every taped node of the penalty is at most (n_ev + nb) * R * L large."""
+    R, L, nb = 3, 6, 200
+    rng = np.random.default_rng(7)
+    t = np.round(rng.uniform(0.0, 7.0, size=nb), 1)
+    e = rng.integers(0, R + 1, size=nb)
+    leaf = gc.Tensor(rng.normal(size=(nb, R * L)), requires_grad=True)
+    penalty = _factored(_penalty_model(R, L, 1.0), gc.softmax(leaf, axis=-1), t, e)
+    limit = (int(np.count_nonzero(e)) + nb) * R * L
+    assert int(np.count_nonzero(e)) * nb > limit  # a pairwise array would break it
+    seen, stack, sizes = set(), [penalty], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        sizes.append(node.size)
+        stack.extend(node._parents)
+    assert len(sizes) > 5 and max(sizes) <= limit
 
 
 def _selector_nfg_risk_cif_density(self, r, u_col, h, balance):
