@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,8 @@ from .mae import (
     MaeConfig,
     MaeModel,
     extract_embedding,
+    iter_phantoms,
     load_volume,
-    make_phantoms,
     save_volume,
     train_mae,
 )
@@ -417,17 +418,18 @@ def _mae_config(doc: dict) -> MaeConfig:
     return config
 
 
-def _mae_volumes(doc: dict) -> tuple[list[str], list]:
+def _mae_volumes(doc: dict) -> tuple[list[str], Iterator]:
+    """Volume names, and the volumes as an iterator that reads or makes
+    one at a time."""
     mae = doc.get("mae", {})
     if "volumes_dir" in mae:
         paths = sorted(Path(mae["volumes_dir"]).glob("*.rbvl"))
         if not paths:
             raise DataError(f"no .rbvl volumes in {mae['volumes_dir']}")
-        return [p.stem for p in paths], [load_volume(p) for p in paths]
+        return [p.stem for p in paths], map(load_volume, paths)
     n = mae.get("n_phantoms", 20)
     dims = tuple(mae.get("dims", (60, 40, 40, 2)))
-    vols = make_phantoms(n, dims=dims, seed=doc["seed"])
-    return [f"phantom{i:04d}" for i in range(n)], vols
+    return [f"phantom{i:04d}" for i in range(n)], iter_phantoms(n, dims=dims, seed=doc["seed"])
 
 
 def cmd_mae_train(args) -> int:
@@ -460,11 +462,12 @@ def cmd_embed(args) -> int:
     names, volumes = _mae_volumes(doc)
     out = _out_dir(doc) / (args.out or "embeddings.csv")
     dim = model.config.embed_dim
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id," + ",".join(f"e{j + 1}" for j in range(dim)) + "\n")
-        for name, vol in zip(names, volumes):
-            emb = extract_embedding(model, vol)
-            fh.write(name + "," + ",".join(repr(float(v)) for v in emb) + "\n")
+    # rows are held until every volume is read, so a bad one writes nothing
+    lines = ["id," + ",".join(f"e{j + 1}" for j in range(dim))]
+    for name, vol in zip(names, volumes):
+        emb = extract_embedding(model, vol)
+        lines.append(name + "," + ",".join(repr(float(v)) for v in emb))
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     _write_meta(out, "embed", digest)
     print(f"wrote {out} ({len(names)} rows x {dim + 1} columns)")
     return 0

@@ -4,13 +4,14 @@ from .model import (
     MaeConfig,
     MaeHistory,
     MaeModel,
+    PatchRows,
     extract_embedding,
     psnr,
     sinusoidal_positions,
     train_mae,
 )
 from .patches import MaskPlan, PatchGrid, foreground_flags, patchify, sample_mask, unpatchify
-from .volume import Volume4D, load_volume, make_phantoms, save_volume
+from .volume import Volume4D, iter_phantoms, load_volume, make_phantoms, save_volume
 
 __all__ = [
     "MaeConfig",
@@ -18,9 +19,11 @@ __all__ = [
     "MaeModel",
     "MaskPlan",
     "PatchGrid",
+    "PatchRows",
     "Volume4D",
     "extract_embedding",
     "foreground_flags",
+    "iter_phantoms",
     "load_volume",
     "make_phantoms",
     "patchify",

@@ -10,6 +10,7 @@ touches masked content.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -53,6 +54,15 @@ def sinusoidal_positions(positions: np.ndarray, dim: int) -> np.ndarray:
         out[:, offset : offset + g] = block
         offset += g
     return out
+
+
+@dataclass
+class PatchRows:
+    """Chosen rows of a patch grid: float32 voxels (n, patch voxels) and
+    their sinusoidal position table (n, embed_dim), row-aligned."""
+
+    values: np.ndarray
+    pos: np.ndarray
 
 
 @dataclass
@@ -104,34 +114,43 @@ class MaeModel:
 
     # -- passes ---------------------------------------------------------------
 
-    def encode(self, grid: PatchGrid, patch_ids: np.ndarray,
+    def rows(self, grid: PatchGrid | PatchRows, patch_ids=slice(None)) -> PatchRows:
+        """`grid`'s rows `patch_ids` with their position table; a PatchRows
+        passes through whole."""
+        if isinstance(grid, PatchRows):
+            return grid
+        return PatchRows(grid.values[patch_ids], sinusoidal_positions(
+            grid.positions[patch_ids], self.config.embed_dim))
+
+    def encode(self, grid: PatchGrid | PatchRows, patch_ids: np.ndarray,
                rng=None, training: bool = False) -> Tensor:
         """Encoder tokens for the given patches (no masking logic here)."""
-        pos = sinusoidal_positions(grid.positions[patch_ids], self.config.embed_dim)
-        tokens = self.embed(Tensor(grid.values[patch_ids].astype(np.float64)))
-        x = tokens + Tensor(pos)
+        rows = self.rows(grid)
+        tokens = self.embed(Tensor(rows.values[patch_ids].astype(np.float64)))
+        x = tokens + Tensor(rows.pos[patch_ids])
         for block in self.enc_blocks:
             x = block(x, rng=rng, training=training)
         return self.enc_norm(x)
 
-    def forward(self, grid: PatchGrid, plan: MaskPlan, rng=None,
+    def forward(self, grid: PatchGrid | PatchRows, plan: MaskPlan, rng=None,
                 training: bool = False):
-        """Returns (masked-patch reconstructions, MSE loss over them)."""
+        """Returns (masked-patch reconstructions, MSE loss over them). The
+        plan's ids index the rows of `grid`."""
         if plan.masked.size == 0:
             warnings.warn("mask plan has zero masked patches; loss defined as 0",
                           stacklevel=2)
             return Tensor(np.zeros((0, self.patch_voxels))), Tensor(0.0)
-        enc = self.encode(grid, plan.visible, rng=rng, training=training)
+        rows = self.rows(grid)
+        enc = self.encode(rows, plan.visible, rng=rng, training=training)
         n_masked = plan.masked.size
         mask_rep = mul(Tensor(np.ones((n_masked, 1))), self.mask_token)
         order = np.concatenate([plan.visible, plan.masked])
-        pos = sinusoidal_positions(grid.positions[order], self.config.embed_dim)
-        x = concat([enc, mask_rep], axis=0) + Tensor(pos)
+        x = concat([enc, mask_rep], axis=0) + Tensor(rows.pos[order])
         for block in self.dec_blocks:
             x = block(x, rng=rng, training=training)
         pred = self.unembed(self.dec_norm(x))
         pred_masked = pred[len(order) - n_masked :]
-        target = Tensor(grid.values[plan.masked].astype(np.float64))
+        target = Tensor(rows.values[plan.masked].astype(np.float64))
         diff = sub(pred_masked, target)
         return pred_masked, tmean(mul(diff, diff))
 
@@ -162,15 +181,20 @@ class MaeHistory:
         return {"epoch_losses": self.epoch_losses, "step_losses": self.step_losses}
 
 
-def train_mae(volumes: list[Volume4D], config: MaeConfig, seed: int = 0):
-    """Train on a list of volumes; one step per volume per epoch with a
-    fresh seed-derived mask plan. Returns (model, history)."""
-    if not volumes:
-        raise DataError("train_mae needs at least one volume")
+def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
+    """Train on volumes read once, in order; one step per volume per epoch
+    with a fresh seed-derived mask plan. Each volume is cut down to its
+    foreground rows before the first step, and the volume itself is let go.
+    Returns (model, history)."""
     model = MaeModel(config, seed=seed)
-    grids = [patchify(v, config.patch_size) for v in volumes]
-    flags = [foreground_flags(g, config.threshold, config.min_fraction)
-             for g in grids]
+    data = []
+    for vi, vol in enumerate(volumes):
+        try:
+            data.append(_foreground_rows(model, vol))
+        except DataError as exc:
+            raise DataError(f"volume {vi}: {exc}") from exc
+    if not data:
+        raise DataError("train_mae needs at least one volume")
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     drop_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xD0)))
     losses: list[float] = []
@@ -178,10 +202,12 @@ def train_mae(volumes: list[Volume4D], config: MaeConfig, seed: int = 0):
     last_good = model.graph.named_arrays()
     for epoch in range(config.epochs):
         epoch_losses = []
-        for vi, (grid, flag) in enumerate(zip(grids, flags)):
-            plan = sample_mask(flag, config.mask_ratio,
+        for vi, rows in enumerate(data):
+            # over all-foreground flags the plan draws the same patches as
+            # over the volume's full flags, numbered by foreground rank
+            plan = sample_mask(np.ones(len(rows.values), dtype=bool), config.mask_ratio,
                                seed=_plan_seed(seed, epoch, vi))
-            _, loss = model.forward(grid, plan, rng=drop_rng, training=True)
+            _, loss = model.forward(rows, plan, rng=drop_rng, training=True)
             value = loss.item()
             if not np.isfinite(value):
                 model.graph.load_arrays(last_good)
@@ -204,15 +230,19 @@ def _plan_seed(seed: int, epoch: int, volume_idx: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
+def _foreground_rows(model: MaeModel, vol: Volume4D) -> PatchRows:
+    """The foreground patches of `vol`, copied out of its patch grid."""
+    config = model.config
+    grid = patchify(vol, config.patch_size)
+    fg = np.nonzero(foreground_flags(grid, config.threshold, config.min_fraction))[0]
+    if fg.size == 0:
+        raise DataError("volume has no foreground patches")
+    return model.rows(grid, fg)
+
+
 def extract_embedding(model: MaeModel, vol: Volume4D) -> np.ndarray:
     """Mean encoder token over all foreground patches, no masking."""
-    grid = patchify(vol, model.config.patch_size)
-    flags = foreground_flags(grid, model.config.threshold,
-                             model.config.min_fraction)
-    fg = np.nonzero(flags)[0]
-    if fg.size == 0:
-        raise DataError("volume has no foreground patches to embed")
-    tokens = model.encode(grid, fg)
+    tokens = model.encode(_foreground_rows(model, vol), slice(None))
     return tokens.data.mean(axis=0).copy()
 
 

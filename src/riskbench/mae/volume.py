@@ -7,6 +7,7 @@ then float32 little-endian voxels in row-major order.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ class Volume4D:
             raise DataError(f"volume must be 4-D (X, Y, Z, C), got {self.data.shape}")
         if min(self.data.shape) < 1:
             raise DataError(f"volume dims must be positive, got {self.data.shape}")
-        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
+        if self.data.size and not (self.data.min() >= 0.0 and self.data.max() <= 1.0):
             raise DataError("voxel values must lie in [0, 1]")
 
     @property
@@ -49,21 +50,31 @@ def save_volume(vol: Volume4D, path) -> None:
 
 
 def load_volume(path) -> Volume4D:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a volume file (bad magic {blob[:4]!r})")
-    version = struct.unpack_from("<I", blob, 4)[0]
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported volume version {version}")
-    rank = struct.unpack_from("<I", blob, 8)[0]
-    dims = struct.unpack_from(f"<{rank}I", blob, 12)
-    count = int(np.prod(dims))
-    voxels = np.frombuffer(blob, dtype="<f4", count=count, offset=12 + 4 * rank)
-    return Volume4D(voxels.reshape(dims).astype(np.float32))
+    try:  # a short file raises struct.error or ValueError
+        version, rank = struct.unpack_from("<2I", blob, 4)
+        if version != VERSION:
+            raise DataError(f"unsupported volume version {version}")
+        dims = struct.unpack_from(f"<{rank}I", blob, 12)
+        count = int(np.prod(dims))
+        voxels = np.frombuffer(blob, dtype="<f4", count=count, offset=12 + 4 * rank)
+        return Volume4D(voxels.reshape(dims).astype(np.float32))
+    except (DataError, struct.error, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def make_phantoms(n: int, dims: tuple = (60, 40, 40, 2), seed: int = 0) -> list[Volume4D]:
-    """Random two-contrast ellipsoid phantoms.
+    """The phantoms of `iter_phantoms` as a list."""
+    return list(iter_phantoms(n, dims, seed))
+
+
+def iter_phantoms(n: int, dims: tuple = (60, 40, 40, 2), seed: int = 0) -> Iterator[Volume4D]:
+    """Random two-contrast ellipsoid phantoms, made one at a time.
 
     A body ellipsoid with anticorrelated intensities across the two
     contrasts, an inner blob with its own contrast shift, and mild noise.
@@ -80,7 +91,6 @@ def make_phantoms(n: int, dims: tuple = (60, 40, 40, 2), seed: int = 0) -> list[
         dx, dy, dz = (((a - m) / s) ** 2 for a, m, s in zip(axes, center, semi))
         return (dx[:, None, None] + dy[None, :, None]) + dz[None, None, :] <= 1.0
 
-    out = []
     for _ in range(n):
         center = np.array([x, y, z]) * rng.uniform(0.42, 0.58, size=3)
         semi = np.array([x, y, z]) * rng.uniform(0.24, 0.36, size=3)
@@ -98,5 +108,4 @@ def make_phantoms(n: int, dims: tuple = (60, 40, 40, 2), seed: int = 0) -> list[
         for ci in range(2, c):
             vol[..., ci][body] = base
         vol += rng.normal(0.0, 0.02, size=dims)
-        out.append(Volume4D(np.clip(vol, 0.0, 1.0).astype(np.float32)))
-    return out
+        yield Volume4D(np.clip(vol, 0.0, 1.0).astype(np.float32))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -311,6 +310,10 @@ def nested_cv(cohort: Cohort, model_kind: str, grid: HParamGrid | None = None,
     payloads = [(cohort, folds[f].ids, model_kind, grid, settings, seed, f)
                 for f in range(k)]
     if workers > 1:
+        # imported here so that serial runs load neither concurrent.futures
+        # nor multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_fold, payloads))
     else:

@@ -219,6 +219,34 @@ def test_make_volumes_roundtrip(tmp_path):
     assert len(list(vol_dir.glob("*.rbvl"))) == 3
 
 
+@pytest.mark.parametrize("damage", [lambda blob: b"XXXX" + blob[4:], lambda blob: blob[:-4], None],
+                         ids=["bad magic", "truncated", "a directory"])
+def test_corrupt_last_volume_exit_3_writes_nothing(tmp_path, capsys, damage):
+    """Volumes are read one at a time, but all of them before any output."""
+    doc = {"seed": 9, "mae": {"n_phantoms": 3, "dims": [30, 20, 20, 2], "embed_dim": 16,
+                              "enc_layers": 1, "dec_layers": 1, "epochs": 1},
+           "output": {"dir": str(tmp_path / "ok")}}
+    cfg = _write_config(tmp_path, doc)
+    vol_dir = tmp_path / "vols"
+    assert main(["make-volumes", "--config", cfg, "--out", str(vol_dir)]) == 0
+    assert main(["mae-train", "--config", cfg]) == 0
+    bad = vol_dir / "zz.rbvl"  # sorts last
+    if damage is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(damage((vol_dir / "phantom0000.rbvl").read_bytes()))
+    out = tmp_path / "bad"
+    common = ["--set", f"mae.volumes_dir={vol_dir}", "--set", f"output.dir={out}"]
+    capsys.readouterr()
+    for argv in (["mae-train", "--config", cfg],
+                 ["embed", "--config", cfg, "--set",
+                  f"mae.checkpoint={tmp_path / 'ok' / 'mae.rbck'}"]):
+        assert main(argv + common) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def _cohort_with_nan_time(tmp_path) -> str:
     doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
     main(["synth", "--config", _write_config(tmp_path, doc, "synth.json")])
@@ -434,9 +462,9 @@ def test_features_missing_or_bad_category_map_exit_3(tmp_path, capsys, text):
     assert "cats.json" in capsys.readouterr().err
 
 
-def _modules_after(code: str, package: str = "scipy") -> str:
+def _modules_after(code: str, *packages: str) -> str:
     """Run `code` after `import riskbench.cli` in a fresh interpreter; print
-    the modules of `package` it has loaded by the end."""
+    the modules of `packages` (default scipy) it has loaded by the end."""
     import os
     import subprocess
     import sys
@@ -447,8 +475,9 @@ def _modules_after(code: str, package: str = "scipy") -> str:
     src = str(Path(riskbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    prefixes = tuple(f"{package}." for package in packages or ("scipy",))
     probe = (f"import sys, riskbench.cli\n{code}\n"
-             f"print([m for m in sys.modules if (m + '.').startswith({package + '.'!r})])")
+             f"print([m for m in sys.modules if (m + '.').startswith({prefixes!r})])")
     return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True).stdout.splitlines()[-1]
 
@@ -483,6 +512,23 @@ def test_deephit_cv_and_mae_train_load_no_numpy_ma(tmp_path):
             ["mae-train", "--config", _write_config(tmp_path, mae, "mae.json")]]
     code = f"assert [riskbench.cli.main(argv) for argv in {runs!r}] == [0, 0]"
     assert _modules_after(code, "numpy.ma") == "[]"
+    assert (tmp_path / "cv" / "report.json").exists()
+    assert (tmp_path / "mae" / "mae.rbck").exists()
+
+
+def test_train_serial_cv_and_mae_train_load_no_process_pool(tmp_path):
+    train = {**DESK_CV, "model": {"kind": "nfg", "extras": {"max_epochs": 2}},
+             "output": {"dir": str(tmp_path / "train")}}
+    cv = {**DESK_CV, "cv": {**DESK_CV["cv"], "n_iter": 1, "max_epochs": 2},
+          "output": {"dir": str(tmp_path / "cv")}}
+    mae = {"seed": 4, "mae": {"n_phantoms": 2, "dims": [30, 20, 20, 2], "embed_dim": 16,
+                              "enc_layers": 1, "dec_layers": 1, "epochs": 1},
+           "output": {"dir": str(tmp_path / "mae")}}
+    runs = [["train", "--config", _write_config(tmp_path, train, "train.json")],
+            ["cv", "--config", _write_config(tmp_path, cv, "cv.json"), "--workers", "1"],
+            ["mae-train", "--config", _write_config(tmp_path, mae, "mae.json")]]
+    code = f"assert [riskbench.cli.main(argv) for argv in {runs!r}] == [0, 0, 0]"
+    assert _modules_after(code, "concurrent", "multiprocessing") == "[]"
     assert (tmp_path / "cv" / "report.json").exists()
     assert (tmp_path / "mae" / "mae.rbck").exists()
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from riskbench.mae import (
     Volume4D,
     extract_embedding,
     foreground_flags,
+    iter_phantoms,
     load_volume,
     make_phantoms,
     patchify,
@@ -20,6 +23,7 @@ from riskbench.mae import (
     train_mae,
     unpatchify,
 )
+from riskbench.mae.model import _plan_seed
 
 DESK = dict(embed_dim=64, enc_layers=2, dec_layers=1)
 
@@ -282,6 +286,127 @@ def test_training_empty_dataset_errors():
         train_mae([], MaeConfig(), seed=0)
 
 
+TINY = dict(embed_dim=8, enc_layers=1, dec_layers=1, heads=2, mlp_ratio=2)
+
+
+def _full_grid_train(vols, cfg, seed):
+    """The training loop over whole patch grids and full-flag mask plans
+    that `train_mae` replaced, kept as its reference."""
+    model = MaeModel(cfg, seed=seed)
+    grids = [patchify(v, cfg.patch_size) for v in vols]
+    flags = [foreground_flags(g, cfg.threshold, cfg.min_fraction) for g in grids]
+    adam = gc.AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    drop_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xD0)))
+    steps = []
+    for epoch in range(cfg.epochs):
+        for vi, (grid, flag) in enumerate(zip(grids, flags)):
+            plan = sample_mask(flag, cfg.mask_ratio, seed=_plan_seed(seed, epoch, vi))
+            _, loss = model.forward(grid, plan, rng=drop_rng, training=True)
+            steps.append(loss.item())
+            loss.backward()
+            gc.adam_step(adam, model.graph)
+    return model, steps
+
+
+def test_train_mae_on_a_one_shot_generator_matches_list_and_full_grid_loop():
+    dims = (30, 20, 20, 2)
+    cfg = MaeConfig(embed_dim=16, enc_layers=1, dec_layers=1, heads=2, epochs=2, dropout=0.1)
+    model_a, hist_a = train_mae(make_phantoms(5, dims=dims, seed=25), cfg, seed=6)
+    model_b, hist_b = train_mae(iter_phantoms(5, dims=dims, seed=25), cfg, seed=6)
+    model_r, steps_r = _full_grid_train(make_phantoms(5, dims=dims, seed=25), cfg, seed=6)
+    assert hist_a == hist_b and hist_b.step_losses == steps_r and len(steps_r) == 10
+    arrays = model_b.graph.named_arrays()
+    for model in (model_a, model_r):
+        for name, value in model.graph.named_arrays().items():
+            assert np.array_equal(arrays[name], value), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_foreground_rank_plans_map_to_full_flag_plans(seed):
+    """A plan drawn over all-true flags of length F picks, by foreground
+    rank, the patches `sample_mask` picks over the volume's full flags."""
+    rng = np.random.default_rng(seed)
+    for vol in make_phantoms(3, seed=40 + seed):
+        flags = foreground_flags(patchify(vol))
+        fg = np.nonzero(flags)[0]
+        for ratio in (0.0, 0.3, 0.7, 0.95):
+            plan_seed = int(rng.integers(2**62))
+            full = sample_mask(flags, ratio, seed=plan_seed)
+            local = sample_mask(np.ones(fg.size, dtype=bool), ratio, seed=plan_seed)
+            assert np.array_equal(fg[local.visible], full.visible)
+            assert np.array_equal(fg[local.masked], full.masked)
+
+
+def test_cached_position_rows_equal_per_step_tables():
+    model = MaeModel(MaeConfig(embed_dim=64, enc_layers=0, dec_layers=0))
+    for vol in make_phantoms(6, seed=31):
+        grid = patchify(vol)
+        fg = np.nonzero(foreground_flags(grid))[0]
+        rows = model.rows(grid, fg)
+        assert np.array_equal(rows.values, grid.values[fg])
+        for plan_seed in range(5):
+            plan = sample_mask(np.ones(fg.size, dtype=bool), 0.7, seed=plan_seed)
+            for ids in (plan.visible, np.concatenate([plan.visible, plan.masked])):
+                assert np.array_equal(rows.pos[ids],
+                                      sinusoidal_positions(grid.positions[fg[ids]], 64))
+
+
+def test_forward_on_foreground_rows_bit_equal_to_full_grid():
+    _, grid, flags = _small_setup(26, dims=(60, 40, 40, 2))
+    fg = np.nonzero(flags)[0]
+    model = MaeModel(MaeConfig(embed_dim=16, enc_layers=1, dec_layers=1, heads=2), seed=7)
+    cases = [(grid, sample_mask(flags, 0.7, seed=5)),
+             (model.rows(grid, fg), sample_mask(np.ones(fg.size, dtype=bool), 0.7, seed=5))]
+    results = []
+    for data, plan in cases:
+        model.graph.zero_grad()
+        pred, loss = model.forward(data, plan)
+        loss.backward()
+        results.append((pred.data.copy(), loss.item(),
+                        {name: t.grad.copy() for name, t in model.graph.params.items()}))
+    (pred, loss, grads), (ref_pred, ref_loss, ref_grads) = results
+    assert np.array_equal(pred, ref_pred) and loss == ref_loss
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+
+
+def test_volume_without_foreground_fails_before_the_first_step(monkeypatch):
+    vols = make_phantoms(3, dims=(30, 20, 20, 2), seed=24)
+    vols.insert(2, Volume4D(np.zeros((30, 20, 20, 2), np.float32)))
+    steps = []
+    forward = MaeModel.forward
+    monkeypatch.setattr(MaeModel, "forward",
+                        lambda self, *args, **kw: steps.append(1) or forward(self, *args, **kw))
+    with pytest.raises(DataError, match="volume 2: .*foreground"):
+        train_mae(vols, MaeConfig(epochs=1, **TINY), seed=0)
+    assert steps == []
+
+
+def test_train_mae_memory_grows_by_foreground_rows_not_volumes():
+    """From 4 to 12 streamed phantoms the traced peak grows by at most twice
+    the added foreground bytes; keeping each raw volume or its full patch
+    grid would add several times that."""
+    dims = (60, 40, 40, 2)
+    cfg = MaeConfig(epochs=1, **TINY)
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            train_mae(iter_phantoms(n, dims=dims, seed=23), cfg, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    added = 0
+    for vol in make_phantoms(12, dims=dims, seed=23)[4:]:
+        grid = patchify(vol, cfg.patch_size)
+        added += grid.values[foreground_flags(grid)].nbytes
+    assert 8 * grid.values.nbytes > 3 * added  # the bound below can tell them apart
+    traced_peak(1)  # one-time allocations stay out of the comparison
+    growth = traced_peak(12) - traced_peak(4)
+    assert growth <= 2 * added, (growth, added)
+
+
 # -- embeddings ------------------------------------------------------------------------
 
 
@@ -352,6 +477,14 @@ def test_make_phantoms_count_and_range():
         assert v.data.dtype == np.float32
 
 
+def test_iter_phantoms_is_lazy_and_matches_make_phantoms():
+    dims = (25, 18, 21, 3)
+    stream = iter_phantoms(4, dims=dims, seed=22)
+    assert iter(stream) is stream  # an iterator, not a list
+    for vol, ref in zip(stream, make_phantoms(4, dims=dims, seed=22), strict=True):
+        assert vol.data.tobytes() == ref.data.tobytes()
+
+
 def test_phantoms_deterministic():
     a = make_phantoms(2, dims=(30, 20, 20, 2), seed=15)
     b = make_phantoms(2, dims=(30, 20, 20, 2), seed=15)
@@ -402,6 +535,20 @@ def test_volume_file_round_trip(tmp_path):
     assert path.read_bytes()[:4] == b"RBVL"
     back = load_volume(path)
     assert np.array_equal(back.data, vol.data)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda blob: blob[:-4], "smaller than"),
+    (lambda blob: blob[:10], "requires a buffer"),
+    (lambda blob: blob[:100] + np.float32(np.nan).tobytes() + blob[104:], r"\[0, 1\]"),
+], ids=["truncated voxels", "truncated header", "NaN voxel"])
+def test_damaged_volume_file_is_data_error_naming_path(tmp_path, damage, message):
+    path = tmp_path / "v.rbvl"
+    save_volume(make_phantoms(1, dims=(20, 15, 10, 2), seed=16)[0], path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DataError, match=message) as info:
+        load_volume(path)
+    assert str(info.value).startswith(str(path))
 
 
 def test_mae_checkpoint_round_trip(tmp_path):
