@@ -13,10 +13,9 @@ from .tensor import (
     ParamGraph,
     Tensor,
     add,
+    affine,
     dropout,
     layer_norm,
-    matmul,
-    mul,
     relu,
     reshape,
     sdpa,
@@ -34,14 +33,15 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 
 
 class Linear:
+    """x @ w + b, one taped `affine` node."""
+
     def __init__(self, graph: ParamGraph, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, bias: bool = True):
+                 rng: np.random.Generator):
         self.w = graph.parameter(f"{name}.w", xavier_uniform(rng, d_in, d_out, (d_in, d_out)))
-        self.b = graph.parameter(f"{name}.b", np.zeros(d_out)) if bias else None
+        self.b = graph.parameter(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.w)
-        return add(out, self.b) if self.b is not None else out
+        return affine(x, self.w, self.b)
 
 
 class MLP:
@@ -74,14 +74,15 @@ class MLP:
 
 
 class LayerNorm:
-    """Layer normalization over the last axis with learned gain and shift."""
+    """Layer normalization over the last axis with learned gain and shift,
+    one taped `layer_norm` node."""
 
     def __init__(self, graph: ParamGraph, name: str, dim: int):
         self.g = graph.parameter(f"{name}.g", np.ones(dim))
         self.b = graph.parameter(f"{name}.b", np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(mul(layer_norm(x), self.g), self.b)
+        return layer_norm(x, self.g, self.b)
 
 
 class MultiHeadSelfAttention:

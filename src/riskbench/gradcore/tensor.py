@@ -25,10 +25,17 @@ into leaf accumulators that start at +0, so leaf gradients are
 bit-identical to zero-fill-then-add.
 
 `index` (also `Tensor.__getitem__`) is the one op whose backward zero-fills:
-it scatters `g` into a fresh zero array shaped like its input with
-`np.add.at`, so an entry the key selects twice receives both gradients,
-and hands that array on as an owned contribution. Every key, slice or
-integer array, takes this one path.
+it writes `g` into a fresh zero array shaped like its input and hands that
+array on as an owned contribution. A basic key (slices, ints, `Ellipsis`,
+`None`) selects each entry at most once, so `g` is assigned; any other key
+scatters with `np.add.at`, so an entry the key selects twice receives both
+gradients. Assigning keeps a -0 that 0 + g would turn to +0, which by the
+argument above leaves leaf gradients unchanged.
+
+`affine` and `layer_norm` are fused nodes: each computes in one node what a
+chain of `matmul`/`add` or normalize/`mul`/`add` nodes computed, with the same
+array operations in the same order, so its value and its leaf gradients are
+bit-equal to that chain's.
 """
 
 from __future__ import annotations
@@ -125,8 +132,11 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
 
-        Visits each recorded node exactly once in reverse topological
-        order. Raises ShapeError if called on a non-scalar.
+        Runs each interior node's closure exactly once, in reverse
+        topological order of a depth-first walk that takes parents in
+        order. A node read by several consumers sums their contributions
+        in that order, so the order fixes its gradient's bits. Raises
+        ShapeError if called on a non-scalar.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -145,7 +155,9 @@ class Tensor:
                 node.grad = None  # interior: the first contribution sets it
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+                # leaves have no closure to order; only a node with parents
+                # requires a gradient and goes on the stack
+                if p._parents and id(p) not in seen:
                     stack.append((p, False))
         if self._parents or self.grad is None:
             self.grad = np.ones_like(self.data)
@@ -343,12 +355,16 @@ def div(a, b) -> Tensor:
     return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul contraction mismatch: {a.shape} @ {b.shape}")
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    _check_matmul(a, b)
 
     def bwd(g):
         if a.requires_grad:
@@ -359,6 +375,30 @@ def matmul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b in one node; b broadcasts over the rows of the product.
+
+    The bias is added in place into the product. The backward sums the
+    bias gradient first, then runs `matmul`'s two products, as the sweep
+    ran `add(matmul(x, w), b)`, so values and gradients are bit-equal to
+    that chain's.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_matmul(x, w)
+    out = x.data @ w.data
+    out += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
+        if w.requires_grad:
+            _accumulate(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
+
+    return Tensor(out, _parents=(x, w, b), _backward=bwd)
 
 
 def texp(a) -> Tensor:
@@ -525,11 +565,17 @@ def transpose(a, axes=None) -> Tensor:
 def index(a, key) -> Tensor:
     """`a.data[key]` for any numpy key; `Tensor.__getitem__` calls this."""
     a = as_tensor(a)
+    basic = all(k is None or k is Ellipsis or type(k) is slice
+                or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                for k in (key if type(key) is tuple else (key,)))
 
     def bwd(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, key, g)
+            if basic:  # selects no entry twice
+                ga[key] = g
+            else:
+                np.add.at(ga, key, g)
             _accumulate(a, ga)
 
     return Tensor(a.data[key], _parents=(a,), _backward=bwd)
@@ -551,21 +597,34 @@ def concat(tensors, axis: int = -1) -> Tensor:
                   _parents=tuple(tensors), _backward=bwd)
 
 
-def layer_norm(a, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance."""
-    a = as_tensor(a)
+def layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    `gain` and add `shift`, in one node.
+
+    The backward takes the shift's and the gain's sums before the input's
+    gradient, as the sweep ran the normalize, `mul` and `add` chain, so
+    values and gradients are bit-equal to that chain's.
+    """
+    a, gain, shift = as_tensor(a), as_tensor(gain), as_tensor(shift)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (a.data - mu) * inv
+    out = y * gain.data
+    out += shift.data
 
     def bwd(g):
+        if shift.requires_grad:
+            _accumulate(shift, _unbroadcast(g, shift.data.shape))
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * y, gain.data.shape))
         if a.requires_grad:
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * y).mean(axis=-1, keepdims=True)
-            _accumulate(a, inv * (g - gm - y * gym))
+            gy = g * gain.data
+            gm = gy.mean(axis=-1, keepdims=True)
+            gym = (gy * y).mean(axis=-1, keepdims=True)
+            _accumulate(a, inv * (gy - gm - y * gym))
 
-    return Tensor(y, _parents=(a,), _backward=bwd)
+    return Tensor(out, _parents=(a, gain, shift), _backward=bwd)
 
 
 def dropout(a, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

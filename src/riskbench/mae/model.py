@@ -2,9 +2,9 @@
 
 Visible foreground patches pass through a transformer encoder; the decoder
 sees encoded tokens plus a learned mask token at every masked position
-(all with sinusoidal 4D positions) and reconstructs patch voxels. The
-loss is the MSE over masked foreground voxels only, so the encoder never
-touches masked content.
+(all with sinusoidal 4D positions) and reconstructs the voxels of the
+masked patches only. The loss is the MSE over masked foreground voxels
+only, so the encoder never touches masked content.
 """
 
 from __future__ import annotations
@@ -142,14 +142,13 @@ class MaeModel:
             return Tensor(np.zeros((0, self.patch_voxels))), Tensor(0.0)
         rows = self.rows(grid)
         enc = self.encode(rows, plan.visible, rng=rng, training=training)
-        n_masked = plan.masked.size
-        mask_rep = mul(Tensor(np.ones((n_masked, 1))), self.mask_token)
+        mask_rep = mul(Tensor(np.ones((plan.masked.size, 1))), self.mask_token)
         order = np.concatenate([plan.visible, plan.masked])
         x = concat([enc, mask_rep], axis=0) + Tensor(rows.pos[order])
         for block in self.dec_blocks:
             x = block(x, rng=rng, training=training)
-        pred = self.unembed(self.dec_norm(x))
-        pred_masked = pred[len(order) - n_masked :]
+        # the loss reads only the masked rows, so only they are un-embedded
+        pred_masked = self.unembed(self.dec_norm(x)[plan.visible.size :])
         target = Tensor(rows.values[plan.masked].astype(np.float64))
         diff = sub(pred_masked, target)
         return pred_masked, tmean(mul(diff, diff))

@@ -108,6 +108,7 @@ AUDIT_ROWS = {
     "texp": ["exp"], "tlog": ["log"], "tanh": ["tanh"], "softplus": ["softplus"],
     "relu": ["relu"], "terf": ["erf"], "sigmoid": ["sigmoid"],
     "layer_norm": ["layer_norm"], "softmax": ["softmax"], "logsumexp": ["logsumexp"],
+    "affine": ["affine"],
     "index": ["index_slice", "index_gather"], "div": ["div"], "clamp_min": ["clamp_min"],
 }
 
@@ -147,7 +148,9 @@ def test_each_primitive_matches_finite_differences(op_name):
         "relu": gc.relu,
         "erf": gc.terf,
         "sigmoid": gc.sigmoid,
-        "layer_norm": gc.layer_norm,
+        # input, gain and shift all read p, so the audit covers all three
+        "layer_norm": lambda t: gc.layer_norm(t, t[0], t[1]),
+        "affine": lambda t: gc.affine(t[:, :3], t[:3, :], t[3]),
         "softmax": lambda t: gc.softmax(t, axis=-1),
         "logsumexp": lambda t: gc.logsumexp(t, axis=-1, keepdims=True),
         "index_slice": lambda t: gc.mul(t[1:2, :], t[:, 2:3]),  # both read t[1, 2]
@@ -604,3 +607,251 @@ def test_param_graph_load_arrays_shape_checked():
     g.parameter("w", np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         g.load_arrays({"w": np.zeros((3, 3))})
+
+
+def test_index_basic_key_gradients_bit_equal_to_add_at_path():
+    # The old backward scattered every key with np.add.at, turning -0 into
+    # +0; basic keys now assign. Signed zeros are planted in the gradient.
+    def add_at_index(a, key):
+        def bwd(g):
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, key, g)
+            gc.tensor._accumulate(a, ga)
+
+        return gc.Tensor(a.data[key], _parents=(a,), _backward=bwd)
+
+    keys = [np.s_[1:, ::2], np.s_[2], np.s_[..., 1:3], np.s_[None, :2], np.s_[np.int64(1), 1:]]
+    rng = np.random.default_rng(21)
+    grads = []
+    for index in (gc.index, add_at_index):
+        g = gc.ParamGraph()
+        p = g.parameter("p", rng.normal(size=(4, 5)))
+        h = gc.tanh(p)
+        loss = None
+        for i, key in enumerate(keys):
+            picked = index(h, key)
+            w = np.random.default_rng(i).normal(size=picked.shape)
+            w[w < -0.5] = -0.0  # products of -0 reach the index backward
+            term = gc.tsum(gc.mul(picked, gc.Tensor(w)))
+            loss = term if loss is None else gc.add(loss, term)
+        loss.backward()
+        grads.append(p.grad.tobytes())
+        rng = np.random.default_rng(21)
+    assert grads[0] == grads[1]
+
+
+def test_index_repeated_integer_key_still_sums():
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (5,))
+    gc.tsum(gc.mul(p[np.array([4, 1, 4, 4])], gc.Tensor([1.0, 2.0, 3.0, 4.0]))).backward()
+    assert np.array_equal(p.grad, [0.0, 2.0, 0.0, 0.0, 8.0])
+
+
+# -- fused nodes ---------------------------------------------------------------------
+
+
+def _bare_layer_norm(a, eps=1e-5):
+    """The taped normalize op that LayerNorm chained with mul and add before
+    gradcore's layer_norm took the gain and the shift."""
+    def bwd(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y).mean(axis=-1, keepdims=True)
+        gc.tensor._accumulate(a, inv * (g - gm - y * gym))
+
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (a.data - mu) * inv
+    return gc.Tensor(y, _parents=(a,), _backward=bwd)
+
+
+def _chain_linear(self, x):
+    return gc.add(gc.matmul(x, self.w), self.b)
+
+
+def _chain_layer_norm(self, x):
+    return gc.add(gc.mul(_bare_layer_norm(x), self.g), self.b)
+
+
+def _fused_and_chain(monkeypatch, run):
+    """`run()` -> (outputs, graph) with the fused layers and again with every
+    Linear and LayerNorm computed by the chain of nodes it replaced."""
+    fused = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(gc.Linear, "__call__", _chain_linear)
+        patch.setattr(gc.LayerNorm, "__call__", _chain_layer_norm)
+        chain = run()
+    return fused, chain
+
+
+def _step(graph, loss_fn):
+    graph.zero_grad()
+    out, loss = loss_fn()
+    loss.backward()
+    return out.data.tobytes(), loss.data.tobytes(), {
+        name: t.grad.tobytes() for name, t in graph.params.items()}
+
+
+def _deephit_head_step():
+    from riskbench.models import DeepHitConfig, DeepHitModel
+
+    # cv-fit's shape: 256 rows, a 128-wide encoder plus 6 covariates -> 128
+    m = DeepHitModel(DeepHitConfig(layers=2, nodes=128, bins=15, alpha=0.1))
+    m.n_risks, m.d, m.t_scale, m.edges = 2, 6, 15.0, np.linspace(1.0, 15.0, 15)
+    m._build(np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    x, t = rng.normal(size=(256, 6)), rng.uniform(0.0, 16.0, size=256)
+    e = rng.integers(0, 3, size=256)
+    assert m.graph.params["head0.l0.w"].shape == (134, 128)
+    return _step(m.graph, lambda: (m._masses(x, None, False),
+                                   m._loss(x, t, e, None, training=True)))
+
+
+def _nfg_step():
+    from riskbench.models import NfgConfig, NfgModel
+
+    m = NfgModel(NfgConfig(layers=2, nodes=32, monotone_layers=2, monotone_nodes=16))
+    m.n_risks, m.d, m.t_scale = 2, 8, 10.0
+    m._build(np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    x, t = rng.normal(size=(200, 8)), rng.uniform(0.0, 10.0, size=200)
+    e = rng.integers(0, 3, size=200)
+    return _step(m.graph, lambda: (m.encoder(gc.Tensor(x)),
+                                   m._loss(x, t, e, None, training=True)))
+
+
+def _mae_step():
+    from riskbench.mae import MaeConfig, MaeModel, make_phantoms, patchify, sample_mask
+    from riskbench.mae.patches import foreground_flags
+
+    model = MaeModel(MaeConfig(), seed=7)
+    grid = patchify(make_phantoms(1, dims=(60, 40, 40, 2), seed=8)[0], (15, 10, 10))
+    plan = sample_mask(foreground_flags(grid), 0.7, seed=9)
+    return _step(model.graph, lambda: model.forward(grid, plan))
+
+
+@pytest.mark.parametrize("step", [_deephit_head_step, _nfg_step, _mae_step],
+                         ids=["deephit_head", "nfg_encoder", "mae_blocks"])
+def test_fused_nodes_bit_equal_to_the_chains_they_replace(monkeypatch, step):
+    fused, chain = _fused_and_chain(monkeypatch, step)
+    assert fused[0] == chain[0] and fused[1] == chain[1]
+    assert list(fused[2]) == list(chain[2])
+    for name, grad in chain[2].items():
+        assert fused[2][name] == grad, name
+
+
+def test_fused_nodes_bit_equal_on_non_contiguous_and_broadcast_inputs():
+    rng = np.random.default_rng(13)
+    results = []
+    for fused in (True, False):
+        g = gc.ParamGraph()
+        p = g.parameter("p", rng.normal(size=(6, 5)))
+        w = g.parameter("w", rng.normal(size=(6, 4)))
+        b = g.parameter("b", rng.normal(size=(1, 4)))
+        gain = g.parameter("gain", rng.normal(size=(4,)))
+        shift = g.parameter("shift", rng.normal(size=(4,)))
+        x = gc.transpose(gc.tanh(p))  # (5, 6), a transposed view
+        if fused:
+            out = gc.layer_norm(gc.affine(x, w, b), gain, shift)
+        else:
+            out = gc.add(gc.mul(_bare_layer_norm(gc.add(gc.matmul(x, w), b)), gain), shift)
+        # the output feeds two consumers, so its gradient arrives as a copy
+        loss = gc.add(gc.tsum(gc.mul(out, out)), gc.tsum(gc.transpose(out)))
+        loss.backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in g.params.values()])
+        rng = np.random.default_rng(13)
+    assert results[0] == results[1]
+
+
+def test_affine_and_layer_norm_reject_bad_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
+        gc.affine(gc.Tensor(np.zeros((2, 3))), gc.Tensor(np.zeros((2, 3))), gc.Tensor(np.zeros(3)))
+    with pytest.raises(ValueError):
+        gc.layer_norm(gc.Tensor(np.zeros((2, 3))), gc.Tensor(np.ones(4)), gc.Tensor(np.zeros(4)))
+
+
+# -- backward sweep order ------------------------------------------------------------
+
+
+def _reference_sweep(loss):
+    """Interior nodes in the order the backward sweep ran their closures
+    before it stopped pushing leaves: a reference copy of that DFS."""
+    topo, seen = [], set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+    return [node for node in reversed(topo) if node._backward is not None]
+
+
+def _closures_run(loss):
+    """Interior nodes whose closures `loss.backward()` runs, in that order."""
+    ran, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+
+        def spy(g, node=node, real=node._backward):
+            ran.append(node)
+            real(g)
+
+        node._backward = spy
+        stack.extend(node._parents)
+    loss.backward()
+    return ran
+
+
+def _mae_loss():
+    from riskbench.mae import MaeConfig, MaeModel, make_phantoms, patchify, sample_mask
+    from riskbench.mae.patches import foreground_flags
+
+    model = MaeModel(MaeConfig(), seed=1)
+    grid = patchify(make_phantoms(1, dims=(60, 40, 40, 2), seed=2)[0], (15, 10, 10))
+    plan = sample_mask(foreground_flags(grid), 0.7, seed=3)
+    return model.forward(grid, plan)[1]
+
+
+def _nfg_loss():
+    from riskbench.models import NfgConfig, NfgModel
+
+    m = NfgModel(NfgConfig(layers=2, nodes=16, monotone_layers=2, monotone_nodes=8))
+    m.n_risks, m.d, m.t_scale = 2, 5, 10.0
+    m._build(np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    return m._loss(rng.normal(size=(64, 5)), rng.uniform(0.0, 10.0, size=64),
+                   rng.integers(0, 3, size=64), None, training=True)
+
+
+@pytest.mark.parametrize("make_loss", [_mae_loss, _nfg_loss], ids=["mae", "nfg"])
+def test_backward_runs_closures_in_the_reference_dfs_order(make_loss):
+    loss = make_loss()
+    want = _reference_sweep(loss)
+    got = _closures_run(loss)
+    assert len(got) == len(want) > 20
+    assert all(a is b for a, b in zip(got, want))
+
+
+def test_mae_training_step_tape_has_85_interior_nodes():
+    # 2 encoder blocks and 1 decoder block of 24 nodes each, plus 13 around
+    # them; with two-node affines and three-node layer norms it was 121
+    loss = _mae_loss()
+    interior, stack, seen = 0, [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        interior += 1
+        stack.extend(node._parents)
+    assert interior == 85

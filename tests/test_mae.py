@@ -224,8 +224,11 @@ def test_mae_loss_gradients_match_finite_differences():
     assert report.passed, str(report)
 
 
-def _selector_forward(model, grid, plan):
-    """MaeModel.forward with the masked rows picked by a 0/1 selector matmul."""
+def _selector_forward(model, grid, plan, full_decode=False):
+    """MaeModel.forward with the masked rows picked by a 0/1 selector matmul,
+    from the normed decoder tokens, or with `full_decode` from the
+    un-embedding of every row, as forward did before it un-embedded only
+    the masked rows."""
     enc = model.encode(grid, plan.visible)
     n_masked = plan.masked.size
     mask_rep = gc.mul(gc.Tensor(np.ones((n_masked, 1))), model.mask_token)
@@ -234,10 +237,12 @@ def _selector_forward(model, grid, plan):
     x = gc.concat([enc, mask_rep], axis=0) + gc.Tensor(pos)
     for block in model.dec_blocks:
         x = block(x)
-    pred = model.unembed(model.dec_norm(x))
     sel = np.zeros((n_masked, len(order)))
     sel[np.arange(n_masked), np.arange(len(order) - n_masked, len(order))] = 1.0
-    pred_masked = gc.Tensor(sel) @ pred
+    if full_decode:
+        pred_masked = gc.Tensor(sel) @ model.unembed(model.dec_norm(x))
+    else:
+        pred_masked = model.unembed(gc.Tensor(sel) @ model.dec_norm(x))
     diff = gc.sub(pred_masked, gc.Tensor(grid.values[plan.masked].astype(np.float64)))
     return pred_masked, gc.tmean(gc.mul(diff, diff))
 
@@ -258,6 +263,23 @@ def test_forward_bit_equal_to_selector_matrix_form():
     for name, grad in ref_grads.items():
         assert np.array_equal(grads[name], grad), name
     assert np.any(ref_grads["mask_token"] != 0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_forward_unembeds_only_the_masked_rows(monkeypatch, seed):
+    vol = make_phantoms(1, dims=(60, 40, 40, 2), seed=seed)[0]
+    grid = patchify(vol, (15, 10, 10))
+    plan = sample_mask(foreground_flags(grid), 0.7, seed=seed)
+    model = MaeModel(MaeConfig(), seed=seed)
+    rows = []
+    unembed = model.unembed
+    monkeypatch.setattr(model, "unembed", lambda x: rows.append(x.shape[0]) or unembed(x))
+    pred, loss = model.forward(grid, plan)
+    assert rows == [plan.masked.size] and pred.shape == (plan.masked.size, 1500)
+    ref_pred, ref_loss = _selector_forward(model, grid, plan, full_decode=True)
+    assert rows[1:] == [len(plan.visible) + plan.masked.size]
+    assert abs(loss.item() - ref_loss.item()) <= 1e-12
+    assert np.max(np.abs(pred.data - ref_pred.data)) <= 1e-12
 
 
 # -- training ------------------------------------------------------------------------
