@@ -4,7 +4,8 @@ Observed times are quantized into L quantile bins; a shared encoder feeds
 per-risk subnetworks (which also see the raw covariates) whose stacked
 logits pass through one joint softmax, so all L*R masses sum to one. The
 CIF is the running sum of a risk's bin masses. The loss is the discrete
-likelihood plus an optional pairwise ranking penalty, factored over risks.
+likelihood plus an optional pairwise ranking penalty on the CIF, factored
+over risks.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class DeepHitModel(CifModel):
     kind = "deephit"
     config_class = DeepHitConfig
     edges = np.array([])  # upper bin edges, strictly increasing; set by _prepare
+    # y @ running_cif is each risk's running CIF, one upper triangle per risk;
+    # built by the first ranking penalty and kept while R and L hold
+    running_cif = np.zeros((0, 0))
 
     # -- discretization ------------------------------------------------------
 
@@ -145,8 +149,8 @@ class DeepHitModel(CifModel):
         e_i = r and t_i < t_j, averaged within each risk and summed over risks
         so rare risks keep full ranking pressure; None when no risk has a pair.
 
-        C = y @ blockdiag(tril(1)) is each risk's mass at or after a bin (not
-        its running CIF: ROADMAP item 8); c_i = (e_i - 1) * L + bin(t_i) - 1.
+        C = y @ `running_cif` is each risk's running CIF F_r(bin | x), as
+        `cif_curves` returns it; c_i = (e_i - 1) * L + bin(t_i) - 1.
         A term factors as exp(C[j, c_i] / sigma) * exp(-C[i, c_i] / sigma), so
         one pass over all risks sums w_i exp(-C[i, c_i] / sigma) (M @ exp(C /
         sigma))[i, c_i], with constant M[i, j] = t_j > t_i and w_i = 1 / (pairs
@@ -161,7 +165,9 @@ class DeepHitModel(CifModel):
             return None
         weight = (1.0 / np.where(pairs > 0, pairs, np.inf))[risk]
         cols = risk * L + bins[ev] - 1
-        cum = matmul(y, Tensor(np.kron(np.eye(R), np.tril(np.ones((L, L))))))  # C, (nb, R*L)
+        if self.running_cif.shape != (R * L, R * L):
+            self.running_cif = np.kron(np.eye(R), np.triu(np.ones((L, L))))
+        cum = matmul(y, Tensor(self.running_cif))  # C, (nb, R*L)
         inv = 1.0 / self.config.sigma
         later_sum = matmul(Tensor(later), texp(mul(cum, inv)))[np.arange(ev.size), cols]
         own = texp(mul(cum[ev, cols], -inv))

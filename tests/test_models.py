@@ -726,6 +726,28 @@ def test_deephit_alpha_zero_is_pure_likelihood():
     assert penalty > 0.0
 
 
+def test_deephit_penalty_equals_pairwise_oracle_built_from_cif_curves():
+    """Each pair compares the running CIF that `cif_curves` returns: the mean
+    over risk r's pairs (e_i = r, t_i < t_j) of exp(-(F_r(t_i | x_i) -
+    F_r(t_i | x_j)) / sigma), summed over the risks."""
+    coh = _synth(150, seed=41)
+    m = DeepHitModel(_tiny_cfg(DeepHitConfig, bins=6, alpha=0.5, sigma=0.3, max_epochs=2))
+    m.fit(coh, seed=3)
+    x, t, e = coh.features[:90], coh.times[:90], coh.events[:90]
+    assert np.all(t > 0)  # the loss reads bin 1 at t = 0, where F_r(0 | x) = 0
+    y = m._masses(x, None, training=False)
+    got = m._ranking_penalty(y, t, e, np.maximum(m._bin_of(t), 1)).item()
+    want = 0.0
+    for r in (1, 2):
+        cif = m.cif_curves(x, t, r)  # cif[i, j] = F_r(t_i | x_j)
+        ev = np.nonzero(e == r)[0]
+        later = t[None, :] > t[ev][:, None]
+        terms = np.exp(-(cif[ev, ev][:, None] - cif[ev]) / m.config.sigma)[later]
+        assert terms.size > 0
+        want += terms.mean()
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_deephit_separable_data_orders_risk_one():
     spec = SynthSpec(d=2, shapes=[2.0, 2.0], scales=[4.0, 6.0],
                      betas=[[2.5, 0.0], [0.0, 0.0]], horizon=12.0, seed=29)
@@ -811,9 +833,11 @@ def _loss_and_leaf_grads(m, loss_fn):
 
 def _pairwise_ranking_penalty(m, y, t, e):
     """DeepHit's ranking penalty as it was written before the factored pass:
-    per risk, the (n_ev, nb) differences of every event-later pair."""
+    per risk, the (n_ev, nb) differences of every event-later pair, on the
+    running CIF (it read the mass at or after a bin, `tril`, until the
+    factored pass was mended to compare the CIF)."""
     L = m.n_bins
-    lower = np.tril(np.ones((L, L)))
+    running = np.triu(np.ones((L, L)))
     total = None
     for r in range(m.n_risks):
         idx = np.nonzero(e == r + 1)[0]
@@ -823,7 +847,7 @@ def _pairwise_ranking_penalty(m, y, t, e):
         n_pairs = int(pair_mask.sum())
         if n_pairs == 0:
             continue
-        cum = gc.matmul(y[:, r * L : (r + 1) * L], gc.Tensor(lower))
+        cum = gc.matmul(y[:, r * L : (r + 1) * L], gc.Tensor(running))
         onehot = np.zeros((idx.size, L))
         onehot[np.arange(idx.size), np.maximum(m._bin_of(t[idx]), 1) - 1] = 1.0
         f_at_ti = gc.matmul(cum, gc.Tensor(onehot.T))  # (nb, n_ev)
@@ -938,7 +962,7 @@ def _assert_penalty_matches_pairwise(m, logits, t, e):
         return
     assert _rel_err(got[0], want[0]) <= 1e-12
     # The softmax can cancel a logit gradient down to rounding noise (with one
-    # risk, C's first column is the total mass, 1): measure the error against
+    # risk, C's last column is the total mass, 1): measure the error against
     # the scale of the gradient with respect to the masses, penalty / sigma.
     scale = max(np.max(np.abs(want[1])), want[0] / m.config.sigma)
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12 * scale
