@@ -32,10 +32,9 @@ scatters with `np.add.at`, so an entry the key selects twice receives both
 gradients. Assigning keeps a -0 that 0 + g would turn to +0, which by the
 argument above leaves leaf gradients unchanged.
 
-`affine` and `layer_norm` are fused nodes: each computes in one node what a
-chain of `matmul`/`add` or normalize/`mul`/`add` nodes computed, with the same
-array operations in the same order, so its value and its leaf gradients are
-bit-equal to that chain's.
+`affine` and `layer_norm` each record one node for a chain of two or three
+(`matmul`, `add`; normalize, `mul`, `add`) and run the chain's array
+operations in its order, so values and leaf gradients are bit-equal to it.
 """
 
 from __future__ import annotations
@@ -132,11 +131,10 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
 
-        Runs each interior node's closure exactly once, in reverse
-        topological order of a depth-first walk that takes parents in
-        order. A node read by several consumers sums their contributions
-        in that order, so the order fixes its gradient's bits. Raises
-        ShapeError if called on a non-scalar.
+        Runs each interior node's closure once, in reverse topological
+        order of a depth-first walk over parents in order; a node with
+        several consumers sums their contributions in that order, which
+        fixes its gradient's bits. Raises ShapeError on a non-scalar.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -155,8 +153,7 @@ class Tensor:
                 node.grad = None  # interior: the first contribution sets it
             stack.append((node, True))
             for p in node._parents:
-                # leaves have no closure to order; only a node with parents
-                # requires a gradient and goes on the stack
+                # leaves have no closure: only interior nodes are walked
                 if p._parents and id(p) not in seen:
                     stack.append((p, False))
         if self._parents or self.grad is None:
@@ -378,13 +375,8 @@ def matmul(a, b) -> Tensor:
 
 
 def affine(x, w, b) -> Tensor:
-    """x @ w + b in one node; b broadcasts over the rows of the product.
-
-    The bias is added in place into the product. The backward sums the
-    bias gradient first, then runs `matmul`'s two products, as the sweep
-    ran `add(matmul(x, w), b)`, so values and gradients are bit-equal to
-    that chain's.
-    """
+    """x @ w + b in one node, b broadcast over rows and added in place; the
+    backward takes the bias sum, then `matmul`'s two products."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_matmul(x, w)
     out = x.data @ w.data
@@ -599,12 +591,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 def layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
-    `gain` and add `shift`, in one node.
-
-    The backward takes the shift's and the gain's sums before the input's
-    gradient, as the sweep ran the normalize, `mul` and `add` chain, so
-    values and gradients are bit-equal to that chain's.
-    """
+    `gain` and add `shift`, in one node."""
     a, gain, shift = as_tensor(a), as_tensor(gain), as_tensor(shift)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)

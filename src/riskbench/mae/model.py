@@ -2,9 +2,9 @@
 
 Visible foreground patches pass through a transformer encoder; the decoder
 sees encoded tokens plus a learned mask token at every masked position
-(all with sinusoidal 4D positions) and reconstructs the voxels of the
-masked patches only. The loss is the MSE over masked foreground voxels
-only, so the encoder never touches masked content.
+(all with sinusoidal 4D positions) and reconstructs the masked patches'
+voxels. The loss is the MSE over those voxels only, so the encoder never
+touches masked content.
 """
 
 from __future__ import annotations

@@ -674,8 +674,8 @@ def _chain_layer_norm(self, x):
 
 
 def _fused_and_chain(monkeypatch, run):
-    """`run()` -> (outputs, graph) with the fused layers and again with every
-    Linear and LayerNorm computed by the chain of nodes it replaced."""
+    """`run()`'s result with the fused layers, and again with every Linear
+    and LayerNorm computed by the chain of nodes it replaced."""
     fused = run()
     with monkeypatch.context() as patch:
         patch.setattr(gc.Linear, "__call__", _chain_linear)
@@ -707,26 +707,35 @@ def _deephit_head_step():
                                    m._loss(x, t, e, None, training=True)))
 
 
-def _nfg_step():
+def _nfg_batch(n, d, nodes, seed):
+    """An unfitted NFG model and a batch (x, t, e) of n rows."""
     from riskbench.models import NfgConfig, NfgModel
 
-    m = NfgModel(NfgConfig(layers=2, nodes=32, monotone_layers=2, monotone_nodes=16))
-    m.n_risks, m.d, m.t_scale = 2, 8, 10.0
-    m._build(np.random.default_rng(5))
-    rng = np.random.default_rng(6)
-    x, t = rng.normal(size=(200, 8)), rng.uniform(0.0, 10.0, size=200)
-    e = rng.integers(0, 3, size=200)
+    m = NfgModel(NfgConfig(layers=2, nodes=nodes, monotone_layers=2, monotone_nodes=nodes // 2))
+    m.n_risks, m.d, m.t_scale = 2, d, 10.0
+    m._build(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    return m, rng.normal(size=(n, d)), rng.uniform(0.0, 10.0, size=n), rng.integers(0, 3, size=n)
+
+
+def _mae_batch(seed):
+    """The default MAE model, one 60x40x40x2 phantom's grid and a 0.7 mask plan."""
+    from riskbench.mae import (MaeConfig, MaeModel, foreground_flags, make_phantoms, patchify,
+                               sample_mask)
+
+    model = MaeModel(MaeConfig(), seed=seed)
+    grid = patchify(make_phantoms(1, dims=(60, 40, 40, 2), seed=seed + 1)[0], (15, 10, 10))
+    return model, grid, sample_mask(foreground_flags(grid), 0.7, seed=seed + 2)
+
+
+def _nfg_step():
+    m, x, t, e = _nfg_batch(200, 8, 32, 5)
     return _step(m.graph, lambda: (m.encoder(gc.Tensor(x)),
                                    m._loss(x, t, e, None, training=True)))
 
 
 def _mae_step():
-    from riskbench.mae import MaeConfig, MaeModel, make_phantoms, patchify, sample_mask
-    from riskbench.mae.patches import foreground_flags
-
-    model = MaeModel(MaeConfig(), seed=7)
-    grid = patchify(make_phantoms(1, dims=(60, 40, 40, 2), seed=8)[0], (15, 10, 10))
-    plan = sample_mask(foreground_flags(grid), 0.7, seed=9)
+    model, grid, plan = _mae_batch(7)
     return _step(model.graph, lambda: model.forward(grid, plan))
 
 
@@ -813,24 +822,13 @@ def _closures_run(loss):
 
 
 def _mae_loss():
-    from riskbench.mae import MaeConfig, MaeModel, make_phantoms, patchify, sample_mask
-    from riskbench.mae.patches import foreground_flags
-
-    model = MaeModel(MaeConfig(), seed=1)
-    grid = patchify(make_phantoms(1, dims=(60, 40, 40, 2), seed=2)[0], (15, 10, 10))
-    plan = sample_mask(foreground_flags(grid), 0.7, seed=3)
+    model, grid, plan = _mae_batch(1)
     return model.forward(grid, plan)[1]
 
 
 def _nfg_loss():
-    from riskbench.models import NfgConfig, NfgModel
-
-    m = NfgModel(NfgConfig(layers=2, nodes=16, monotone_layers=2, monotone_nodes=8))
-    m.n_risks, m.d, m.t_scale = 2, 5, 10.0
-    m._build(np.random.default_rng(4))
-    rng = np.random.default_rng(5)
-    return m._loss(rng.normal(size=(64, 5)), rng.uniform(0.0, 10.0, size=64),
-                   rng.integers(0, 3, size=64), None, training=True)
+    m, x, t, e = _nfg_batch(64, 5, 16, 4)
+    return m._loss(x, t, e, None, training=True)
 
 
 @pytest.mark.parametrize("make_loss", [_mae_loss, _nfg_loss], ids=["mae", "nfg"])

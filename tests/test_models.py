@@ -832,10 +832,9 @@ def _loss_and_leaf_grads(m, loss_fn):
 
 
 def _pairwise_ranking_penalty(m, y, t, e):
-    """DeepHit's ranking penalty as it was written before the factored pass:
-    per risk, the (n_ev, nb) differences of every event-later pair, on the
-    running CIF (it read the mass at or after a bin, `tril`, until the
-    factored pass was mended to compare the CIF)."""
+    """DeepHit's ranking penalty as it was written before the factored pass,
+    on the running CIF: per risk, the (n_ev, nb) differences of every
+    event-later pair."""
     L = m.n_bins
     running = np.triu(np.ones((L, L)))
     total = None
