@@ -33,6 +33,7 @@ from .cohort import (
     imaging_dates_from_csv,
     open_input,
     records_from_csv,
+    subject_ids,
 )
 from .errors import ConfigError, DataError, NumericError
 from .features import (
@@ -429,7 +430,7 @@ def _mae_volumes(doc: dict) -> tuple[list[str], Iterator]:
         return [p.stem for p in paths], map(load_volume, paths)
     n = mae.get("n_phantoms", 20)
     dims = tuple(mae.get("dims", (60, 40, 40, 2)))
-    return [f"phantom{i:04d}" for i in range(n)], iter_phantoms(n, dims=dims, seed=doc["seed"])
+    return subject_ids(n), iter_phantoms(n, dims=dims, seed=doc["seed"])
 
 
 def cmd_mae_train(args) -> int:

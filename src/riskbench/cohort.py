@@ -240,6 +240,13 @@ def latent_times(spec: SynthSpec, x: np.ndarray, rng: np.random.Generator) -> np
     return out
 
 
+def subject_ids(n: int) -> list[str]:
+    """The ids of n generated subjects, `s000000` onwards. Synthetic cohorts
+    and generated phantom volumes share them, so the embeddings of phantoms
+    join a synthetic cohort row by row."""
+    return [f"s{i:06d}" for i in range(n)]
+
+
 def generate_synthetic(spec: SynthSpec, n: int) -> Cohort:
     """Draw a cohort: standard-normal features, argmin latent risk time,
     uniform censoring on [0, horizon]."""
@@ -252,7 +259,7 @@ def generate_synthetic(spec: SynthSpec, n: int) -> Cohort:
     observed = event_time <= censor
     t = np.where(observed, event_time, censor)
     e = np.where(observed, event_risk, 0)
-    ids = [f"s{i:06d}" for i in range(n)]
+    ids = subject_ids(n)
     risk_names = [f"risk_{r + 1}" for r in range(spec.n_risks)]
     feat_names = [f"x{j + 1}" for j in range(spec.d)]
     return Cohort(ids, x, t, e, risk_names, feat_names)

@@ -545,10 +545,11 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
-    inv = None if axes is None else np.argsort(axes)
 
     def bwd(g):
         if a.requires_grad:
+            inv = None if axes is None else sorted(range(len(axes)),
+                                                   key=lambda i: axes[i] % len(axes))
             _accumulate(a, g.transpose(inv))
 
     return Tensor(a.data.transpose(axes), _parents=(a,), _backward=bwd)
@@ -593,10 +594,12 @@ def layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
     `gain` and add `shift`, in one node."""
     a, gain, shift = as_tensor(a), as_tensor(gain), as_tensor(shift)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
+    # np.mean's and np.var's arithmetic (sum / n) around one shared a - mu:
+    # the same bits, without taking the mean twice
+    n = a.data.shape[-1]
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / n + eps)
+    y = centered * inv
     out = y * gain.data
     out += shift.data
 
@@ -607,8 +610,8 @@ def layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
             _accumulate(gain, _unbroadcast(g * y, gain.data.shape))
         if a.requires_grad:
             gy = g * gain.data
-            gm = gy.mean(axis=-1, keepdims=True)
-            gym = (gy * y).mean(axis=-1, keepdims=True)
+            gm = gy.sum(axis=-1, keepdims=True) / n
+            gym = (gy * y).sum(axis=-1, keepdims=True) / n
             _accumulate(a, inv * (gy - gm - y * gym))
 
     return Tensor(out, _parents=(a, gain, shift), _backward=bwd)

@@ -217,12 +217,6 @@ class DsmModel(CifModel):
 
         return at
 
-    def gate_weights(self, x: np.ndarray, r: int) -> np.ndarray:
-        """Risk r's mixture weights pi_j(x) / sum_{i in r} pi_i(x); rows sum to one."""
-        h = self.encoder(Tensor(np.atleast_2d(x)))
-        cols = slice((r - 1) * self.config.k, r * self.config.k)
-        return softmax(self._gate_logits(h).data[:, cols], axis=-1).data
-
 
 def _covariate_free_nll(distribution: str, params, log_u_event, member, log_u_cens):
     """Covariate-free mixture NLL and its gradient.

@@ -6,11 +6,14 @@ on every path from the time input are squared before use, hidden
 activations are tanh, and a final softplus keeps the output positive.
 Since t >= 0, M > 0 and dM/dt >= 0 imply t*M is non-decreasing.
 
-The event density dF_r/dt is assembled on the tape by propagating the
-time derivative layer by layer (forward tangents), so parameter gradients
-of the likelihood flow through the derivative with no hand-derived
-formula. Only the likelihood needs that tangent; a CIF query computes the
-embedding term E(x) @ W once and runs just the time path per query time.
+The R time networks are one stack: every weight has a leading risk axis,
+and the embedding weights of all risks form one (width, R*w) matrix, so
+one pass evaluates every risk. The event density dF_r/dt is assembled on
+the tape by propagating the time derivative layer by layer (forward
+tangents), so parameter gradients of the likelihood flow through the
+derivative with no hand-derived formula. Only the likelihood needs that
+tangent; a CIF query computes the embedding term E(x) @ W once and runs
+just risk r's forward time path per query time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gradcore import (
-    ParamGraph,
     Tensor,
     mul,
     sigmoid,
@@ -28,6 +30,8 @@ from ..gradcore import (
     softplus,
     tanh,
     texp,
+    transpose,
+    tsum,
     xavier_uniform,
 )
 from ..gradcore import add as tadd
@@ -41,53 +45,26 @@ class NfgConfig(BaseConfig):
     monotone_nodes: int = field(default=32, metadata={"min": 1})
 
 
-class MonotoneNet:
-    """Positive scalar network, non-decreasing in its time input."""
+def time_net(u_col, proj, net: list, tangent: bool):
+    """M at rescaled times u_col (n, 1), given the embedding term `proj`,
+    and dM/du when `tangent`, else None.
 
-    def __init__(self, graph: ParamGraph, name: str, d_emb: int, width: int,
-                 depth: int, rng: np.random.Generator):
-        self.w_time = graph.parameter(f"{name}.w_time",
-                                      xavier_uniform(rng, 1, width, (1, width)))
-        self.w_emb = graph.parameter(f"{name}.w_emb",
-                                     xavier_uniform(rng, d_emb, width, (d_emb, width)))
-        self.b_in = graph.parameter(f"{name}.b_in", np.zeros(width))
-        self.hidden_w = [
-            graph.parameter(f"{name}.h{i}.w", xavier_uniform(rng, width, width, (width, width)))
-            for i in range(depth - 1)
-        ]
-        self.hidden_b = [graph.parameter(f"{name}.h{i}.b", np.zeros(width))
-                         for i in range(depth - 1)]
-        self.w_out = graph.parameter(f"{name}.w_out",
-                                     xavier_uniform(rng, width, 1, (width, 1)))
-        self.b_out = graph.parameter(f"{name}.b_out", np.zeros(1))
-
-    def forward(self, u_col: Tensor, proj: Tensor) -> tuple[Tensor, tuple]:
-        """M (n, 1) at rescaled times u, given the embedding term emb @ w_emb.
-
-        Also returns the record of squared weights and activations that
-        tangent() differentiates.
-        """
-        wt2 = mul(self.w_time, self.w_time)
-        a = tanh(tadd(tadd(u_col @ wt2, proj), self.b_in))
-        layers = [(wt2, a)]
-        for w, b in zip(self.hidden_w, self.hidden_b):
-            w2 = mul(w, w)
-            a = tanh(tadd(a @ w2, b))
-            layers.append((w2, a))
-        w2 = mul(self.w_out, self.w_out)
-        z_out = tadd(a @ w2, self.b_out)
-        return softplus(z_out), (layers, w2, z_out)
-
-    @staticmethod
-    def tangent(record: tuple) -> Tensor:
-        """dM/du (n, 1), carried forward through the layers of `record`."""
-        layers, w_out2, z_out = record
-        wt2, a = layers[0]
-        dz = Tensor(np.ones((a.shape[0], 1))) @ wt2
-        da = mul(tsub(1.0, mul(a, a)), dz)
-        for w2, a in layers[1:]:
+    `net` lists the weights [w_time, b_in, (w, b) of each hidden layer,
+    w_out, b_out], either stacked over risks, giving (R, n, 1) outputs from
+    a (R, n, w) `proj`, or one risk's, giving (n, 1) from (n, w).
+    """
+    w_time, b_in, *hidden, w_out, b_out = net
+    wt2 = mul(w_time, w_time)
+    a = tanh(tadd(tadd(mul(u_col, wt2), proj), b_in))
+    da = mul(tsub(1.0, mul(a, a)), wt2) if tangent else None
+    for w, b in zip(hidden[::2], hidden[1::2]):
+        w2 = mul(w, w)
+        a = tanh(tadd(a @ w2, b))
+        if tangent:
             da = mul(tsub(1.0, mul(a, a)), da @ w2)
-        return mul(sigmoid(z_out), da @ w_out2)
+    w2 = mul(w_out, w_out)
+    z_out = tadd(a @ w2, b_out)
+    return softplus(z_out), mul(sigmoid(z_out), da @ w2) if tangent else None
 
 
 class NfgModel(CifModel):
@@ -95,70 +72,57 @@ class NfgModel(CifModel):
     config_class = NfgConfig
 
     def _build_heads(self, rng: np.random.Generator, width: int) -> None:
-        cfg = self.config
+        n_risks, w = self.n_risks, self.config.monotone_nodes
         self.balance_w = self.graph.parameter(
-            "balance.w", xavier_uniform(rng, width, self.n_risks, (width, self.n_risks)))
-        self.balance_b = self.graph.parameter("balance.b", np.zeros(self.n_risks))
-        self.monotone = [
-            MonotoneNet(self.graph, f"mono{r}", width, cfg.monotone_nodes,
-                        cfg.monotone_layers, rng)
-            for r in range(self.n_risks)
-        ]
+            "balance.w", xavier_uniform(rng, width, n_risks, (width, n_risks)))
+        self.balance_b = self.graph.parameter("balance.b", np.zeros(n_risks))
+        # risk by risk, each net's weights in the order time, embedding,
+        # hidden, output; then stacked on a leading risk axis
+        fans = [(1, w), (width, w)] + [(w, w)] * (self.config.monotone_layers - 1) + [(w, 1)]
+        draws = [[xavier_uniform(rng, a, b, (a, b)) for a, b in fans] for _ in range(n_risks)]
+        w_time, w_emb, *hidden, w_out = (np.stack(ws) for ws in zip(*draws))
+        param, bias = self.graph.parameter, np.zeros((n_risks, 1, w))
+        self.w_emb = param("mono.w_emb", np.concatenate(w_emb, axis=1))
+        self.net = [param("mono.w_time", w_time), param("mono.b_in", bias)]
+        for i, hw in enumerate(hidden):
+            self.net += [param(f"mono.h{i}.w", hw), param(f"mono.h{i}.b", bias)]
+        self.net += [param("mono.w_out", w_out), param("mono.b_out", np.zeros((n_risks, 1, 1)))]
 
     def _balance(self, h: Tensor) -> Tensor:
         return softmax(tadd(h @ self.balance_w, self.balance_b), axis=-1)
 
-    def _risk_cif(self, r: int, u_col: Tensor, proj: Tensor, b_col: Tensor):
-        """CIF (n, 1) of risk r, plus M, exp(-u*M) and the monotone record."""
-        m, record = self.monotone[r].forward(u_col, proj)
+    def _cif_density(self, u_col: Tensor, h: Tensor) -> tuple[Tensor, Tensor]:
+        """Every risk's CIF and density (in rescaled time) at u_col, each (n, R)."""
+        n, n_risks = h.shape[0], self.n_risks
+        proj = transpose((h @ self.w_emb).reshape(n, n_risks, -1), (1, 0, 2))
+        m, dm = time_net(u_col, proj, self.net, tangent=True)  # each (R, n, 1)
+        m, dm = transpose(m.reshape(n_risks, n)), transpose(dm.reshape(n_risks, n))
+        balance = self._balance(h)
         decay = texp(mul(mul(u_col, m), -1.0))
-        return mul(b_col, tsub(1.0, decay)), m, decay, record
-
-    def _risk_cif_density(self, r: int, u_col: Tensor, h: Tensor, balance: Tensor):
-        """CIF (n,) and density in rescaled time (n,) for risk r."""
-        b_col = balance[:, r : r + 1]  # B(E(x))_r as an (n, 1) column
-        cif, m, decay, record = self._risk_cif(r, u_col, h @ self.monotone[r].w_emb, b_col)
-        dm = self.monotone[r].tangent(record)
-        # dF/du = B_r * exp(-u*M) * (M + u * dM/du)
-        density = mul(mul(b_col, decay), tadd(m, mul(u_col, dm)))
-        return cif.reshape(-1), density.reshape(-1)
+        # dF/du = B * exp(-u*M) * (M + u * dM/du)
+        density = mul(mul(balance, decay), tadd(m, mul(u_col, dm)))
+        return mul(balance, tsub(1.0, decay)), density
 
     def _loss(self, x, t, e, rng, training):
         u_col = Tensor(np.maximum(t / self.t_scale, 1e-10)[:, None])
         h = self.encoder(Tensor(x), rng=rng, training=training)
-        balance = self._balance(h)
-        loglik = None
-        total_cif = None
-        for r in range(self.n_risks):
-            cif, density = self._risk_cif_density(r, u_col, h, balance)
-            term = self._clamped_log_sum(density, e == r + 1, training)
-            loglik = term if loglik is None else tadd(loglik, term)
-            total_cif = cif if total_cif is None else tadd(total_cif, cif)
-        return self._nll(loglik, tsub(1.0, total_cif), e, training)
+        cif, density = self._cif_density(u_col, h)
+        is_risk = e[:, None] == np.arange(1, self.n_risks + 1)
+        loglik = self._clamped_log_sum(density, is_risk, training)
+        return self._nll(loglik, tsub(1.0, tsum(cif, axis=-1)), e, training)
 
     def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
-        """Encoder, balance and emb @ w_emb once; the time path per pair."""
+        """Encoder, balance and emb @ w_emb once; risk r's forward time path per pair."""
         h = self.encoder(Tensor(x))
-        proj = (h @ self.monotone[r - 1].w_emb).data
+        w = self.config.monotone_nodes
+        proj = h.data @ self.w_emb.data[:, (r - 1) * w : r * w]
         b_col = self._balance(h).data[:, r - 1 : r]
+        net = [p.data[r - 1] for p in self.net]
         u = times / self.t_scale
 
         def at(ti, ri):
-            cif, *_ = self._risk_cif(r - 1, Tensor(u[ti, None]), Tensor(proj[ri]),
-                                     Tensor(b_col[ri]))
-            return cif.data[:, 0]
+            u_col = u[ti, None]
+            m, _ = time_net(u_col, proj[ri], net, tangent=False)
+            return (b_col[ri] * (1.0 - np.exp(-(u_col * m.data))))[:, 0]
 
         return at
-
-    def balance_head(self, x: np.ndarray) -> np.ndarray:
-        """Softmax risk-balance probabilities B(E(x)); rows sum to one."""
-        h = self.encoder(Tensor(np.atleast_2d(x)))
-        return self._balance(h).data.copy()
-
-    def monotone_value(self, x: np.ndarray, t: float, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(M, dM/du) of the fitted risk-r monotone net at rescaled time."""
-        u = np.full((np.atleast_2d(x).shape[0], 1), t / self.t_scale)
-        h = self.encoder(Tensor(np.atleast_2d(x)))
-        net = self.monotone[r - 1]
-        m, record = net.forward(Tensor(u), h @ net.w_emb)
-        return m.data.copy(), net.tangent(record).data.copy()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from riskbench.cli import main
+from riskbench.cli import _load_cohort, main
 from riskbench.cohort import SynthSpec, cohort_from_csv, oracle_cif
 
 DESK_CV = {
@@ -234,7 +234,7 @@ def test_corrupt_last_volume_exit_3_writes_nothing(tmp_path, capsys, damage):
     if damage is None:
         bad.mkdir()
     else:
-        bad.write_bytes(damage((vol_dir / "phantom0000.rbvl").read_bytes()))
+        bad.write_bytes(damage((vol_dir / "s000000.rbvl").read_bytes()))
     out = tmp_path / "bad"
     common = ["--set", f"mae.volumes_dir={vol_dir}", "--set", f"output.dir={out}"]
     capsys.readouterr()
@@ -893,3 +893,45 @@ def test_config_file_that_is_not_utf8_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(cfg) in err and "invalid JSON" in err
+
+
+def test_paper_chain_synth_volumes_mae_embed_cv(tmp_path):
+    """The paper's chain at toy sizes: MAE embeddings of one phantom per
+    subject, joined by id onto a synthetic cohort, then a nested CV over
+    covariates and embeddings with per-category PCA."""
+    n, dim = 60, 16
+    doc = {**DESK_CV, "data": {"synthetic": {**DESK_CV["data"]["synthetic"], "n": n}},
+           "mae": {"n_phantoms": n, "dims": [30, 20, 20, 2], "embed_dim": dim,
+                   "enc_layers": 1, "dec_layers": 1, "epochs": 1},
+           "output": {"dir": str(tmp_path / "out")}}
+    cfg = _write_config(tmp_path, doc)
+    vols = tmp_path / "vols"
+    mae = ["--set", f"mae.volumes_dir={vols}"]
+    assert main(["synth", "--config", cfg]) == 0
+    assert main(["make-volumes", "--config", cfg, "--out", str(vols)]) == 0
+    assert main(["mae-train", "--config", cfg] + mae) == 0
+    assert main(["embed", "--config", cfg, "--set",
+                 f"mae.checkpoint={tmp_path / 'out' / 'mae.rbck'}"] + mae) == 0
+    cohort_csv, emb_csv = tmp_path / "out" / "cohort.csv", tmp_path / "out" / "embeddings.csv"
+    categories = {**{f"x{j + 1}": "covariates" for j in range(4)},
+                  **{f"e{j + 1}": "embedding" for j in range(dim)}}
+    (tmp_path / "categories.json").write_text(json.dumps(categories), encoding="utf-8")
+    cv = {**DESK_CV, "data": {"cohort_csv": str(cohort_csv), "features_csv": str(emb_csv),
+                              "category_map": str(tmp_path / "categories.json")},
+          "features": {"standardize": True, "pca_components": 2},
+          "cv": {**DESK_CV["cv"], "n_iter": 1, "max_epochs": 2},
+          "output": {"dir": str(tmp_path / "cv")}}
+    cv_cfg = _write_config(tmp_path, cv, "cv.json")
+    reports = []
+    for _ in range(2):
+        assert main(["cv", "--config", cv_cfg, "--workers", "1"]) == 0
+        reports.append((tmp_path / "cv" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["report"]["audit"]["leaks"] == 0
+    # the join puts each subject's embedding row on its cohort row
+    cohort = _load_cohort(cv)
+    emb = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
+           for line in emb_csv.read_text().splitlines()[1:]}
+    assert cohort.ids == cohort_from_csv(str(cohort_csv)).ids == sorted(emb)
+    assert cohort.feature_names[4:] == [f"e{j + 1}" for j in range(dim)]
+    assert np.array_equal(cohort.features[:, 4:], [emb[sid] for sid in cohort.ids])

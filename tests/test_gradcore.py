@@ -445,6 +445,15 @@ def test_backward_through_reshape_transpose_and_concat_views():
     assert np.array_equal(p.grad, 2.0 * (w1.reshape(2, 3) + w2.T + w3[:2] + w3[2:]))
 
 
+@pytest.mark.parametrize("axes", [(1, 0, 2), (1, 0, -1), (-1, 0, 1), (2, 0, 1)])
+def test_transpose_backward_inverts_any_permutation(axes):
+    g = gc.ParamGraph()
+    p = _exact_param(g, "p", (2, 3, 4))
+    w = np.random.default_rng(5).integers(-4, 5, size=p.data.transpose(axes).shape)
+    gc.tsum(gc.mul(gc.transpose(p, axes), gc.Tensor(w.astype(float)))).backward()
+    assert np.array_equal(p.grad, w.transpose(np.argsort(np.array(axes) % 3)))
+
+
 def test_backward_broadcast_bias():
     g = gc.ParamGraph()
     row = _exact_param(g, "row", (1, 3))
@@ -707,15 +716,16 @@ def _deephit_head_step():
                                    m._loss(x, t, e, None, training=True)))
 
 
-def _nfg_batch(n, d, nodes, seed):
+def _nfg_batch(n, d, nodes, seed, n_risks=2):
     """An unfitted NFG model and a batch (x, t, e) of n rows."""
     from riskbench.models import NfgConfig, NfgModel
 
     m = NfgModel(NfgConfig(layers=2, nodes=nodes, monotone_layers=2, monotone_nodes=nodes // 2))
-    m.n_risks, m.d, m.t_scale = 2, d, 10.0
+    m.n_risks, m.d, m.t_scale = n_risks, d, 10.0
     m._build(np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    return m, rng.normal(size=(n, d)), rng.uniform(0.0, 10.0, size=n), rng.integers(0, 3, size=n)
+    x, t = rng.normal(size=(n, d)), rng.uniform(0.0, 10.0, size=n)
+    return m, x, t, rng.integers(0, n_risks + 1, size=n)
 
 
 def _mae_batch(seed):
@@ -840,10 +850,7 @@ def test_backward_runs_closures_in_the_reference_dfs_order(make_loss):
     assert all(a is b for a, b in zip(got, want))
 
 
-def test_mae_training_step_tape_has_85_interior_nodes():
-    # 2 encoder blocks and 1 decoder block of 24 nodes each, plus 13 around
-    # them; with two-node affines and three-node layer norms it was 121
-    loss = _mae_loss()
+def _interior_nodes(loss) -> int:
     interior, stack, seen = 0, [loss], set()
     while stack:
         node = stack.pop()
@@ -852,4 +859,21 @@ def test_mae_training_step_tape_has_85_interior_nodes():
         seen.add(id(node))
         interior += 1
         stack.extend(node._parents)
-    assert interior == 85
+    return interior
+
+
+def test_mae_training_step_tape_has_85_interior_nodes():
+    # 2 encoder blocks and 1 decoder block of 24 nodes each, plus 13 around
+    # them; with two-node affines and three-node layer norms it was 121
+    assert _interior_nodes(_mae_loss()) == 85
+
+
+@pytest.mark.parametrize("n_risks", [2, 4])
+def test_nfg_training_step_tape_has_57_interior_nodes_for_any_risk_count(n_risks):
+    # 3 in the encoder; 3 for the embedding term; 13 for the stacked time
+    # nets' forward and 10 for their tangent at monotone_layers=2; 4 to lay
+    # M and dM/du out as (n, R); 3 for the balance, 9 for the CIF and the
+    # density, 12 for the likelihood. One net per risk recorded 97 at R=2
+    # and 183 at R=4.
+    m, x, t, e = _nfg_batch(64, 5, 16, 4, n_risks=n_risks)
+    assert _interior_nodes(m._loss(x, t, e, None, training=True)) == 57

@@ -22,8 +22,9 @@ from riskbench.models import (
     build_model,
     load_model,
 )
-from riskbench.models.base import CHUNK_ROWS, PROB_FLOOR
+from riskbench.models.base import CHUNK_ROWS, PROB_FLOOR, evaluate_pairs
 from riskbench.models.dsm import inv_softplus
+from riskbench.models.nfg import time_net
 
 
 def _synth(n=300, seed=5, beta=1.2, horizon=15.0):
@@ -104,8 +105,7 @@ def _likelihood_cif(m, x, t, r):
     """F_r(t|x) as the training likelihood computes it, one time at a time."""
     u = gc.Tensor(np.full((x.shape[0], 1), max(t / m.t_scale, 1e-300)))
     if m.kind == "nfg":
-        h = m.encoder(gc.Tensor(x))
-        return m._risk_cif_density(r - 1, u, h, m._balance(h))[0].data
+        return m._cif_density(u, m.encoder(gc.Tensor(x)))[0].data[:, r - 1]
     if m.kind == "dsm":
         log_gates, _, cdf = m._mixture(u, m.encoder(gc.Tensor(x)))
         k = m.config.k
@@ -334,11 +334,17 @@ def test_dsm_lognormal_single_component_closed_form():
         assert np.all(np.abs(got - expected) < 1e-10)
 
 
+def _dsm_gate_weights(m, x, r):
+    """Risk r's mixture weights pi_j(x) / sum_{i in r} pi_i(x); rows sum to one."""
+    cols = slice((r - 1) * m.config.k, r * m.config.k)
+    return gc.softmax(m._gate_logits(m.encoder(gc.Tensor(x))).data[:, cols], axis=-1).data
+
+
 def test_dsm_gates_sum_to_one():
     coh = _synth(200, seed=2)
     m = DsmModel(_tiny_cfg(DsmConfig, k=3, warmup_iters=20))
     m.fit(coh, seed=3)
-    gates = m.gate_weights(coh.features[:50], 1)
+    gates = _dsm_gate_weights(m, coh.features[:50], 1)
     assert np.max(np.abs(gates.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -552,6 +558,20 @@ def test_dsm_censored_only_rejected():
 # -- NFG specifics -----------------------------------------------------------------
 
 
+def _nfg_balance(m, x):
+    """B(E(x)), the softmax risk-balance probabilities; rows sum to one."""
+    return m._balance(m.encoder(gc.Tensor(x))).data
+
+
+def _nfg_monotone_value(m, x, t, r):
+    """(M, dM/du), each (n, 1), of risk r's time net at time t."""
+    w = m.config.monotone_nodes
+    proj = m.encoder(gc.Tensor(x)) @ m.w_emb[:, (r - 1) * w : r * w]
+    u = gc.Tensor(np.full((x.shape[0], 1), t / m.t_scale))
+    mval, dval = time_net(u, proj, [p[r - 1] for p in m.net], tangent=True)
+    return mval.data, dval.data
+
+
 def test_nfg_monotone_net_positive_and_nondecreasing():
     m = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=8, monotone_nodes=8), d=3,
               n_risks=2, t_scale=4.0, seed=13)
@@ -559,31 +579,33 @@ def test_nfg_monotone_net_positive_and_nondecreasing():
     x = rng.normal(size=(100, 3))
     ts = rng.uniform(0.0, 4.0, size=100)
     for t in ts[:20]:
-        mval, _ = m.monotone_value(x[:5], float(t), 1)
-        assert np.all(mval > 0.0)
+        for r in (1, 2):
+            mval, _ = _nfg_monotone_value(m, x[:5], float(t), r)
+            assert np.all(mval > 0.0)
     # finite-difference slope of u*M(u) in u at 100 random points
     h = 1e-6
     for i in range(100):
         xi = x[i : i + 1]
         u = ts[i] / m.t_scale
-        m1, _ = m.monotone_value(xi, float(ts[i]), 1)
-        m2, _ = m.monotone_value(xi, float(ts[i] + h * m.t_scale), 1)
+        m1, _ = _nfg_monotone_value(m, xi, float(ts[i]), 1)
+        m2, _ = _nfg_monotone_value(m, xi, float(ts[i] + h * m.t_scale), 1)
         slope = ((u + h) * m2[0, 0] - u * m1[0, 0]) / h
         assert slope >= -1e-9
 
 
 def test_nfg_tangent_matches_finite_difference():
     m = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=8, monotone_nodes=8), d=3,
-              n_risks=1, t_scale=1.0, seed=14)
+              n_risks=2, t_scale=1.0, seed=14)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(10, 3))
     h = 1e-6
-    for t in (0.2, 0.9, 2.3):
-        mval, dval = m.monotone_value(x, t, 1)
-        up, _ = m.monotone_value(x, t + h, 1)
-        down, _ = m.monotone_value(x, t - h, 1)
-        fd = (up - down) / (2 * h)
-        assert np.max(np.abs(fd - dval)) < 1e-5
+    for r in (1, 2):
+        for t in (0.2, 0.9, 2.3):
+            mval, dval = _nfg_monotone_value(m, x, t, r)
+            up, _ = _nfg_monotone_value(m, x, t + h, r)
+            down, _ = _nfg_monotone_value(m, x, t - h, r)
+            fd = (up - down) / (2 * h)
+            assert np.max(np.abs(fd - dval)) < 1e-5
 
 
 def test_nfg_embedding_sensitivity():
@@ -592,8 +614,8 @@ def test_nfg_embedding_sensitivity():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(1, 3))
     b = a + rng.normal(scale=0.5, size=(1, 3))
-    ma, _ = m.monotone_value(a, 0.7, 1)
-    mb, _ = m.monotone_value(b, 0.7, 1)
+    ma, _ = _nfg_monotone_value(m, a, 0.7, 1)
+    mb, _ = _nfg_monotone_value(m, b, 0.7, 1)
     assert abs(ma[0, 0] - mb[0, 0]) > 1e-9
 
 
@@ -602,7 +624,7 @@ def test_nfg_incidences_bounded_by_balance():
     m = NfgModel(FIT_CONFIGS["nfg"]())
     m.fit(coh, seed=2)
     x = coh.features[:10]
-    balance = m.balance_head(x)
+    balance = _nfg_balance(m, x)
     assert np.max(np.abs(balance.sum(axis=1) - 1.0)) < 1e-12
     big_t = float(coh.times.max()) * 50
     for r in (1, 2):
@@ -624,7 +646,7 @@ def test_nfg_balance_converges_to_event_proportions():
     m = NfgModel(cfg)
     m.fit(coh, seed=11)
     props = np.array([np.mean(events == 1), np.mean(events == 2)])
-    got = m.balance_head(np.zeros((1, 2)))[0]
+    got = _nfg_balance(m, np.zeros((1, 2)))[0]
     assert np.max(np.abs(got - props)) < 0.05, (got, props)
 
 
@@ -636,6 +658,134 @@ def test_nfg_loss_finite_at_initialization_over_seeds():
                   d=4, n_risks=2, t_scale=float(t.max()), seed=seed)
         val = m._loss(x, t, e, None, training=False).item()
         assert np.isfinite(val)
+
+
+class _PerRiskNet:
+    """One risk's monotone time network as NFG ran it before the R nets were
+    stacked: its own forward chain, with the time input entering through a
+    K=1 product, and a tangent that broadcasts through a ones-column product.
+    The reference for the stacked `time_net`."""
+
+    def __init__(self, w_emb, weights):
+        self.w_emb = w_emb
+        self.w_time, self.b_in, *hidden, self.w_out, self.b_out = weights
+        self.hidden = list(zip(hidden[::2], hidden[1::2]))
+
+    def forward(self, u_col, proj):
+        wt2 = gc.mul(self.w_time, self.w_time)
+        a = gc.tanh(gc.add(gc.add(u_col @ wt2, proj), self.b_in))
+        layers = [(wt2, a)]
+        for w, b in self.hidden:
+            w2 = gc.mul(w, w)
+            a = gc.tanh(gc.add(a @ w2, b))
+            layers.append((w2, a))
+        w2 = gc.mul(self.w_out, self.w_out)
+        z_out = gc.add(a @ w2, self.b_out)
+        return gc.softplus(z_out), (layers, w2, z_out)
+
+    @staticmethod
+    def tangent(record):
+        layers, w_out2, z_out = record
+        wt2, a = layers[0]
+        da = gc.mul(gc.sub(1.0, gc.mul(a, a)), gc.Tensor(np.ones((a.shape[0], 1))) @ wt2)
+        for w2, a in layers[1:]:
+            da = gc.mul(gc.sub(1.0, gc.mul(a, a)), da @ w2)
+        return gc.mul(gc.sigmoid(z_out), da @ w_out2)
+
+
+def _per_risk_net(m, r, copy):
+    """Risk r's (0-based) slice of the stacked weights: index nodes of the
+    leaves, or, with `copy`, contiguous constants as each net once owned."""
+    w = m.config.monotone_nodes
+    if copy:
+        return _PerRiskNet(gc.Tensor(m.w_emb.data[:, r * w : (r + 1) * w].copy()),
+                           [gc.Tensor(p.data[r].copy()) for p in m.net])
+    return _PerRiskNet(m.w_emb[:, r * w : (r + 1) * w], [p[r] for p in m.net])
+
+
+def _per_risk_loss(m, x, t, e):
+    """The training loss as the per-risk loop assembled it, risk by risk."""
+    u_col = gc.Tensor(np.maximum(t / m.t_scale, 1e-10)[:, None])
+    h = m.encoder(gc.Tensor(x))
+    balance = m._balance(h)
+    loglik = total_cif = None
+    for r in range(m.n_risks):
+        net = _per_risk_net(m, r, copy=False)
+        b_col = balance[:, r : r + 1]
+        mval, record = net.forward(u_col, h @ net.w_emb)
+        decay = gc.texp(gc.mul(gc.mul(u_col, mval), -1.0))
+        cif = gc.mul(b_col, gc.sub(1.0, decay)).reshape(-1)
+        density = gc.mul(gc.mul(b_col, decay), gc.add(mval, gc.mul(u_col, net.tangent(record))))
+        term = m._clamped_log_sum(density.reshape(-1), e == r + 1, True)
+        loglik = term if loglik is None else gc.add(loglik, term)
+        total_cif = cif if total_cif is None else gc.add(total_cif, cif)
+    return m._nll(loglik, gc.sub(1.0, total_cif), e, True)
+
+
+def _per_risk_cif_curves(m, x, times, r):
+    """`cif_curves` as the per-risk nets answered it: encoder and risk r's
+    embedding term once, then its forward time path per (time, subject) pair."""
+    net = _per_risk_net(m, r - 1, copy=True)
+    with m.graph.no_grad():
+        h = m.encoder(gc.Tensor(x))
+        proj = (h @ net.w_emb).data
+        b_col = m._balance(h).data[:, r - 1 : r]
+    u = times / m.t_scale
+
+    def at(ti, ri):
+        mval, _ = net.forward(gc.Tensor(u[ti, None]), gc.Tensor(proj[ri]))
+        decay = gc.texp(gc.mul(gc.mul(u[ti, None], mval), -1.0))
+        return np.where(times[ti] == 0.0, 0.0, gc.mul(b_col[ri], gc.sub(1.0, decay)).data[:, 0])
+
+    ti, ri = np.divmod(np.arange(times.size * x.shape[0]), x.shape[0])
+    return evaluate_pairs(at, ti, ri).reshape(times.size, x.shape[0])
+
+
+def _nfg_case(n_risks, depth, seed):
+    m = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=8, monotone_layers=depth, monotone_nodes=6),
+              d=3, n_risks=n_risks, t_scale=7.0, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.normal(size=(60, 3))
+    return m, x, rng.uniform(0.0, 7.0, size=60), rng.integers(0, n_risks + 1, size=60)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+@pytest.mark.parametrize("n_risks", [1, 2, 3, 4])
+def test_nfg_stacked_nets_match_the_per_risk_reference(n_risks, depth):
+    m, x, t, e = _nfg_case(n_risks, depth, seed=10 * n_risks + depth)
+    times = np.concatenate([[0.0], np.linspace(0.01, 14.0, 97)])
+    assert times.size * x.shape[0] > 2 * CHUNK_ROWS
+    for r in range(1, n_risks + 1):
+        got = m.cif_curves(x, times, r)
+        assert got.tobytes() == _per_risk_cif_curves(m, x, times, r).tobytes(), r
+    loss, grads = _loss_and_leaf_grads(m, lambda: m._loss(x, t, e, None, training=True))
+    want_loss, want_grads = _loss_and_leaf_grads(m, lambda: _per_risk_loss(m, x, t, e))
+    assert abs(loss - want_loss) < 1e-12
+    for name, grad in want_grads.items():
+        # one risk's balance is the constant 1
+        assert np.any(grad != 0.0) or (n_risks == 1 and name.startswith("balance")), name
+        assert np.max(np.abs(grads[name] - grad)) < 1e-12, name
+
+
+@pytest.mark.parametrize("n_risks, depth", [(1, 0), (2, 2), (4, 3)])
+def test_nfg_initial_parameters_equal_the_per_risk_draw(n_risks, depth):
+    m, *_ = _nfg_case(n_risks, depth, seed=21)
+    rng = np.random.default_rng(21)
+    gc.MLP(gc.ParamGraph(), "enc", [3, 8], rng, activation="relu")  # the encoder's draws
+    want = {"balance.w": gc.xavier_uniform(rng, 8, n_risks, (8, n_risks))}
+    # each risk's net drew its time, embedding, hidden and output weights in turn
+    fans = [("w_time", 1, 6), ("w_emb", 8, 6)]
+    fans += [(f"h{i}.w", 6, 6) for i in range(depth - 1)] + [("w_out", 6, 1)]
+    draws = [{name: gc.xavier_uniform(rng, a, b, (a, b)) for name, a, b in fans}
+             for _ in range(n_risks)]
+    for name, *_ in fans:
+        per_risk = [d[name] for d in draws]
+        want[f"mono.{name}"] = (np.concatenate(per_risk, axis=1) if name == "w_emb"
+                                else np.stack(per_risk))
+    for name, array in want.items():
+        assert m.graph.params[name].data.tobytes() == array.tobytes(), name
+    assert not any(p.data.any() for name, p in m.graph.params.items()
+                   if name not in want and not name.startswith("enc"))
 
 
 # -- DeepHit specifics ---------------------------------------------------------------
@@ -1020,33 +1170,6 @@ def test_deephit_penalty_tape_holds_no_pairwise_array():
         sizes.append(node.size)
         stack.extend(node._parents)
     assert len(sizes) > 5 and max(sizes) <= limit
-
-
-def _selector_nfg_risk_cif_density(self, r, u_col, h, balance):
-    """NfgModel._risk_cif_density with B(E(x))_r picked by a one-hot product."""
-    one_hot = np.zeros(self.n_risks)
-    one_hot[r] = 1.0
-    b_col = gc.mul(balance, gc.Tensor(one_hot)).sum(axis=-1, keepdims=True)
-    cif, m, decay, record = self._risk_cif(r, u_col, h @ self.monotone[r].w_emb, b_col)
-    dm = self.monotone[r].tangent(record)
-    density = gc.mul(gc.mul(b_col, decay), gc.add(m, gc.mul(u_col, dm)))
-    return cif.reshape(-1), density.reshape(-1)
-
-
-def test_nfg_loss_bit_equal_to_one_hot_form(monkeypatch):
-    m = _bare(NfgModel, _tiny_cfg(NfgConfig, monotone_nodes=8), d=3, n_risks=3,
-              t_scale=7.0, seed=9)
-    rng = np.random.default_rng(32)
-    x = rng.normal(size=(40, 3))
-    t = rng.uniform(0.0, 7.0, size=40)
-    e = rng.integers(0, 4, size=40)
-    new = _loss_and_leaf_grads(m, lambda: m._loss(x, t, e, None, training=True))
-    monkeypatch.setattr(NfgModel, "_risk_cif_density", _selector_nfg_risk_cif_density)
-    old = _loss_and_leaf_grads(m, lambda: m._loss(x, t, e, None, training=True))
-    assert new[0] == old[0]
-    for name, grad in old[1].items():
-        assert np.array_equal(new[1][name], grad), name
-    assert np.any(old[1]["balance.w"] != 0.0)
 
 
 # -- shared likelihood ---------------------------------------------------------------
