@@ -7,8 +7,11 @@ model assigns i the higher incidence at time t_i, with predictions closer
 than 1e-12 scored as half-concordant. The index needs F_r(t_i | x_j) only
 on the comparable pairs and each event's own (i, i), so a model is queried
 once per risk through one `cif_pairs` evaluator, which runs on just those
-pairs, BLOCK_PAIRS at a time: memory stays O(n + BLOCK_PAIRS). The full
-event-by-subject `cif_score_matrix` is kept as the brute-force reference.
+pairs, BLOCK_PAIRS at a time: memory stays O(n + BLOCK_PAIRS). The
+evaluator is plain numpy, CHUNK_ROWS pairs per call, and builds no tape.
+The full event-by-subject `cif_score_matrix` is kept as the brute-force
+reference. A risk without comparable pairs raises `NoComparablePairs`, a
+ValueError that callers can tell apart from a failed model query.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .models.base import CHUNK_ROWS, evaluate_pairs
 TIE_TOL = 1e-12
 # comparable pairs per block, a whole number of query chunks
 BLOCK_PAIRS = 8 * CHUNK_ROWS
+
+
+class NoComparablePairs(ValueError):
+    """The cohort holds no comparable pair for the risk (and horizon)."""
 
 
 @dataclass
@@ -71,7 +78,7 @@ def ctd_index(cohort, model=None, r: int = 1, horizon: float | None = None,
     rows = np.nonzero((cohort.events == r) & (times <= horizon)
                       & (first_later < cohort.n))[0]
     if rows.size == 0:
-        raise ValueError(f"no comparable pairs for risk {r}")
+        raise NoComparablePairs(f"no comparable pairs for risk {r}")
     if scores is None:
         at = model.cif_pairs(cohort.features[order], times[rows], r)
     else:
@@ -117,5 +124,5 @@ def ctd_bruteforce(cohort, scores: np.ndarray, r: int = 1,
             elif abs(diff) <= TIE_TOL:
                 conc += 0.5
     if pairs == 0:
-        raise ValueError(f"no comparable pairs for risk {r}")
+        raise NoComparablePairs(f"no comparable pairs for risk {r}")
     return CtdResult(conc / pairs, pairs, r, horizon)

@@ -2,12 +2,13 @@
 
 Every model fits on a cohort and afterwards answers F_r(t|x), the
 probability of event r occurring by time t, through one batched query:
-`cif_pairs(x, times, r)` runs the covariate path once and returns an
-evaluator of chosen (time, subject) pairs, which runs without a tape;
-`cif_curves` evaluates it over the full grid. Training is mini-batch Adam
-with early stopping on a validation likelihood; time inputs are rescaled
-by the training-set maximum so exponentials stay tame (queries rescale
-consistently, leaving CIF values unchanged).
+`cif_pairs(x, times, r)` runs the covariate path once, without a tape, and
+returns an evaluator of chosen (time, subject) pairs: plain numpy that
+computes only F_r, in place on one working array per chunk of pairs, with
+no Tensor; `cif_curves` evaluates it over the full grid. Training is
+mini-batch Adam with early stopping on a validation likelihood; time
+inputs are rescaled by the training-set maximum so exponentials stay tame
+(queries rescale consistently, leaving CIF values unchanged).
 
 `_build` makes every model's ReLU encoder before its `_build_heads`, and
 `_nll` assembles the competing-risk likelihood, clamped at PROB_FLOOR, from
@@ -34,6 +35,10 @@ PROB_FLOOR = 1e-12
 # query's memory whatever the number of times and subjects. At 2,048 pairs a
 # 32-wide float64 activation block is 512 KB and stays in a 2 MB L2 cache; on
 # such a Xeon, 8,192 pairs per step ran the NFG time path about half as fast.
+# The value must stay: OpenBLAS rounds a product with few output columns,
+# such as NFG's (k, w) @ (w, 1) output layer, differently by a row's
+# position in its chunk. Other chunk boundaries would move CIF values in
+# the last bit, and C^td and `report.json` with them.
 CHUNK_ROWS = 2048
 
 
@@ -127,7 +132,8 @@ class CifModel:
     def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
         """Covariate path of x (n, d) once; returns at(ti, ri), the risk-r
         incidences F_r(times[ti] | x[ri]) of those index pairs, for finite
-        non-negative times."""
+        non-negative times. Runs under `no_grad`; `at` runs outside it and
+        makes no Tensor: plain numpy on its chunk of pairs."""
         raise NotImplementedError
 
     def _pre_fit(self, train: Cohort, valid: Cohort) -> tuple[int, str]:
@@ -168,10 +174,10 @@ class CifModel:
     def cif_pairs(self, x: np.ndarray, times, r: int):
         """Evaluator at(ti, ri) of F_r(times[ti] | x[ri]), one value per pair.
 
-        The covariate path runs here, once for all rows of x (n, d); each call
-        of `at` then evaluates only its (time, row) index pairs. No tape is
-        built. Times must be finite and non-negative, else ValueError;
-        F_r(0|x) = 0.
+        The covariate path runs here, once for all rows of x (n, d) and
+        without a tape; each call of `at` then evaluates only its (time, row)
+        index pairs, in numpy. Times must be finite and non-negative, else
+        ValueError; F_r(0|x) = 0, set per pair only if some time is 0.
         """
         if not self._fitted:
             raise RuntimeError(f"{self.kind}: predict before fit")
@@ -185,12 +191,9 @@ class CifModel:
         with self.graph.no_grad():
             at = self._cif_pairs(np.asarray(x, dtype=np.float64), times, r)
         zero = times == 0.0
-
-        def tape_free(ti, ri):
-            with self.graph.no_grad():
-                return np.where(zero[ti], 0.0, at(ti, ri))
-
-        return tape_free
+        if not zero.any():
+            return at
+        return lambda ti, ri: np.where(zero[ti], 0.0, at(ti, ri))
 
     def cif_curves(self, x: np.ndarray, times, r: int) -> np.ndarray:
         """F_r(times[i] | x[j]) as a (len(times), n) array; x is (n, d).

@@ -18,6 +18,12 @@ likelihood is unbounded: left to converge, a component collapses onto a
 few event times. Then the full likelihood trains with Adam and early
 stopping. The tape likelihood, `_loss`, passes the mixture log densities
 and overall survival to the shared `CifModel._nll`.
+
+A CIF query takes each subject's gates and CDF parameters (softplus shape
+and log scale, or 1/sigma) once, then computes only risk r's gated CDFs per
+(time, subject) pair in plain numpy, with the operations of
+`_log_pdf_and_cdf`'s CDF in its order, so its values are bit-equal to the
+tape's. Only the log-normal query imports `scipy.special.erf`.
 """
 
 from __future__ import annotations
@@ -204,16 +210,42 @@ class DsmModel(CifModel):
     # -- prediction -------------------------------------------------------------
 
     def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
-        """Encoder, gates and component (a, b) once; risk r's CDFs per pair."""
+        """Encoder, gates and risk r's per-subject CDF parameters once; its
+        CDFs per pair, in numpy, in place, with no log density."""
         h = self.encoder(Tensor(x))
         cols = slice((r - 1) * self.config.k, r * self.config.k)
         a, b = (p.data[:, cols] for p in self._components(h))
         gates = softmax(self._gate_logits(h), axis=-1).data[:, cols]
-        u = np.maximum(times / self.t_scale, 1e-300)
+        log_u = np.log(np.maximum(times / self.t_scale, 1e-300))
+        # `_log_pdf_and_cdf`'s CDF, operation for operation, so the bits match
+        if self.config.distribution == "weibull":
+            shape, log_scale = np.logaddexp(0.0, a), np.log(np.logaddexp(0.0, b))
+
+            def cdf(ti, ri):
+                c = log_u[ti, None] - log_scale[ri]
+                c *= shape[ri]
+                np.exp(c, out=c)  # (u/scale)^shape
+                np.negative(c, out=c)
+                np.exp(c, out=c)
+                return np.subtract(1.0, c, out=c)
+        else:
+            from scipy.special import erf  # lazily, as `terf`: scipy is slow to import
+
+            inv_sigma = 1.0 / np.logaddexp(0.0, b)
+
+            def cdf(ti, ri):
+                c = log_u[ti, None] - a[ri]
+                c *= inv_sigma[ri]
+                c *= 1.0 / np.sqrt(2.0)
+                erf(c, out=c)
+                c += 1.0
+                c *= 0.5
+                return c
 
         def at(ti, ri):
-            _, cdf = self._log_pdf_and_cdf(Tensor(u[ti, None]), Tensor(a[ri]), Tensor(b[ri]))
-            return tsum(mul(Tensor(gates[ri]), cdf), axis=-1).data
+            c = cdf(ti, ri)
+            c *= gates[ri]
+            return c.sum(axis=-1)
 
         return at
 

@@ -12,8 +12,10 @@ one pass evaluates every risk. The event density dF_r/dt is assembled on
 the tape by propagating the time derivative layer by layer (forward
 tangents), so parameter gradients of the likelihood flow through the
 derivative with no hand-derived formula. Only the likelihood needs that
-tangent; a CIF query computes the embedding term E(x) @ W once and runs
-just risk r's forward time path per query time.
+tangent and the tape. A CIF query computes the encoder, the balance and
+the embedding term E(x) @ W once, then runs risk r's forward time path per
+(time, subject) pair in plain numpy, with the operations of `time_net` in
+its order, so its values are bit-equal to the tape's forward.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ class NfgConfig(BaseConfig):
 
 def time_net(u_col, proj, net: list, tangent: bool):
     """M at rescaled times u_col (n, 1), given the embedding term `proj`,
-    and dM/du when `tangent`, else None.
+    and dM/du when `tangent`, else None; the likelihood's time path.
 
     `net` lists the weights [w_time, b_in, (w, b) of each hidden layer,
     w_out, b_out], either stacked over risks, giving (R, n, 1) outputs from
-    a (R, n, w) `proj`, or one risk's, giving (n, 1) from (n, w).
+    a (R, n, w) `proj`, or one risk's, giving (n, 1) from (n, w). CIF
+    queries do not call it: `NfgModel._cif_pairs` repeats its forward in
+    numpy, and a change here must be made there too.
     """
     w_time, b_in, *hidden, w_out, b_out = net
     wt2 = mul(w_time, w_time)
@@ -112,17 +116,38 @@ class NfgModel(CifModel):
         return self._nll(loglik, tsub(1.0, tsum(cif, axis=-1)), e, training)
 
     def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
-        """Encoder, balance and emb @ w_emb once; risk r's forward time path per pair."""
+        """Encoder, balance, emb @ w_emb and risk r's squared weights once;
+        risk r's forward time path per pair, in numpy, in place."""
         h = self.encoder(Tensor(x))
         w = self.config.monotone_nodes
         proj = h.data @ self.w_emb.data[:, (r - 1) * w : r * w]
         b_col = self._balance(h).data[:, r - 1 : r]
-        net = [p.data[r - 1] for p in self.net]
+        w_time, b_in, *hidden, w_out, b_out = (p.data[r - 1] for p in self.net)
+        layers = [(hw * hw, hb) for hw, hb in zip(hidden[::2], hidden[1::2])]
+        w_out2 = w_out * w_out
         u = times / self.t_scale
+        # the first layer's u * w_time^2 once per query time: a gather per
+        # pair costs a fifth of the broadcast product
+        u_wt2 = u[:, None] * (w_time * w_time)
 
         def at(ti, ri):
-            u_col = u[ti, None]
-            m, _ = time_net(u_col, proj[ri], net, tangent=False)
-            return (b_col[ri] * (1.0 - np.exp(-(u_col * m.data))))[:, 0]
+            # time_net's forward, operation for operation, so the bits match
+            a = np.take(u_wt2, ti, axis=0)
+            a += np.take(proj, ri, axis=0)
+            a += b_in
+            np.tanh(a, out=a)
+            for w2, b in layers:
+                a = a @ w2
+                a += b
+                np.tanh(a, out=a)
+            z = a @ w_out2
+            z += b_out
+            np.logaddexp(0.0, z, out=z)  # M, by softplus
+            z *= u[ti, None]
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            np.subtract(1.0, z, out=z)
+            z *= b_col[ri]
+            return z[:, 0]
 
         return at

@@ -20,7 +20,7 @@ import numpy as np
 from .cohort import Cohort, holdout_split, stratified_kfold
 from .errors import DataError, NumericError
 from .features import FeatureMatrix, pca_apply, pca_fit, standardize_fit_apply
-from .metrics import ctd_index
+from .metrics import NoComparablePairs, ctd_index
 from .models import MODEL_KINDS, build_model
 from .pipeline_audit import LeakageAudit, record_fit
 
@@ -82,13 +82,13 @@ def _mean_valid_ctd(model, valid: Cohort) -> float:
     """Mean per-risk concordance on the validation split.
 
     Risks with no comparable pairs are skipped; raises if none is
-    scoreable.
+    scoreable. Any other error of a risk's query propagates.
     """
     values = []
     for r in range(1, valid.n_risks + 1):
         try:
             values.append(ctd_index(valid, model, r=r).value)
-        except ValueError:
+        except NoComparablePairs:
             continue
     if not values:
         raise ValueError("no risk had comparable validation pairs")

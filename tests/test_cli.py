@@ -487,17 +487,19 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_weibull_dsm_train_and_deephit_nfg_cv_load_no_scipy(tmp_path):
+    # the DSM cv run scores every fold through the Weibull CIF evaluator
+    weibull = {"distribution": "weibull", "warmup_iters": 20, "max_epochs": 2}
     runs = []
-    for command, kind, extras in [
-            ("train", "dsm", {"distribution": "weibull", "warmup_iters": 20, "max_epochs": 2}),
-            ("cv", "deephit", {}), ("cv", "nfg", {})]:
+    for command, kind, extras, name in [
+            ("train", "dsm", weibull, "dsm"), ("cv", "dsm", weibull, "dsm_cv"),
+            ("cv", "deephit", {}, "deephit"), ("cv", "nfg", {}, "nfg")]:
         doc = {**DESK_CV, "model": {"kind": kind, "extras": extras},
                "cv": {**DESK_CV["cv"], "n_iter": 1, "max_epochs": 2},
-               "output": {"dir": str(tmp_path / kind)}}
-        runs.append([command, "--config", _write_config(tmp_path, doc, f"{kind}.json")])
-    code = f"assert [riskbench.cli.main(argv) for argv in {runs!r}] == [0, 0, 0]"
+               "output": {"dir": str(tmp_path / name)}}
+        runs.append([command, "--config", _write_config(tmp_path, doc, f"{name}.json")])
+    code = f"assert [riskbench.cli.main(argv) for argv in {runs!r}] == [0, 0, 0, 0]"
     assert _modules_after(code) == "[]"
-    for out in ("dsm/dsm.rbck", "deephit/report.json", "nfg/report.json"):
+    for out in ("dsm/dsm.rbck", "dsm_cv/report.json", "deephit/report.json", "nfg/report.json"):
         assert (tmp_path / out).exists()
 
 

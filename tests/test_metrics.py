@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbench.cohort import Cohort, SynthSpec, generate_synthetic
-from riskbench.metrics import BLOCK_PAIRS, cif_score_matrix, ctd_bruteforce, ctd_index
+from riskbench.metrics import (
+    BLOCK_PAIRS,
+    NoComparablePairs,
+    cif_score_matrix,
+    ctd_bruteforce,
+    ctd_index,
+)
 from riskbench.models import (
     DeepHitConfig,
     DeepHitModel,
@@ -95,6 +101,17 @@ def test_no_comparable_pairs_raises_naming_risk():
     cohort = _cohort([5.0, 1.0], [1, 0], n_risks=1)  # event has the max time
     with pytest.raises(ValueError, match="risk 1"):
         ctd_index(cohort, scores=np.zeros((2, 2)), r=1)
+
+
+@pytest.mark.parametrize("horizon", [None, 0.5])
+def test_no_comparable_pairs_is_its_own_value_error(horizon):
+    cohort = _cohort([1.0, 5.0], [0, 1], n_risks=1)  # the event has the max time
+    scores = np.zeros((2, 2))
+    for score in (lambda: ctd_index(cohort, scores=scores, r=1, horizon=horizon),
+                  lambda: ctd_bruteforce(cohort, scores, r=1, horizon=horizon)):
+        with pytest.raises(NoComparablePairs, match="no comparable pairs for risk 1"):
+            score()
+    assert issubclass(NoComparablePairs, ValueError)
 
 
 def test_horizon_restricts_event_subjects():

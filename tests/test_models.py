@@ -134,6 +134,45 @@ def test_cif_curves_match_likelihood_cif_per_time(kind, fitted):
         assert np.array_equal(curves[0], np.zeros(x.shape[0]))
 
 
+@pytest.mark.parametrize("with_zero", [True, False])
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_cif_pairs_evaluator_makes_no_tensor_and_flips_no_flag(kind, with_zero, fitted,
+                                                               monkeypatch):
+    coh, models = fitted
+    m = models[kind]
+    times = np.array([0.0, 0.5, 1.5, 3.0 * coh.times.max()])[0 if with_zero else 1 :]
+    flags = {name: p.requires_grad for name, p in m.graph.params.items()}
+    assert all(flags.values())
+    made, grad_scopes = [], []
+    init, no_grad = gc.Tensor.__init__, gc.ParamGraph.no_grad
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_no_grad(self):
+        grad_scopes.append(1)
+        return no_grad(self)
+
+    monkeypatch.setattr(gc.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(gc.ParamGraph, "no_grad", counting_no_grad)
+    at = m.cif_pairs(coh.features, times, 2)
+    assert grad_scopes == [1]  # the covariate path runs without a tape
+    assert made  # the patch sees the covariate path's tensors
+    made.clear()
+    grad_scopes.clear()
+    n = coh.n
+    ti, ri = np.divmod(np.arange(times.size * n), n)
+    values = evaluate_pairs(at, ti, ri)
+    assert made == [] and grad_scopes == []
+    assert {name: p.requires_grad for name, p in m.graph.params.items()} == flags
+    monkeypatch.undo()
+    assert np.array_equal(values.reshape(times.size, n), m.cif_curves(coh.features, times, 2))
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    if with_zero:
+        assert np.all(values[:n] == 0.0)
+
+
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_fit_and_cif_curves_leave_no_cyclic_garbage(kind):
     # tapes must be freed by reference counting alone
@@ -332,6 +371,49 @@ def test_dsm_lognormal_single_component_closed_form():
         expected = norm.cdf((np.log(t) - 0.4) / 0.9)
         got = m.cif(x, t, 1)
         assert np.all(np.abs(got - expected) < 1e-10)
+
+
+def _taped_dsm_cif_curves(m, x, times, r):
+    """`cif_curves` with DSM's former evaluator: per chunk, the taped
+    `_log_pdf_and_cdf` on Tensor wrappers of the gathered pairs, the gated
+    sum through `tsum`, and F = 0 set at t = 0."""
+    times = np.asarray(times, dtype=np.float64)
+    with m.graph.no_grad():
+        h = m.encoder(gc.Tensor(x))
+        cols = slice((r - 1) * m.config.k, r * m.config.k)
+        a, b = (p.data[:, cols] for p in m._components(h))
+        gates = gc.softmax(m._gate_logits(h), axis=-1).data[:, cols]
+    u = np.maximum(times / m.t_scale, 1e-300)
+
+    def at(ti, ri):
+        _, cdf = m._log_pdf_and_cdf(gc.Tensor(u[ti, None]), gc.Tensor(a[ri]), gc.Tensor(b[ri]))
+        value = gc.tsum(gc.mul(gc.Tensor(gates[ri]), cdf), axis=-1).data
+        return np.where(times[ti] == 0.0, 0.0, value)
+
+    n = x.shape[0]
+    ti, ri = np.divmod(np.arange(times.size * n), n)
+    return evaluate_pairs(at, ti, ri).reshape(times.size, n)
+
+
+@pytest.mark.parametrize("distribution", ["weibull", "lognormal"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_dsm_cif_curves_bit_equal_to_the_taped_evaluator(distribution, k):
+    coh = _synth(150, seed=6)
+    tmax = float(coh.times.max())
+    rng = np.random.default_rng(k)
+    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=k, nodes=6, distribution=distribution),
+              d=coh.d, n_risks=2, t_scale=tmax, seed=k)
+    for p in m.graph.params.values():
+        p.data[...] += rng.normal(0.0, 0.5, size=p.data.shape)
+    # t = 0 twice, times inside the training range and up to 5x past it
+    times = np.concatenate([[0.0, 1e-9, 0.0], np.sort(coh.times[:40]),
+                            tmax * np.array([1.0, 1.5, 3.0, 5.0])])
+    assert times.size * coh.n > 2 * CHUNK_ROWS
+    for r in (1, 2):
+        got = m.cif_curves(coh.features, times, r)
+        want = _taped_dsm_cif_curves(m, coh.features, times, r)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[[0, 2]] == 0.0) and np.all(got[-1] > got[1])
 
 
 def _dsm_gate_weights(m, x, r):
@@ -765,6 +847,21 @@ def test_nfg_stacked_nets_match_the_per_risk_reference(n_risks, depth):
         # one risk's balance is the constant 1
         assert np.any(grad != 0.0) or (n_risks == 1 and name.startswith("balance")), name
         assert np.max(np.abs(grads[name] - grad)) < 1e-12, name
+
+
+@pytest.mark.parametrize("n_risks, depth", [(1, 0), (2, 1), (3, 3)])
+def test_nfg_cif_curves_match_the_per_risk_reference_with_every_parameter_moved(n_risks, depth):
+    # fresh biases are 0, and proj + 0 is exact, so only moved biases show
+    # whether the query adds u * w_time^2, proj and b_in in the tape's order
+    m, x, *_ = _nfg_case(n_risks, depth, seed=5 + depth)
+    rng = np.random.default_rng(depth)
+    for p in m.graph.params.values():
+        p.data[...] += rng.normal(0.0, 0.5, size=p.data.shape)
+    times = np.concatenate([[0.0, 1e-9], np.linspace(0.01, 35.0, 96)])
+    assert times.size * x.shape[0] > 2 * CHUNK_ROWS
+    for r in range(1, n_risks + 1):
+        got = m.cif_curves(x, times, r)
+        assert got.tobytes() == _per_risk_cif_curves(m, x, times, r).tobytes(), r
 
 
 @pytest.mark.parametrize("n_risks, depth", [(1, 0), (2, 2), (4, 3)])

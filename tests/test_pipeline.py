@@ -4,12 +4,14 @@ from scipy import stats
 
 from riskbench.cohort import SynthSpec, generate_synthetic
 from riskbench.errors import NumericError
-from riskbench.models import build_model
+from riskbench.metrics import ctd_index
+from riskbench.models import NfgModel, build_model
 from riskbench.pipeline import (
     CVReport,
     CvSettings,
     FoldResult,
     HParamGrid,
+    _mean_valid_ctd,
     child_seed,
     emit_report,
     nested_cv,
@@ -143,6 +145,52 @@ def test_search_all_failures_raises_with_log():
         random_search(grid, 2, train, valid, "dsm", seed=3,
                       shared_fields={"max_epochs": 3, "patience": 2, "warmup_iters": 0})
     assert len(err.value.diagnostics["log"]) == 2
+
+
+def _valid_split_and_nfg():
+    cohort = _cohort(200, seed=17)
+    valid = cohort.subset(range(160, 200))
+    model = build_model("nfg", max_epochs=2, patience=2)
+    model.fit(cohort.subset(range(160)), seed=1, valid=valid)
+    return valid, model
+
+
+def test_mean_valid_ctd_raises_a_model_error_instead_of_skipping_the_risk():
+    valid, model = _valid_split_and_nfg()
+    query = model.cif_pairs
+
+    def failing(x, times, r):
+        if r == 1:
+            raise ValueError("risk 1 query failed")
+        return query(x, times, r)
+
+    model.cif_pairs = failing
+    with pytest.raises(ValueError, match="risk 1 query failed"):
+        _mean_valid_ctd(model, valid)
+
+
+def test_mean_valid_ctd_skips_only_risks_without_comparable_pairs():
+    valid, model = _valid_split_and_nfg()
+    no_risk_1 = valid.subset(np.flatnonzero(valid.events != 1))
+    assert _mean_valid_ctd(model, no_risk_1) == ctd_index(no_risk_1, model, r=2).value
+    both = [ctd_index(valid, model, r=r).value for r in (1, 2)]
+    assert _mean_valid_ctd(model, valid) == float(np.mean(both))
+
+
+def test_search_logs_a_trial_whose_validation_query_fails(monkeypatch):
+    cohort = _cohort(200, seed=11)
+    query = NfgModel.cif_pairs
+
+    def failing(self, x, times, r):
+        if r == 1:
+            raise ValueError("risk 1 query failed")
+        return query(self, x, times, r)
+
+    monkeypatch.setattr(NfgModel, "cif_pairs", failing)
+    with pytest.raises(NumericError) as err:
+        random_search(HParamGrid(), 2, cohort.subset(range(160)), cohort.subset(range(160, 200)),
+                      "nfg", seed=5, shared_fields={"max_epochs": 2, "patience": 2})
+    assert [t["error"] for t in err.value.diagnostics["log"]] == ["risk 1 query failed"] * 2
 
 
 # -- early stopping -----------------------------------------------------------
