@@ -218,7 +218,7 @@ class CifModel:
         The epoch budget and patience are `config.max_epochs` and
         `config.patience`. When no validation cohort is supplied, a
         stratified 10% of `train` is carved out for the early-stopping
-        criterion; a supplied one must not be empty.
+        criterion. Either must not be empty.
         """
         if valid is not None and valid.n == 0:
             raise DataError("early stopping needs a non-empty validation split")
@@ -228,6 +228,9 @@ class CifModel:
         record_fit(f"{self.kind}.fit", train.ids + (valid.ids if valid else []))
         if valid is None:
             train, valid = holdout_split(train, 0.10, seed=int(seed) ^ 0x5F5E5F)
+            if valid.n == 0:
+                raise DataError(f"early stopping needs a non-empty validation split; "
+                                f"10% of {train.n} subjects rounds to none")
         self.clamp_count = 0
         self.n_risks = train.n_risks
         self.d = train.d

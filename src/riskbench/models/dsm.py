@@ -7,7 +7,10 @@ most 1 at every time, by construction. This is the risk-balance
 construction of Neural Fine-Gray (`nfg.py`), B_r(x) * G_r(t|x), written as
 one softmax. Every component owns covariate-free base shape/scale
 parameters; the shared encoder of `CifModel._build` feeds heads that add
-per-subject shifts and produce the gate logits.
+per-subject shifts and produce the gate logits. Each role is one stacked
+parameter whose columns run risk-major (risk 1's k components, then risk
+2's, ...): `base_a`, `base_b` and `gate_b` (R*k,), `head_a`, `head_b` and
+`gate_w` (width, R*k).
 
 Training runs in two phases. The warm-up fits the base parameters and the
 gate biases by covariate-free maximum likelihood (no shifts, no gate
@@ -35,7 +38,6 @@ import numpy as np
 from ..errors import DataError
 from ..gradcore import (
     Tensor,
-    concat,
     logsumexp,
     mul,
     softmax,
@@ -103,17 +105,15 @@ class DsmModel(CifModel):
         else:
             a0 = 1.0 + 0.25 * self.n_risks  # log-normal location (raw)
             b0 = inv_softplus(1.0)
-        self.base_a, self.base_b, self.head_a, self.head_b = [], [], [], []
-        for r in range(self.n_risks):
-            jitter = rng.normal(0.0, 0.05, size=cfg.k)
-            self.base_a.append(self.graph.parameter(f"risk{r}.base_a", a0 + jitter))
-            jitter = rng.normal(0.0, 0.05, size=cfg.k)
-            self.base_b.append(self.graph.parameter(f"risk{r}.base_b", b0 + jitter))
-            # shift heads start small so phase 2 begins near the warm-up fit
-            self.head_a.append(self.graph.parameter(
-                f"risk{r}.head_a", 0.1 * xavier_uniform(rng, width, cfg.k, (width, cfg.k))))
-            self.head_b.append(self.graph.parameter(
-                f"risk{r}.head_b", 0.1 * xavier_uniform(rng, width, cfg.k, (width, cfg.k))))
+        # risk by risk: base jitters, then shift heads, which start small so
+        # phase 2 begins near the warm-up fit; then laid side by side
+        draws = [(a0 + rng.normal(0.0, 0.05, size=cfg.k), b0 + rng.normal(0.0, 0.05, size=cfg.k),
+                  0.1 * xavier_uniform(rng, width, cfg.k, (width, cfg.k)),
+                  0.1 * xavier_uniform(rng, width, cfg.k, (width, cfg.k)))
+                 for _ in range(self.n_risks)]
+        self.base_a, self.base_b, self.head_a, self.head_b = (
+            self.graph.parameter(name, np.concatenate(arrays, axis=-1))
+            for name, arrays in zip(("base_a", "base_b", "head_a", "head_b"), zip(*draws)))
         n_comp = self.n_risks * cfg.k
         self.gate_w = self.graph.parameter(
             "gate_w", xavier_uniform(rng, width, n_comp, (width, n_comp)))
@@ -123,9 +123,7 @@ class DsmModel(CifModel):
 
     def _components(self, h: Tensor):
         """(a, b) tensors of shape (nb, R*k), risk-major: base plus encoder shifts."""
-        n_comp = self.n_risks * self.config.k
-        return tuple(tadd(concat(base).reshape(1, n_comp), h @ concat(head, axis=1))
-                     for base, head in ((self.base_a, self.head_a), (self.base_b, self.head_b)))
+        return tadd(self.base_a, h @ self.head_a), tadd(self.base_b, h @ self.head_b)
 
     def _log_pdf_and_cdf(self, u_col: Tensor, a: Tensor, b: Tensor):
         """Per-component log density and CDF at rescaled times u (nb, 1)."""
@@ -147,7 +145,7 @@ class DsmModel(CifModel):
         return log_pdf, cdf
 
     def _gate_logits(self, h: Tensor) -> Tensor:
-        return tadd(h @ self.gate_w, self.gate_b.reshape(1, self.n_risks * self.config.k))
+        return tadd(h @ self.gate_w, self.gate_b)
 
     def _mixture(self, u_col: Tensor, h: Tensor):
         """Log gates, component log densities and component CDFs, each (nb, R*k)."""
@@ -198,13 +196,11 @@ class DsmModel(CifModel):
         def valid_nll(x):
             return _covariate_free_nll(cfg.distribution, x.reshape(shape), *valid_rows)[0]
 
-        start = np.concatenate([p.data for p in self.base_a + self.base_b] + [self.gate_b.data])
+        moved = (self.base_a, self.base_b, self.gate_b)
+        start = np.concatenate([p.data for p in moved])
         best, iters, stop = _bfgs(objective, valid_nll, start, cfg.warmup_iters)
-        base_a, base_b, gate_b = best.reshape(shape)
-        for r in range(self.n_risks):
-            self.base_a[r].data[...] = base_a[r]
-            self.base_b[r].data[...] = base_b[r]
-        self.gate_b.data[...] = gate_b.ravel()
+        for p, value in zip(moved, best.reshape(3, -1)):
+            p.data[...] = value
         return iters, stop
 
     # -- prediction -------------------------------------------------------------

@@ -279,6 +279,23 @@ def test_train_bad_features_csv_cell_exit_3(tmp_path, capsys):
     assert f"{feats}:4:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["dsm", "nfg", "deephit"])
+def test_train_on_five_subjects_exit_3(tmp_path, capsys, kind):
+    # 10% of 5 subjects rounds to no validation rows for early stopping
+    doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
+    main(["synth", "--config", _write_config(tmp_path, doc, "synth.json")])
+    lines = (tmp_path / "out" / "cohort.csv").read_text().splitlines()[:6]
+    assert {line.split(",")[2] for line in lines[1:]} == {"0", "1", "2"}
+    path = tmp_path / "five.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = {**DESK_CV, "data": {"cohort_csv": str(path)},
+           "model": {"kind": kind, "extras": {"max_epochs": 1}},
+           "output": {"dir": str(tmp_path / "out")}}
+    capsys.readouterr()
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 3
+    assert "validation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_unknown_model_extras_key_exit_2(tmp_path, capsys, command):
     doc = {**DESK_CV, "model": {"kind": "dsm", "extras": {"bogus": 3}},

@@ -535,7 +535,7 @@ def test_dsm_warmup_values_reach_the_main_graph(monkeypatch):
     assert list(fast) == list(ref)
     for name in fast:
         assert fast[name].tobytes() == ref[name].tobytes(), name
-    assert any(not np.array_equal(ref[name], unwarmed[name]) for name in ref if ".base_" in name)
+    assert any(not np.array_equal(ref[name], unwarmed[name]) for name in ("base_a", "base_b"))
 
 
 def test_dropout_eval_mode_is_identity():
@@ -877,3 +877,21 @@ def test_nfg_training_step_tape_has_57_interior_nodes_for_any_risk_count(n_risks
     # and 183 at R=4.
     m, x, t, e = _nfg_batch(64, 5, 16, 4, n_risks=n_risks)
     assert _interior_nodes(m._loss(x, t, e, None, training=True)) == 57
+
+
+@pytest.mark.parametrize("distribution, nodes", [("weibull", 39), ("lognormal", 40)])
+@pytest.mark.parametrize("n_risks", [2, 3])
+def test_dsm_training_step_tape_has_39_or_40_interior_nodes_for_any_risk_count(
+        n_risks, distribution, nodes):
+    # 3 in the encoder; 4 for the components' base plus shifts; 13 (Weibull)
+    # or 14 (log-normal) for the log densities and CDFs; 4 for the log
+    # gates; 9 for the mixture likelihood and survival, 6 in `_nll`
+    from riskbench.models import DsmConfig, DsmModel
+
+    m = DsmModel(DsmConfig(layers=2, nodes=16, k=3, distribution=distribution))
+    m.n_risks, m.d, m.t_scale = n_risks, 5, 10.0
+    m._build(np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    x, t = rng.normal(size=(64, 5)), rng.uniform(0.0, 10.0, size=64)
+    e = rng.integers(0, n_risks + 1, size=64)
+    assert _interior_nodes(m._loss(x, t, e, None, training=True)) == nodes

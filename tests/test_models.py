@@ -341,10 +341,10 @@ def test_model_loss_gradients_match_finite_differences(kind):
 def test_dsm_single_component_matches_weibull_closed_form():
     m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=1, nodes=4), d=3, n_risks=2)
     # freeze: shape=2, scale=3, no encoder shifts; the gate pi_1(x) weighs it
-    m.graph.params["risk0.base_a"].data[...] = inv_softplus(2.0)
-    m.graph.params["risk0.base_b"].data[...] = inv_softplus(3.0)
-    m.graph.params["risk0.head_a"].data[...] = 0.0
-    m.graph.params["risk0.head_b"].data[...] = 0.0
+    m.graph.params["base_a"].data[:1] = inv_softplus(2.0)  # risk 1's column
+    m.graph.params["base_b"].data[:1] = inv_softplus(3.0)
+    m.graph.params["head_a"].data[:, :1] = 0.0
+    m.graph.params["head_b"].data[:, :1] = 0.0
     m.graph.params["gate_b"].data[...] = [0.3, -0.4]
     x = np.random.default_rng(0).normal(size=(5, 3))
     logits = (m.encoder(gc.Tensor(x)).data @ m.graph.params["gate_w"].data
@@ -362,15 +362,33 @@ def test_dsm_lognormal_single_component_closed_form():
 
     m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=1, nodes=4, distribution="lognormal"),
               d=2, n_risks=1)
-    m.graph.params["risk0.base_a"].data[...] = 0.4          # mu
-    m.graph.params["risk0.base_b"].data[...] = inv_softplus(0.9)  # sigma
-    m.graph.params["risk0.head_a"].data[...] = 0.0
-    m.graph.params["risk0.head_b"].data[...] = 0.0
+    m.graph.params["base_a"].data[...] = 0.4          # mu
+    m.graph.params["base_b"].data[...] = inv_softplus(0.9)  # sigma
+    m.graph.params["head_a"].data[...] = 0.0
+    m.graph.params["head_b"].data[...] = 0.0
     x = np.zeros((3, 2))
     for t in (0.3, 1.0, 4.0):
         expected = norm.cdf((np.log(t) - 0.4) / 0.9)
         got = m.cif(x, t, 1)
         assert np.all(np.abs(got - expected) < 1e-10)
+
+
+def test_dsm_stacked_parameters_start_at_the_per_risk_draws():
+    # risk r's columns of each role hold the values its own parameters
+    # drew, risk by risk in the order base_a, base_b, head_a, head_b
+    m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=2, nodes=6), d=3, n_risks=3, seed=5)
+    rng = np.random.default_rng(5)
+    gc.MLP(gc.ParamGraph(), "enc", [3, 6], rng, activation="relu", drop=0.0)
+    for r in range(3):
+        cols = slice(2 * r, 2 * r + 2)
+        want = (inv_softplus(1.0) + rng.normal(0.0, 0.05, size=2),
+                inv_softplus(4.0) + rng.normal(0.0, 0.05, size=2),
+                0.1 * gc.xavier_uniform(rng, 6, 2, (6, 2)),
+                0.1 * gc.xavier_uniform(rng, 6, 2, (6, 2)))
+        got = (m.base_a.data[cols], m.base_b.data[cols], m.head_a.data[:, cols],
+               m.head_b.data[:, cols])
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), r
+    assert m.gate_w.data.tobytes() == gc.xavier_uniform(rng, 6, 6, (6, 6)).tobytes()
 
 
 def _taped_dsm_cif_curves(m, x, times, r):
@@ -395,6 +413,18 @@ def _taped_dsm_cif_curves(m, x, times, r):
     return evaluate_pairs(at, ti, ri).reshape(times.size, n)
 
 
+def _dsm_per_risk_views(m):
+    """Views of every DSM parameter in the graph order of the former
+    per-risk layout: encoder; each risk's base_a, base_b, head_a, head_b
+    columns; gate_w, gate_b."""
+    views = [p.data for name, p in m.graph.params.items() if name.startswith("enc.")]
+    for r in range(m.n_risks):
+        cols = slice(r * m.config.k, (r + 1) * m.config.k)
+        views += [m.base_a.data[cols], m.base_b.data[cols],
+                  m.head_a.data[:, cols], m.head_b.data[:, cols]]
+    return views + [m.gate_w.data, m.gate_b.data]
+
+
 @pytest.mark.parametrize("distribution", ["weibull", "lognormal"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_dsm_cif_curves_bit_equal_to_the_taped_evaluator(distribution, k):
@@ -403,8 +433,10 @@ def test_dsm_cif_curves_bit_equal_to_the_taped_evaluator(distribution, k):
     rng = np.random.default_rng(k)
     m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=k, nodes=6, distribution=distribution),
               d=coh.d, n_risks=2, t_scale=tmax, seed=k)
-    for p in m.graph.params.values():
-        p.data[...] += rng.normal(0.0, 0.5, size=p.data.shape)
+    # drawn per risk (encoder, each risk's columns, gate), which keeps the
+    # perturbed models these cases were written for
+    for view in _dsm_per_risk_views(m):
+        view += rng.normal(0.0, 0.5, size=view.shape)
     # t = 0 twice, times inside the training range and up to 5x past it
     times = np.concatenate([[0.0, 1e-9, 0.0], np.sort(coh.times[:40]),
                             tmax * np.array([1.0, 1.5, 3.0, 5.0])])
@@ -441,7 +473,7 @@ def test_dsm_recovers_base_shape_on_single_risk_data():
     m.fit(coh, seed=6)
     # beta is zero, so evaluate the fitted shape at typical covariates
     h = m.encoder(gc.Tensor(coh.features[:200]))
-    a = m.base_a[0].data + (h.data @ m.graph.params["risk0.head_a"].data)
+    a = m.base_a.data + (h.data @ m.graph.params["head_a"].data)
     shapes = np.log1p(np.exp(a))
     assert abs(np.mean(shapes) - true_shape) / true_shape < 0.15
 
@@ -458,15 +490,16 @@ def _dsm_covariate_free(distribution, k, n_risks, seed=0):
     rng = np.random.default_rng(seed + 1)
     m.gate_w.data[...] = 0.0
     m.gate_b.data[...] = rng.normal(0.0, 0.7, size=n_risks * k)
+    for name in ("head_a", "head_b"):
+        m.graph.params[name].data[...] = 0.0
     for r in range(n_risks):
-        for name in ("head_a", "head_b"):
-            m.graph.params[f"risk{r}.{name}"].data[...] = 0.0
+        cols = slice(r * k, (r + 1) * k)
         if distribution == "weibull":
             a, b = inv_softplus(1.5), inv_softplus(0.3)
         else:
             a, b = np.log(0.3), inv_softplus(0.4)
-        m.base_a[r].data[...] = a + rng.normal(0.0, 0.1, size=k)
-        m.base_b[r].data[...] = b + rng.normal(0.0, 0.05, size=k)
+        m.base_a.data[cols] = a + rng.normal(0.0, 0.1, size=k)
+        m.base_b.data[cols] = b + rng.normal(0.0, 0.05, size=k)
     n = 40
     t = rng.uniform(0.02, 0.6, size=n)
     e = rng.integers(0, n_risks + 1, size=n)
@@ -480,8 +513,8 @@ def _closed_form(m, t, e):
 
     log_u = np.log(np.maximum(t / m.t_scale, 1e-10))
     member = (e[e > 0] == np.arange(1, m.n_risks + 1)[:, None]).astype(float)
-    params = np.array([[p.data for p in m.base_a], [p.data for p in m.base_b],
-                       m.gate_b.data.reshape(m.n_risks, m.config.k)])
+    params = np.array([p.data.reshape(m.n_risks, m.config.k)
+                       for p in (m.base_a, m.base_b, m.gate_b)])
     return _covariate_free_nll(m.config.distribution, params, log_u[None, e > 0], member,
                                log_u[None, e == 0])
 
@@ -499,7 +532,7 @@ def test_dsm_covariate_free_nll_matches_tape_likelihood(distribution, k, n_risks
     loss.backward()
     value, grad = _closed_form(m, t, e)
     assert abs(value - loss.item()) <= 1e-12 * abs(loss.item())
-    tape = np.concatenate([p.grad for p in m.base_a + m.base_b] + [m.gate_b.grad])
+    tape = np.concatenate([p.grad for p in (m.base_a, m.base_b, m.gate_b)])
     assert np.max(np.abs(grad.ravel() - tape)) <= 1e-12 * np.max(np.abs(tape))
 
 
@@ -508,18 +541,16 @@ def test_dsm_covariate_free_gradient_matches_finite_differences(distribution):
     m, _x, t, e = _dsm_covariate_free(distribution, k=3, n_risks=2, seed=5)
     _, grad = _closed_form(m, t, e)
     step = 1e-6
-    for params, grads in ((m.base_a, grad[0]), (m.base_b, grad[1]),
-                          ([m.gate_b], [grad[2].ravel()])):
-        for p, g in zip(params, grads):
-            for j in range(p.data.size):
-                keep = p.data[j]
-                p.data[j] = keep + step
-                up = _closed_form(m, t, e)[0]
-                p.data[j] = keep - step
-                down = _closed_form(m, t, e)[0]
-                p.data[j] = keep
-                fd = (up - down) / (2 * step)
-                assert abs(fd - g[j]) <= 1e-6 * max(1.0, abs(g[j])), (j, fd, g[j])
+    for p, g in zip((m.base_a, m.base_b, m.gate_b), grad.reshape(3, -1)):
+        for j in range(p.data.size):
+            keep = p.data[j]
+            p.data[j] = keep + step
+            up = _closed_form(m, t, e)[0]
+            p.data[j] = keep - step
+            down = _closed_form(m, t, e)[0]
+            p.data[j] = keep
+            fd = (up - down) / (2 * step)
+            assert abs(fd - g[j]) <= 1e-6 * max(1.0, abs(g[j])), (j, fd, g[j])
 
 
 @pytest.mark.parametrize("iters", [0, 40])
@@ -532,7 +563,7 @@ def test_dsm_warmup_steps_only_base_parameters(iters):
     after = m.graph.named_arrays()
     for name in before:
         moved = not np.array_equal(before[name], after[name])
-        assert moved == (iters > 0 and (".base_" in name or name == "gate_b")), name
+        assert moved == (iters > 0 and name in ("base_a", "base_b", "gate_b")), name
     assert all(np.all(p.grad == 0.0) for p in m.graph.params.values())
     assert (ran, stop) == (0, "none") if iters == 0 else 0 < ran <= iters
 
@@ -628,6 +659,17 @@ def test_dsm_load_rejects_checkpoint_with_per_risk_gates(tmp_path, old_config):
         sidecar.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="warmup_lr" if old_config else "'gate_w'"):
         DsmModel.load(path)
+    if not old_config:
+        # checkpoints from before the stacked roles held each risk's base
+        # and shift parameters apart, as risk{r}.base_a, ...
+        arrays = m.graph.named_arrays()
+        for name in ("base_a", "base_b", "head_a", "head_b"):
+            stacked = arrays.pop(name)
+            for r in range(2):
+                arrays[f"risk{r}.{name}"] = stacked[..., 2 * r : 2 * r + 2]
+        gc.save_checkpoint(path, arrays)
+        with pytest.raises(DataError, match="'base_a'"):
+            DsmModel.load(path)
 
 
 def test_dsm_censored_only_rejected():
