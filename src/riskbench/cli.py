@@ -244,6 +244,7 @@ def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
 def _join_features(cohort, features_csv: str):
     """Fuse an external id-keyed feature CSV onto the cohort by subject id."""
     rows: dict[str, list[float]] = {}
+    lines: dict[str, int] = {}
     with open_input(features_csv) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[0] != "id":
@@ -253,6 +254,9 @@ def _join_features(cohort, features_csv: str):
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(header):
                 raise DataError(f"{features_csv}:{lineno}: bad field count")
+            first = lines.setdefault(parts[0], lineno)
+            if first != lineno:
+                raise DataError(f"{features_csv}:{lineno}: id {parts[0]} repeats line {first}")
             try:
                 rows[parts[0]] = [float(v) for v in parts[1:]]
             except ValueError as exc:

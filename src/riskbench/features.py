@@ -155,14 +155,20 @@ def pca_apply(model: PcaModel, data: FeatureMatrix) -> FeatureMatrix:
 
 def fuse_concat(a: FeatureMatrix, b: FeatureMatrix,
                 a_prefix: str = "", b_prefix: str = "") -> FeatureMatrix:
-    """Horizontal concatenation; optional modality prefixes on the names."""
+    """Horizontal concatenation; optional modality prefixes on the names,
+    which must not repeat."""
+    names = [a_prefix + n for n in a.names] + [b_prefix + n for n in b.names]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"duplicate feature column {name!r}")
+        seen.add(name)
     if b.width == 0:
-        return FeatureMatrix(a.data.copy(), [a_prefix + n for n in a.names])
+        return FeatureMatrix(a.data.copy(), names)
     if a.width == 0:
-        return FeatureMatrix(b.data.copy(), [b_prefix + n for n in b.names])
+        return FeatureMatrix(b.data.copy(), names)
     if a.n != b.n:
         raise DataError(f"row mismatch: {a.n} vs {b.n}")
-    names = [a_prefix + n for n in a.names] + [b_prefix + n for n in b.names]
     return FeatureMatrix(np.concatenate([a.data, b.data], axis=1), names)
 
 

@@ -1,11 +1,9 @@
 """Dense float64 tensors with a reverse-mode tape.
 
 An operation with at least one input that requires a gradient records its
-parents and a backward closure; the tape is rebuilt on each forward pass.
-A closure holds the op's inputs and arrays, never its output tensor, so a
-tape has no reference cycles and is freed as soon as its result is dropped,
-without the cyclic garbage collector. An operation none of whose inputs
-requires a gradient records neither, so evaluating under
+parents and a backward closure, built by `_node`, which states the rules of
+the tape; the tape is rebuilt on each forward pass. An operation none of
+whose inputs requires a gradient records neither, so evaluating under
 `ParamGraph.no_grad()` builds no tape. Gradients accumulate into leaf
 tensors that were created with requires_grad=True, so repeated backward()
 calls without zeroing add up. Single-threaded use of a graph is assumed.
@@ -14,8 +12,7 @@ Interior nodes get no zero-filled gradient buffers. A sweep clears their
 gradients; a node's first contribution becomes its buffer and later ones
 add into it in place. A contribution is copied instead, into a buffer
 laid out like the node's data, when it is a view (reshape, transpose,
-concat slice, broadcast), is laid out differently, or is also handed to
-another parent, as `add` hands its incoming gradient to both operands. A
+concat slice, broadcast), is laid out differently, or is not owned. A
 node drops its buffer once its closure has run (a parent may have taken
 it over), so the sweep reuses freed memory and afterwards only leaves
 hold gradients. Buffers are laid out as zero-filled ones were, so
@@ -33,8 +30,9 @@ gradients. Assigning keeps a -0 that 0 + g would turn to +0, which by the
 argument above leaves leaf gradients unchanged.
 
 `affine` and `layer_norm` each record one node for a chain of two or three
-(`matmul`, `add`; normalize, `mul`, `add`) and run the chain's array
-operations in its order, so values and leaf gradients are bit-equal to it.
+(`matmul`, `add`; normalize, `mul`, `add`) and compute its values and
+contributions with the chain's array operations, so values and leaf
+gradients are bit-equal to it.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ def logistic(x: np.ndarray) -> np.ndarray:
 
 def _accumulate(t: "Tensor", g, owned: bool = True) -> None:
     """Add the contribution `g` into `t.grad` by the rules in the module
-    docstring; `owned=False` marks a `g` that another parent also receives."""
+    docstring; `owned=False` marks a `g` that `t` must not take over."""
     if t.grad is not None:
         t.grad += g
     elif (owned and type(g) is np.ndarray and g.base is None
@@ -301,55 +299,50 @@ class ParamGraph:
 # ---------------------------------------------------------------------------
 
 
+def _node(data, parents: tuple, grads: tuple) -> Tensor:
+    """Record `data` as the result of an op on `parents`; every taped op
+    builds its output here.
+
+    `grads[i](g)` is parent i's contribution, given the node's gradient g.
+    In the sweep, each parent that requires a gradient, in parent order,
+    gets its contribution summed down to its shape and handed to
+    `_accumulate`. A contribution is g itself, a view or a new array, and
+    the first parent that receives g may take it over as its buffer, so a
+    later parent that receives g too gets it as not owned and copies it.
+    The contribution functions hold the op's inputs and arrays, never its
+    output tensor, so a tape has no reference cycles and is freed as soon
+    as its result is dropped, without the cyclic garbage collector.
+    """
+    def backward(g):
+        handed = False  # whether a parent has received g itself
+        for p, grad in zip(parents, grads):
+            if p.requires_grad:
+                c = _unbroadcast(grad(g), p.data.shape)
+                _accumulate(p, c, owned=c is not g or not handed)
+                handed = handed or c is g
+
+    return Tensor(data, _parents=parents, _backward=backward)
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(g):
-        ga = None
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            _accumulate(a, ga)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            _accumulate(b, gb, owned=gb is not ga)
-
-    return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
+    return _node(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
+    return _node(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
+    return _node(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
+    return _node(a.data / b.data, (a, b),
+                 (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -362,99 +355,53 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_matmul(a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
-
-    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
+    return _node(a.data @ b.data, (a, b), (lambda g: g @ b.data.swapaxes(-1, -2),
+                                           lambda g: a.data.swapaxes(-1, -2) @ g))
 
 
 def affine(x, w, b) -> Tensor:
     """x @ w + b in one node, b broadcast over rows and added in place; the
-    backward takes the bias sum, then `matmul`'s two products."""
+    backward takes `matmul`'s two products, then the bias sum."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_matmul(x, w)
     out = x.data @ w.data
     out += b.data
-
-    def bwd(g):
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-        if x.requires_grad:
-            _accumulate(x, _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
-        if w.requires_grad:
-            _accumulate(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
-
-    return Tensor(out, _parents=(x, w, b), _backward=bwd)
+    return _node(out, (x, w, b), (lambda g: g @ w.data.swapaxes(-1, -2),
+                                  lambda g: x.data.swapaxes(-1, -2) @ g, lambda g: g))
 
 
 def texp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * y)
-
-    return Tensor(y, _parents=(a,), _backward=bwd)
+    return _node(y, (a,), (lambda g: g * y,))
 
 
 def tlog(a) -> Tensor:
     a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g / a.data)
-
-    return Tensor(np.log(a.data), _parents=(a,), _backward=bwd)
+    return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - y * y))
-
-    return Tensor(y, _parents=(a,), _backward=bwd)
+    return _node(y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0.0))
-
-    return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
+    return _node(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably; derivative is the logistic sigmoid."""
     a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * logistic(a.data))
-
-    return Tensor(np.logaddexp(0.0, a.data), _parents=(a,), _backward=bwd)
+    return _node(np.logaddexp(0.0, a.data), (a,), (lambda g: g * logistic(a.data),))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     y = logistic(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * y * (1.0 - y))
-
-    return Tensor(y, _parents=(a,), _backward=bwd)
+    return _node(y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
 def terf(a) -> Tensor:
@@ -462,23 +409,14 @@ def terf(a) -> Tensor:
 
     a = as_tensor(a)
     two_over_sqrt_pi = 2.0 / np.sqrt(np.pi)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * two_over_sqrt_pi * np.exp(-a.data * a.data))
-
-    return Tensor(erf(a.data), _parents=(a,), _backward=bwd)
+    return _node(erf(a.data), (a,),
+                 (lambda g: g * two_over_sqrt_pi * np.exp(-a.data * a.data),))
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(x, floor); gradient flows only where x > floor."""
     a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > floor))
-
-    return Tensor(np.maximum(a.data, floor), _parents=(a,), _backward=bwd)
+    return _node(np.maximum(a.data, floor), (a,), (lambda g: g * (a.data > floor),))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -486,13 +424,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        if a.requires_grad:
-            inner = (g * s).sum(axis=axis, keepdims=True)
-            _accumulate(a, s * (g - inner))
-
-    return Tensor(s, _parents=(a,), _backward=bwd)
+    return _node(s, (a,), (lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)),))
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -503,28 +435,15 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     val = m + np.log(se)
     if not keepdims:
         val = np.squeeze(val, axis=axis)
-
-    def bwd(g):
-        if a.requires_grad:
-            gg = g if keepdims else np.expand_dims(g, axis=axis)
-            _accumulate(a, gg * (e / se))
-
-    return Tensor(val, _parents=(a,), _backward=bwd)
+    return _node(val, (a,),
+                 (lambda g: (g if keepdims else np.expand_dims(g, axis=axis)) * (e / se),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-
-    def bwd(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis=axis)
-            _accumulate(a, np.broadcast_to(gg, a.data.shape))
-
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd)
+    squeezed = axis is not None and not keepdims
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), (lambda g: np.broadcast_to(
+        np.expand_dims(g, axis=axis) if squeezed else g, a.data.shape),))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -535,59 +454,41 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), _parents=(a,), _backward=bwd)
+    return _node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.data.shape),))
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            inv = None if axes is None else sorted(range(len(axes)),
-                                                   key=lambda i: axes[i] % len(axes))
-            _accumulate(a, g.transpose(inv))
-
-    return Tensor(a.data.transpose(axes), _parents=(a,), _backward=bwd)
+    return _node(a.data.transpose(axes), (a,), (lambda g: g.transpose(
+        None if axes is None else sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))),))
 
 
 def index(a, key) -> Tensor:
     """`a.data[key]` for any numpy key; `Tensor.__getitem__` calls this."""
     a = as_tensor(a)
-    basic = all(k is None or k is Ellipsis or type(k) is slice
-                or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-                for k in (key if type(key) is tuple else (key,)))
+    return _node(a.data[key], (a,), (lambda g: _scatter(g, key, a.data),))
 
-    def bwd(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            if basic:  # selects no entry twice
-                ga[key] = g
-            else:
-                np.add.at(ga, key, g)
-            _accumulate(a, ga)
 
-    return Tensor(a.data[key], _parents=(a,), _backward=bwd)
+def _scatter(g, key, like: np.ndarray) -> np.ndarray:
+    """A zero array like `like` with `g` at `key`: assigned for a basic key,
+    which selects no entry twice, and summed with `np.add.at` otherwise."""
+    out = np.zeros_like(like)
+    if all(k is None or k is Ellipsis or type(k) is slice
+           or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+           for k in (key if type(key) is tuple else (key,))):
+        out[key] = g
+    else:
+        np.add.at(out, key, g)
+    return out
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)])
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  _parents=tuple(tensors), _backward=bwd)
+    tensors = tuple(as_tensor(t) for t in tensors)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    before = (slice(None),) * (axis % out.ndim)  # the axes ahead of `axis`
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    return _node(out, tensors, tuple(lambda g, piece=before + (slice(lo, hi),): g[piece]
+                                     for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
 def layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
@@ -602,19 +503,15 @@ def layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
     y = centered * inv
     out = y * gain.data
     out += shift.data
+    return _node(out, (a, gain, shift), (lambda g: _normalize_grad(g * gain.data, y, inv, n),
+                                         lambda g: g * y, lambda g: g))
 
-    def bwd(g):
-        if shift.requires_grad:
-            _accumulate(shift, _unbroadcast(g, shift.data.shape))
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * y, gain.data.shape))
-        if a.requires_grad:
-            gy = g * gain.data
-            gm = gy.sum(axis=-1, keepdims=True) / n
-            gym = (gy * y).sum(axis=-1, keepdims=True) / n
-            _accumulate(a, inv * (gy - gm - y * gym))
 
-    return Tensor(out, _parents=(a, gain, shift), _backward=bwd)
+def _normalize_grad(gy: np.ndarray, y: np.ndarray, inv: np.ndarray, n: int) -> np.ndarray:
+    """The gradient of y = (a - mean) * inv with respect to a, given gy."""
+    gm = gy.sum(axis=-1, keepdims=True) / n
+    gym = (gy * y).sum(axis=-1, keepdims=True) / n
+    return inv * (gy - gm - y * gym)
 
 
 def dropout(a, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -625,12 +522,7 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool = True) -> Ten
     if not training or p == 0.0:
         return a
     mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * mask)
-
-    return Tensor(a.data * mask, _parents=(a,), _backward=bwd)
+    return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
 def sdpa(q, k, v) -> Tensor:

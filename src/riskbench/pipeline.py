@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -293,6 +294,31 @@ def run_fold(payload: tuple) -> dict:
             "audit_fits": audit.fits, "leaks": audit.leaks}
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pool_map(fn, items: list, workers: int) -> list:
+    """`[fn(x) for x in items]` on `workers` spawned processes that share
+    this process's CPUs: each BLAS thread variable the user has not set
+    reads max(1, CPUs // workers) in the children, which load numpy after
+    it is set. This process's environment is restored afterwards."""
+    # imported here so that serial runs load neither concurrent.futures
+    # nor multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    share = str(max(1, len(os.sched_getaffinity(0)) // workers))
+    os.environ.update(dict.fromkeys(unset, share))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for var in unset:
+            del os.environ[var]
+
+
 def nested_cv(cohort: Cohort, model_kind: str, grid: HParamGrid | None = None,
               k: int = 5, seed: int = 0, settings: CvSettings | None = None,
               workers: int = 1) -> CVReport:
@@ -310,12 +336,7 @@ def nested_cv(cohort: Cohort, model_kind: str, grid: HParamGrid | None = None,
     payloads = [(cohort, folds[f].ids, model_kind, grid, settings, seed, f)
                 for f in range(k)]
     if workers > 1:
-        # imported here so that serial runs load neither concurrent.futures
-        # nor multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_fold, payloads))
+        results = _pool_map(run_fold, payloads, workers)
     else:
         results = [run_fold(p) for p in payloads]
     results.sort(key=lambda r: r["fold"])

@@ -211,6 +211,17 @@ def test_cv_workers_flag_value_identical(tmp_path):
     assert one == two
 
 
+def test_cv_workers_report_value_equal_at_one_and_two_blas_threads(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, DESK_CV)
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"blas{threads}"
+        assert main(["cv", "--config", cfg, "--workers", "2", "--set", f"output.dir={out}"]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["report"])
+    assert reports[0] == reports[1]
+
+
 def test_make_volumes_roundtrip(tmp_path):
     doc = {"seed": 9, "mae": {"n_phantoms": 3, "dims": [30, 20, 20, 2]}}
     cfg = _write_config(tmp_path, doc)
@@ -277,6 +288,24 @@ def test_train_bad_features_csv_cell_exit_3(tmp_path, capsys):
            "output": {"dir": str(tmp_path / "out")}}
     assert main(["train", "--config", _write_config(tmp_path, doc)]) == 3
     assert f"{feats}:4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, repeat, message", [
+    ("id,f1", True, ":5: id s000002 repeats line 4"),
+    ("id,x1", False, "duplicate feature column 'x1'"),
+], ids=["repeated id", "cohort column name"])
+def test_train_features_csv_that_would_overwrite_or_shadow_data_exit_3(
+        tmp_path, capsys, header, repeat, message):
+    feats = tmp_path / "feats.csv"
+    rows = [header] + [f"s{i:06d},{0.1 * i}" for i in range(150)]
+    if repeat:
+        rows.insert(4, "s000002,9.5")
+    feats.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    doc = {**DESK_CV, "data": {**DESK_CV["data"], "features_csv": str(feats)},
+           "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["dsm", "nfg", "deephit"])

@@ -169,3 +169,11 @@ def test_fuse_row_mismatch_errors():
     b = FeatureMatrix(np.zeros((6, 2)), ["c", "d"])
     with pytest.raises(DataError, match="5 vs 6"):
         fuse_concat(a, b)
+
+
+def test_fuse_duplicate_column_name_errors():
+    a = FeatureMatrix(np.zeros((5, 2)), ["x1", "x2"])
+    b = FeatureMatrix(np.ones((5, 2)), ["e1", "x2"])
+    with pytest.raises(DataError, match="duplicate feature column 'x2'"):
+        fuse_concat(a, b)
+    assert fuse_concat(a, b, b_prefix="emb:").names == ["x1", "x2", "emb:e1", "emb:x2"]

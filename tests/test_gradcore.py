@@ -110,17 +110,15 @@ AUDIT_ROWS = {
     "layer_norm": ["layer_norm"], "softmax": ["softmax"], "logsumexp": ["logsumexp"],
     "affine": ["affine"],
     "index": ["index_slice", "index_gather"], "div": ["div"], "clamp_min": ["clamp_min"],
+    "add": ["add_shared"], "sub": ["sub_shared"], "concat": ["concat_twice"],
 }
 
 # Taped ops audited by another finite-difference test instead of a row.
 COVERED_BY = {
-    "add": "test_broadcast_add_and_mul_gradients",
     "mul": "test_broadcast_add_and_mul_gradients",
-    "sub": "test_mlp_matches_finite_differences",
     "matmul": "test_mlp_matches_finite_differences",
     "tsum": "test_each_primitive_matches_finite_differences",  # every row's loss
     "tmean": "test_each_primitive_matches_finite_differences",  # every row's loss
-    "concat": "test_concat_and_slicing_gradients",
     "reshape": "test_attention_block_matches_finite_differences",
     "transpose": "test_attention_block_matches_finite_differences",
     "sdpa": "test_attention_block_matches_finite_differences",
@@ -135,6 +133,13 @@ def _widest_gap_midpoint(values: np.ndarray) -> float:
     s = np.sort(values, axis=None)
     i = int(np.argmax(np.diff(s)))
     return float(s[i] + s[i + 1]) / 2.0
+
+
+def _shared_gradient(op, t):
+    """`op(u, v)` hands one gradient to the interior nodes u and v, and each
+    of them also gets a contribution from `mul(u, v)` after that."""
+    u, v = gc.tanh(t), gc.sigmoid(t)
+    return gc.mul(op(u, v), gc.mul(u, v))
 
 
 @pytest.mark.parametrize("op_name", [row for rows in AUDIT_ROWS.values() for row in rows])
@@ -158,6 +163,10 @@ def test_each_primitive_matches_finite_differences(op_name):
         "div": lambda t: gc.div(t, gc.add(gc.mul(t, t), 1.0)),
         # the floor is fixed before the audit, far from every entry of p
         "clamp_min": lambda t: gc.clamp_min(t, floor),
+        "add_shared": lambda t: _shared_gradient(gc.add, t),
+        "sub_shared": lambda t: _shared_gradient(gc.sub, t),
+        # one operand twice: both slices of the gradient reach u
+        "concat_twice": lambda t: gc.concat([gc.tanh(t[:, :3])] * 2, axis=1),
     }
     g = gc.ParamGraph()
     p = g.parameter("p", rng.normal(size=(4, 6)))
@@ -890,6 +899,22 @@ def test_dsm_training_step_tape_has_39_or_40_interior_nodes_for_any_risk_count(
 
     m = DsmModel(DsmConfig(layers=2, nodes=16, k=3, distribution=distribution))
     m.n_risks, m.d, m.t_scale = n_risks, 5, 10.0
+    m._build(np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    x, t = rng.normal(size=(64, 5)), rng.uniform(0.0, 10.0, size=64)
+    e = rng.integers(0, n_risks + 1, size=64)
+    assert _interior_nodes(m._loss(x, t, e, None, training=True)) == nodes
+
+
+@pytest.mark.parametrize("n_risks, alpha, nodes",
+                         [(2, 0.1, 38), (2, 0.0, 25), (3, 0.1, 41), (3, 0.0, 28)])
+def test_deephit_training_step_tape_interior_node_count(n_risks, alpha, nodes):
+    # 3 in the encoder; 3 per risk head, 2 concats and the joint softmax;
+    # 13 for the likelihood; 13 more for the ranking penalty when alpha > 0
+    from riskbench.models import DeepHitConfig, DeepHitModel
+
+    m = DeepHitModel(DeepHitConfig(layers=2, nodes=16, bins=5, alpha=alpha))
+    m.n_risks, m.d, m.t_scale, m.edges = n_risks, 5, 10.0, np.linspace(2.0, 10.0, 5)
     m._build(np.random.default_rng(4))
     rng = np.random.default_rng(5)
     x, t = rng.normal(size=(64, 5)), rng.uniform(0.0, 10.0, size=64)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,7 @@ from riskbench.pipeline import (
     FoldResult,
     HParamGrid,
     _mean_valid_ctd,
+    _pool_map,
     child_seed,
     emit_report,
     nested_cv,
@@ -395,3 +398,14 @@ def test_emit_report_single_report_single_row():
     markdown, doc = emit_report([rep])
     assert len(doc["rows"]) == 1
     assert markdown.count("\n") == 3  # header, separator, one data row
+
+
+def test_pool_jobs_split_the_cpus_between_blas_libraries_the_user_left_unset(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    seen = _pool_map(os.getenv, ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], 2)
+    share = str(max(1, len(os.sched_getaffinity(0)) // 2))
+    assert seen == ["3", share, share]
+    assert dict(os.environ) == before
