@@ -427,13 +427,17 @@ def open_input(path, newline: str | None = None):
 
 
 def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:
+    """Read `id,time,event,<features>` rows; a repeated id or feature column is a DataError."""
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:3] != ["id", "time", "event"]:
             raise DataError(f"{path}: expected header starting 'id,time,event'")
         feature_names = header[3:]
-        ids, times, events, rows = [], [], [], []
+        for i, name in enumerate(feature_names):
+            if name in feature_names[:i]:
+                raise DataError(f"{path}: feature column '{name}' repeats")
+        lines, times, events, rows = {}, [], [], []  # lines: id -> its line
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
@@ -443,11 +447,13 @@ def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:
                 rows.append([float(v) for v in row[3:]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-            ids.append(row[0])
+            first = lines.setdefault(row[0], lineno)
+            if first != lineno:
+                raise DataError(f"{path}:{lineno}: id {row[0]} repeats line {first}")
     if risk_names is None:
         risk_names = [f"risk_{r + 1}" for r in range(max(events, default=0))]
     features = np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_names))
-    return Cohort(ids, features, times, events, risk_names, feature_names)
+    return Cohort(list(lines), features, times, events, risk_names, feature_names)
 
 
 def records_from_csv(path) -> list[DiagnosisRecord]:

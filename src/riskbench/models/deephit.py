@@ -1,11 +1,13 @@
 """Discrete-time joint model over (time-bin, risk) masses.
 
 Observed times are quantized into L quantile bins; a shared encoder feeds
-per-risk subnetworks (which also see the raw covariates) whose stacked
-logits pass through one joint softmax, so all L*R masses sum to one. The
-CIF is the running sum of a risk's bin masses. The loss is the discrete
-likelihood plus an optional pairwise ranking penalty on the CIF, factored
-over risks.
+R risk heads, which also see the raw covariates. The heads are four
+parameters stacked on a leading risk axis, `head.w1` (R, width+d, nodes),
+`head.b1` (R, 1, nodes), `head.w2` (R, nodes, L) and `head.b2` (R, 1, L),
+so one pass covers every risk; its risk-major logits go through one joint
+softmax, so all L*R masses sum to one. The CIF is the running sum of a
+risk's bin masses. The loss is the discrete likelihood plus an optional
+pairwise ranking penalty on the CIF, factored over risks.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gradcore import (
-    MLP,
     Tensor,
+    affine,
     concat,
+    dropout,
     matmul,
     mul,
+    relu,
     softmax,
     texp,
+    transpose,
     tsum,
+    xavier_uniform,
 )
 from ..gradcore import add as tadd
 from .base import BaseConfig, CifModel
@@ -71,9 +77,6 @@ class DeepHitModel(CifModel):
     kind = "deephit"
     config_class = DeepHitConfig
     edges = np.array([])  # upper bin edges, strictly increasing; set by _prepare
-    # y @ running_cif is each risk's running CIF, one upper triangle per risk;
-    # built by the first ranking penalty and kept while R and L hold
-    running_cif = np.zeros((0, 0))
 
     # -- discretization ------------------------------------------------------
 
@@ -106,21 +109,26 @@ class DeepHitModel(CifModel):
     # -- network ---------------------------------------------------------------
 
     def _build_heads(self, rng: np.random.Generator, width: int) -> None:
-        cfg = self.config
-        self.heads = [
-            MLP(self.graph, f"head{r}", [width + self.d, cfg.nodes, self.n_bins], rng,
-                activation="relu", drop=cfg.dropout)
-            for r in range(self.n_risks)
-        ]
+        R, L, nodes = self.n_risks, self.n_bins, self.config.nodes
+        # drawn risk by risk, each head's w1 then its w2; then stacked
+        fans = [(width + self.d, nodes), (nodes, L)]
+        draws = [[xavier_uniform(rng, a, b, (a, b)) for a, b in fans] for _ in range(R)]
+        w1, w2 = (np.stack(ws) for ws in zip(*draws))
+        param = self.graph.parameter
+        self.head = (param("head.w1", w1), param("head.b1", np.zeros((R, 1, nodes))),
+                     param("head.w2", w2), param("head.b2", np.zeros((R, 1, L))))
+        # y @ running_cif is each risk's running CIF, one upper triangle per risk
+        self.running_cif = np.kron(np.eye(R), np.triu(np.ones((L, L))))
 
     def _masses(self, x: np.ndarray, rng, training) -> Tensor:
         """Joint softmax masses, shape (n, R * L), risk-major."""
         xt = Tensor(x)
         h = self.encoder(xt, rng=rng, training=training)
-        hx = concat([h, xt], axis=-1)
-        logits = concat([head(hx, rng=rng, training=training) for head in self.heads],
-                        axis=-1)
-        return softmax(logits, axis=-1)
+        w1, b1, w2, b2 = self.head
+        hidden = relu(affine(concat([h, xt], axis=-1), w1, b1))  # (R, n, nodes)
+        hidden = dropout(hidden, self.config.dropout, rng, training)
+        logits = transpose(affine(hidden, w2, b2), (1, 0, 2))  # (n, R, L)
+        return softmax(logits.reshape(x.shape[0], -1), axis=-1)
 
     # -- loss ---------------------------------------------------------------------
 
@@ -165,8 +173,6 @@ class DeepHitModel(CifModel):
             return None
         weight = (1.0 / np.where(pairs > 0, pairs, np.inf))[risk]
         cols = risk * L + bins[ev] - 1
-        if self.running_cif.shape != (R * L, R * L):
-            self.running_cif = np.kron(np.eye(R), np.triu(np.ones((L, L))))
         cum = matmul(y, Tensor(self.running_cif))  # C, (nb, R*L)
         inv = 1.0 / self.config.sigma
         later_sum = matmul(Tensor(later), texp(mul(cum, inv)))[np.arange(ev.size), cols]

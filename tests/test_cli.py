@@ -308,6 +308,32 @@ def test_train_features_csv_that_would_overwrite_or_shadow_data_exit_3(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeat_id, message", [
+    (True, ":6: id s000002 repeats line 4"),
+    (False, ": feature column 'x1' repeats"),
+], ids=["repeated id", "repeated feature column"])
+def test_train_cohort_csv_with_a_repeated_id_or_feature_column_exit_3(
+        tmp_path, capsys, repeat_id, message):
+    doc = {**DESK_CV, "output": {"dir": str(tmp_path / "synth")}}
+    main(["synth", "--config", _write_config(tmp_path, doc, "synth.json")])
+    lines = (tmp_path / "synth" / "cohort.csv").read_text().splitlines()
+    if repeat_id:  # line 6 takes line 4's id
+        lines[5] = "s000002," + lines[5].split(",", 1)[1]
+    else:
+        assert lines[0] == "id,time,event,x1,x2,x3,x4"
+        lines[0] = "id,time,event,x1,x1,x3,x4"
+    path = tmp_path / "repeats.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    doc = {**DESK_CV, "data": {"cohort_csv": str(path)},
+           "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+           "output": {"dir": str(out)}}
+    capsys.readouterr()
+    assert main(["train", "--config", _write_config(tmp_path, doc)]) == 3
+    assert f"{path}{message}" in capsys.readouterr().err
+    assert not (out / "nfg.rbck").exists()
+
+
 @pytest.mark.parametrize("kind", ["dsm", "nfg", "deephit"])
 def test_train_on_five_subjects_exit_3(tmp_path, capsys, kind):
     # 10% of 5 subjects rounds to no validation rows for early stopping

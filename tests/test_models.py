@@ -934,9 +934,9 @@ def test_deephit_uniform_logits_split_mass_evenly():
     m = _bare(DeepHitModel, _tiny_cfg(DeepHitConfig, bins=15, nodes=4), d=3,
               n_risks=2, t_scale=5.0, edges=np.linspace(0.5, 5.0, 15), seed=4)
     # zero the head output layers: all logits equal -> uniform joint softmax
-    for name, p in m.graph.params.items():
-        if name.startswith("head") and ".l1." in name:
-            p.data[...] = 0.0
+    for r in range(2):
+        m.graph.params["head.w2"].data[r] = 0.0
+        m.graph.params["head.b2"].data[r] = 0.0
     x = np.random.default_rng(0).normal(size=(6, 3))
     for r in (1, 2):
         val = m.cif(x, 5.0, r)
@@ -1052,8 +1052,101 @@ def test_deephit_separable_data_orders_risk_one():
 def test_deephit_heads_consume_embedding_and_raw_features():
     m = _bare(DeepHitModel, _tiny_cfg(DeepHitConfig, bins=6, nodes=8), d=5,
               n_risks=2, edges=np.linspace(1, 6, 6), seed=20)
-    w = m.graph.params["head0.l0.w"]
+    w = m.graph.params["head.w1"].data[0]
     assert w.shape == (8 + 5, 8)  # encoder width + raw feature dim
+
+
+_DEEPHIT_HEAD_LAYERS = (("w1", "l0.w"), ("b1", "l0.b"), ("w2", "l1.w"), ("b2", "l1.b"))
+
+
+def _deephit_per_risk_heads(m):
+    """The former layout: one MLP per risk, head{r}.l0 and head{r}.l1, in a
+    graph of its own, holding copies of risk r's rows of the stacked arrays."""
+    graph = gc.ParamGraph()
+    w1, w2 = m.graph.params["head.w1"].data, m.graph.params["head.w2"].data
+    heads = [gc.MLP(graph, f"head{r}", [w1.shape[1], w1.shape[2], w2.shape[2]],
+                    np.random.default_rng(0), activation="relu", drop=m.config.dropout)
+             for r in range(m.n_risks)]
+    for r in range(m.n_risks):
+        for name, layer in _DEEPHIT_HEAD_LAYERS:
+            view = graph.params[f"head{r}.{layer}"].data
+            view[...] = m.graph.params[f"head.{name}"].data[r].reshape(view.shape)
+    return graph, heads
+
+
+def _deephit_per_risk_masses(m, heads, x, rng, training):
+    """The former forward: each head on [h, x], logits joined, one joint softmax."""
+    xt = gc.Tensor(x)
+    hx = gc.concat([m.encoder(xt, rng=rng, training=training), xt], axis=-1)
+    logits = gc.concat([head(hx, rng=rng, training=training) for head in heads], axis=-1)
+    return gc.softmax(logits, axis=-1)
+
+
+def _deephit_step_bytes(m, x, t, e, head_grads):
+    """Masses and loss of one training step, with every gradient, as bytes."""
+    m.graph.zero_grad()
+    masses = m._masses(x, np.random.default_rng(8), training=True).data
+    loss = m._loss(x, t, e, np.random.default_rng(9), training=True)
+    loss.backward()
+    grads = {name: p.grad.tobytes() for name, p in m.graph.params.items()
+             if name.startswith("enc.")}
+    return masses.tobytes(), loss.data.tobytes(), {**grads, **head_grads()}
+
+
+def test_deephit_stacked_heads_start_at_the_per_risk_draws():
+    cfg = _tiny_cfg(DeepHitConfig, layers=2, nodes=6, bins=4)
+    m = _bare(DeepHitModel, cfg, d=3, n_risks=3, edges=[1.0, 2.0, 3.0, 4.0], seed=11)
+    rng = np.random.default_rng(11)
+    gc.MLP(gc.ParamGraph(), "enc", [3, 6, 6], rng)  # the encoder draws first
+    graph = gc.ParamGraph()
+    for r in range(3):
+        gc.MLP(graph, f"head{r}", [6 + 3, 6, 4], rng)
+    for r in range(3):
+        for name, layer in _DEEPHIT_HEAD_LAYERS:
+            want = graph.params[f"head{r}.{layer}"].data
+            got = m.graph.params[f"head.{name}"].data[r]
+            assert got.reshape(want.shape).tobytes() == want.tobytes(), (r, name)
+
+
+@pytest.mark.parametrize("n_risks", [2, 3])
+def test_deephit_stacked_heads_bit_equal_to_per_risk_mlps(monkeypatch, n_risks):
+    m = _bare(DeepHitModel, _tiny_cfg(DeepHitConfig, layers=2, nodes=16, bins=5, alpha=0.1,
+                                      dropout=0.25),
+              d=5, n_risks=n_risks, t_scale=10.0, edges=np.linspace(2.0, 10.0, 5), seed=4)
+    rng = np.random.default_rng(5)
+    x, t = rng.normal(size=(64, 5)), rng.uniform(0.0, 10.0, size=64)
+    e = rng.integers(0, n_risks + 1, size=64)
+    assert {0, 1, 2} <= set(e)
+    stacked = _deephit_step_bytes(m, x, t, e, lambda: {
+        f"head{r}.{layer}": m.graph.params[f"head.{name}"].grad[r].tobytes()
+        for r in range(n_risks) for name, layer in _DEEPHIT_HEAD_LAYERS})
+    graph, heads = _deephit_per_risk_heads(m)
+    monkeypatch.setattr(m, "_masses", lambda x, rng, training: _deephit_per_risk_masses(
+        m, heads, x, rng, training))
+    graph.zero_grad()
+    per_risk = _deephit_step_bytes(m, x, t, e, lambda: {
+        name: p.grad.tobytes() for name, p in graph.params.items()})
+    assert stacked[0] == per_risk[0] and stacked[1] == per_risk[1]
+    assert sorted(stacked[2]) == sorted(per_risk[2])
+    for name, grad in per_risk[2].items():
+        assert stacked[2][name] == grad, name
+
+
+def test_deephit_load_rejects_checkpoint_with_per_risk_heads(tmp_path):
+    # checkpoints from before the stacked heads held one MLP per risk, as
+    # head{r}.l0.w, head{r}.l0.b, head{r}.l1.w and head{r}.l1.b
+    m = _bare(DeepHitModel, _tiny_cfg(DeepHitConfig, bins=4, nodes=4), d=3, n_risks=2,
+              edges=[1.0, 2.0, 3.0, 4.0])
+    path = tmp_path / "deephit.rbck"
+    m.save(path)
+    arrays = m.graph.named_arrays()
+    for name, layer in _DEEPHIT_HEAD_LAYERS:
+        stacked = arrays.pop(f"head.{name}")
+        for r in range(2):
+            arrays[f"head{r}.{layer}"] = stacked[r].squeeze(0) if name[0] == "b" else stacked[r]
+    gc.save_checkpoint(path, arrays)
+    with pytest.raises(DataError, match="'head.w1'"):
+        load_model(path)
 
 
 def test_paper_facing_defaults():
@@ -1207,10 +1300,12 @@ def test_deephit_loss_with_ranking_penalty_matches_pairwise_form():
 
 
 def _penalty_model(n_risks, n_bins, sigma):
-    """A DeepHit model with bins on 1..n_bins; the penalty reads nothing else."""
+    """A DeepHit model with bins on 1..n_bins, built on one feature; the
+    penalty reads only the bins and the running-CIF matrix the build makes."""
     m = DeepHitModel(DeepHitConfig(sigma=sigma))
-    m.n_risks = n_risks
+    m.n_risks, m.d = n_risks, 1
     m.edges = np.arange(1.0, n_bins + 1.0)
+    m._build(np.random.default_rng(0))
     return m
 
 
@@ -1348,9 +1443,9 @@ def test_deephit_counts_event_and_censored_clamps():
     m = _bare(DeepHitModel, cfg, d=2, n_risks=2, edges=[1.0, 2.0, 3.0, 4.0])
     # constant logits: almost all mass on (risk 1, bin 1), e^-60 elsewhere
     for r in range(2):
-        m.graph.params[f"head{r}.l1.w"].data[...] = 0.0
-        m.graph.params[f"head{r}.l1.b"].data[...] = -30.0
-    m.graph.params["head0.l1.b"].data[0] = 30.0
+        m.graph.params["head.w2"].data[r] = 0.0
+        m.graph.params["head.b2"].data[r] = -30.0
+    m.graph.params["head.b2"].data[0][:, 0] = 30.0
     x = np.zeros((4, 2))
     t = np.array([1.5, 0.5, 0.5, 2.5])  # bins 2, 1, 1, 3
     e = np.array([1, 1, 0, 0])
