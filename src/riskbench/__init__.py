@@ -3,7 +3,7 @@
 Subpackages:
   gradcore  -- dense float64 tensors with reverse-mode autodiff, layers, Adam
   cohort    -- subjects, labeling rules, synthetic generators, splits
-  features  -- standardization, per-category PCA, modality fusion
+  features  -- standardization and per-category PCA on plain arrays
   models    -- DSM, Neural Fine-Gray and DeepHit behind one CIF contract
   metrics   -- time-dependent concordance index
   pipeline  -- nested CV with random hyperparameter search and reporting

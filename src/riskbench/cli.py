@@ -36,14 +36,7 @@ from .cohort import (
     subject_ids,
 )
 from .errors import ConfigError, DataError, NumericError
-from .features import (
-    FeatureMatrix,
-    category_map_from_json,
-    fuse_concat,
-    pca_apply,
-    pca_fit,
-    standardize_fit_apply,
-)
+from .features import category_map_from_json, pca_apply, pca_fit, standardize_fit_apply
 from .mae import (
     MaeConfig,
     MaeModel,
@@ -265,10 +258,9 @@ def _join_features(cohort, features_csv: str):
     missing = [sid for sid in ids if sid not in rows]
     if missing:
         raise DataError(f"{features_csv}: missing features for ids {missing[:5]}")
-    extra = np.array([rows[sid] for sid in ids])
-    base = FeatureMatrix(cohort.features, list(cohort.feature_names))
-    fused = fuse_concat(base, FeatureMatrix(extra, names))
-    return cohort.with_features(fused.data, fused.names)
+    extra = np.array([rows[sid] for sid in ids]).reshape(len(ids), len(names))
+    return cohort.with_features(np.concatenate([cohort.features, extra], axis=1),
+                                cohort.feature_names + names)
 
 
 def _model_spec(doc: dict) -> tuple[str, dict]:
@@ -277,16 +269,19 @@ def _model_spec(doc: dict) -> tuple[str, dict]:
     return model.get("kind", "dsm"), model.get("extras") or {}
 
 
-def _cv_settings(doc: dict) -> tuple[CvSettings, int, dict]:
+def _cv_settings(doc: dict) -> tuple[CvSettings, int, HParamGrid, str]:
+    """(settings, k, grid, model kind) of a `cv` run; k is `cv.k`, else the
+    preset's (desk 3, full 5)."""
     cv = doc.get("cv", {})
     kind, extras = _model_spec(doc)
-    chosen = {key: cv[key] for key in ("k", "n_iter", "max_epochs", "patience", "modality")
+    chosen = {key: cv[key] for key in ("n_iter", "max_epochs", "patience", "modality")
               if key in cv}
-    preset = CvSettings.desk() if cv.get("preset") == "desk" else CvSettings()
+    desk = cv.get("preset") == "desk"
+    preset = CvSettings.desk() if desk else CvSettings()
     settings = dataclasses.replace(preset, **chosen, **doc.get("features", {}),
                                    extra_fields=extras or None)
     grid = HParamGrid(**{key: tuple(value) for key, value in doc.get("grid", {}).items()})
-    return settings, settings.k, {"grid": grid, "kind": kind}
+    return settings, cv.get("k", 3 if desk else 5), grid, kind
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +338,24 @@ def cmd_features(args) -> int:
                           "fuse": args.fuse, "out": args.out})
     print(f"config_hash={digest}")
     cohort = cohort_from_csv(args.cohort)
-    matrix = FeatureMatrix(cohort.features, list(cohort.feature_names))
-    if args.category_map:
-        matrix.categories = category_map_from_json(args.category_map, matrix.names)
+    matrix, names = cohort.features, cohort.feature_names
+    categories = (category_map_from_json(args.category_map, names)
+                  if args.category_map else None)
     if args.standardize:
-        matrix, _, _ = standardize_fit_apply(matrix)
+        [matrix] = standardize_fit_apply(matrix)
     if args.pca:
-        model = pca_fit(matrix, args.pca)
-        matrix = pca_apply(model, matrix)
+        matrix, names = pca_apply(pca_fit(matrix, args.pca, categories), matrix)
     if args.fuse:
         other = cohort_from_csv(args.fuse)
         if other.ids != cohort.ids:
             raise DataError("fuse: subject ids or order differ between files")
-        matrix = fuse_concat(matrix, FeatureMatrix(other.features, list(other.feature_names)))
+        matrix = np.concatenate([matrix, other.features], axis=1)
+        names = names + other.feature_names
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    cohort_to_csv(cohort.with_features(matrix.data, matrix.names), out)
+    cohort_to_csv(cohort.with_features(matrix, names), out)
     _write_meta(out, "features", digest)
-    print(f"wrote {out} ({matrix.width} feature columns)")
+    print(f"wrote {out} ({len(names)} feature columns)")
     return 0
 
 
@@ -390,14 +385,14 @@ def cmd_cv(args) -> int:
     doc = load_config(args.config, overrides)
     digest = config_hash(doc)
     print(f"config_hash={digest}")
-    settings, k, extras = _cv_settings(doc)
+    settings, k, grid, kind = _cv_settings(doc)
     cohort = _load_cohort(doc)
     if "category_map" in doc.get("data", {}):
         settings.categories = category_map_from_json(doc["data"]["category_map"],
                                                      list(cohort.feature_names))
     if doc.get("cv", {}).get("save_fold_checkpoints", False):
         settings.checkpoint_dir = str(_out_dir(doc))
-    report = nested_cv(cohort, extras["kind"], grid=extras["grid"], k=k,
+    report = nested_cv(cohort, kind, grid=grid, k=k,
                        seed=doc["seed"], settings=settings,
                        workers=doc.get("workers", 1))
     out = _out_dir(doc)

@@ -44,7 +44,8 @@ class Cohort:
 
     Row i is subject `ids[i]`: feature vector `features[i]` (float64,
     shape (n, d)), time `times[i]` (float64, finite and non-negative) and
-    event `events[i]` (int64 in [0, R], 0 meaning right censoring). The
+    event `events[i]` (int64 in [0, R], 0 meaning right censoring). Feature
+    names are unique, so fused blocks cannot shadow each other's columns. The
     constructor copies each array once, validates every row, and marks the
     copies read-only, so no caller can change a cohort through its arrays.
     """
@@ -55,6 +56,10 @@ class Cohort:
         self.risk_names = list(risk_names)
         self.feature_names = list(feature_names)
         n, d, R = len(self._ids), self.d, self.n_risks
+        if len(set(self.feature_names)) != d:
+            name = next(f for j, f in enumerate(self.feature_names)
+                        if f in self.feature_names[:j])
+            raise DataError(f"duplicate feature column {name!r}")
         x = np.array(features, dtype=np.float64)
         t = np.array(times, dtype=np.float64)
         e = np.array(events, dtype=np.int64)

@@ -1,4 +1,9 @@
-"""Feature pipeline: standardization, per-category PCA, modality fusion.
+"""Feature pipeline on plain arrays: standardization and per-category PCA.
+
+Every function takes (n, d) float arrays and returns arrays; the column
+names stay with the `Cohort` that holds the matrix. Fusing two modalities
+is column concatenation through `Cohort.with_features`, which rejects a
+repeated column name.
 
 Fitting functions accept only the training matrix, so parameters can never
 leak information from evaluation rows. PCA diagonalizes each category's
@@ -8,65 +13,32 @@ each component's sign, so repeated fits are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cohort import open_input
 from .errors import DataError
 
 
-@dataclass
-class FeatureMatrix:
-    data: np.ndarray
-    names: list[str]
-    categories: list[str] | None = None
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise DataError(f"feature matrix must be 2-D, got shape {self.data.shape}")
-        if self.data.shape[1] != len(self.names):
-            raise DataError(
-                f"{self.data.shape[1]} columns vs {len(self.names)} names")
-        if self.categories is not None and len(self.categories) != len(self.names):
-            raise DataError("category labels must match column count")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
-class StandardizeParams:
-    mean: np.ndarray
-    std: np.ndarray  # population std; zero for constant columns
-
-
-def standardize_fit_apply(train: FeatureMatrix, others: list[FeatureMatrix] | None = None
-                          ) -> tuple[FeatureMatrix, list[FeatureMatrix], StandardizeParams]:
+def standardize_fit_apply(train: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
     """Zero-mean unit-variance transform fit on the training rows only.
 
-    Constant columns map to zero everywhere. `others` are transformed with
-    the training statistics.
+    Returns `train` and then each of `others` transformed with the training
+    statistics. Constant columns map to zero everywhere.
     """
-    if train.n == 0:
+    if train.shape[0] == 0:
         raise DataError("cannot standardize an empty training matrix")
-    mean = train.data.mean(axis=0)
-    std = train.data.std(axis=0)
-    params = StandardizeParams(mean, std)
-    transformed = [standardize_apply(m, params) for m in [train] + list(others or [])]
-    return transformed[0], transformed[1:], params
-
-
-def standardize_apply(m: FeatureMatrix, params: StandardizeParams) -> FeatureMatrix:
-    safe = np.where(params.std > 0, params.std, 1.0)
-    data = (m.data - params.mean) / safe
-    data[:, params.std == 0] = 0.0
-    return FeatureMatrix(data, list(m.names), m.categories and list(m.categories))
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)  # population std; zero for constant columns
+    safe = np.where(std > 0, std, 1.0)
+    out = []
+    for x in (train, *others):
+        z = (x - mean) / safe
+        z[:, std == 0] = 0.0
+        out.append(z)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +51,7 @@ class CategoryPca:
     mean: np.ndarray
     components: np.ndarray  # (d_cat, m)
     explained: np.ndarray  # all eigenvalues, descending
-    columns: list[int] = field(default_factory=list)
+    columns: list[int]  # the category's columns of the fitted matrix
 
 
 @dataclass
@@ -92,29 +64,33 @@ class PcaModel:
         return sorted(self.per_category)
 
 
-def pca_fit(train: FeatureMatrix, components_per_category: int = 10) -> PcaModel:
-    """Per-category PCA of the training rows.
+def pca_fit(train: np.ndarray, components_per_category: int = 10,
+            categories: list[str] | None = None) -> PcaModel:
+    """Per-category PCA of the training rows; `categories` labels each
+    column (default: one category, "all").
 
     Covariance (ddof=1) is diagonalized with `np.linalg.eigh`; the top-m
     components keep a fixed sign: the largest-magnitude entry of each
     component is positive.
     """
     m = components_per_category
-    cats = train.categories or ["all"] * train.width
+    n, width = train.shape
+    if categories is not None and len(categories) != width:
+        raise DataError(f"{len(categories)} category labels vs {width} columns")
     groups: dict[str, list[int]] = {}
-    for j, c in enumerate(cats):
+    for j, c in enumerate(categories or ["all"] * width):
         groups.setdefault(c, []).append(j)
     per_category = {}
     for cat in sorted(groups):
         cols = groups[cat]
         if len(cols) < m:
             raise DataError(f"category {cat!r} has {len(cols)} columns, fewer than m={m}")
-        if train.n < m:
-            raise DataError(f"category {cat!r}: {train.n} rows, fewer than m={m}")
-        block = train.data[:, cols]
+        if n < m:
+            raise DataError(f"category {cat!r}: {n} rows, fewer than m={m}")
+        block = train[:, cols]
         mean = block.mean(axis=0)
         centered = block - mean
-        cov = centered.T @ centered / (train.n - 1) if train.n > 1 else np.outer(
+        cov = centered.T @ centered / (n - 1) if n > 1 else np.outer(
             centered[0], centered[0])
         eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
@@ -127,62 +103,28 @@ def pca_fit(train: FeatureMatrix, components_per_category: int = 10) -> PcaModel
     return PcaModel(per_category, m)
 
 
-def pca_apply(model: PcaModel, data: FeatureMatrix) -> FeatureMatrix:
-    """Project onto the fitted components; output columns are grouped by
-    category name in sorted order, named `<category>_pc<j>`."""
-    cats = data.categories or ["all"] * data.width
-    groups: dict[str, list[int]] = {}
-    for j, c in enumerate(cats):
-        groups.setdefault(c, []).append(j)
-    unknown = set(groups) - set(model.per_category)
-    if unknown:
-        raise DataError(f"categories not in the fitted model: {sorted(unknown)}")
-    missing = set(model.per_category) - set(groups)
-    if missing:
-        raise DataError(f"fitted categories absent from the data: {sorted(missing)}")
+def pca_apply(model: PcaModel, x: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Project each category's fit-time columns of `x` onto its components.
+
+    Returns the scores and their names: columns grouped by category name in
+    sorted order, named `<category>_pc<j>`.
+    """
     blocks, names = [], []
     for cat in model.categories:
         fit = model.per_category[cat]
-        cols = groups[cat]
-        if len(cols) != fit.mean.size:
-            raise DataError(
-                f"category {cat!r}: {len(cols)} columns vs {fit.mean.size} at fit time")
-        blocks.append((data.data[:, cols] - fit.mean) @ fit.components)
+        blocks.append((x[:, fit.columns] - fit.mean) @ fit.components)
         names.extend(f"{cat}_pc{j + 1}" for j in range(model.components_per_category))
-    out = np.concatenate(blocks, axis=1) if blocks else np.zeros((data.n, 0))
-    return FeatureMatrix(out, names)
-
-
-def fuse_concat(a: FeatureMatrix, b: FeatureMatrix,
-                a_prefix: str = "", b_prefix: str = "") -> FeatureMatrix:
-    """Horizontal concatenation; optional modality prefixes on the names,
-    which must not repeat."""
-    names = [a_prefix + n for n in a.names] + [b_prefix + n for n in b.names]
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DataError(f"duplicate feature column {name!r}")
-        seen.add(name)
-    if b.width == 0:
-        return FeatureMatrix(a.data.copy(), names)
-    if a.width == 0:
-        return FeatureMatrix(b.data.copy(), names)
-    if a.n != b.n:
-        raise DataError(f"row mismatch: {a.n} vs {b.n}")
-    return FeatureMatrix(np.concatenate([a.data, b.data], axis=1), names)
+    scores = np.concatenate(blocks, axis=1) if blocks else np.zeros((x.shape[0], 0))
+    return scores, names
 
 
 def category_map_from_json(path, names: list[str]) -> list[str]:
     """Resolve a column-name -> category-name JSON map against `names`."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
+        try:
             mapping = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read category map {path}: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(mapping, dict):
         raise DataError(f"{path}: category map must be a JSON object")
     missing = [n for n in names if n not in mapping]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cohort import Cohort, holdout_split, stratified_kfold
 from .errors import DataError, NumericError
-from .features import FeatureMatrix, pca_apply, pca_fit, standardize_fit_apply
+from .features import pca_apply, pca_fit, standardize_fit_apply
 from .metrics import NoComparablePairs, ctd_index
 from .models import MODEL_KINDS, build_model
 from .pipeline_audit import LeakageAudit, record_fit
@@ -226,7 +226,6 @@ def t_confidence_interval(values: list[float], level: float = 0.95) -> dict:
 
 @dataclass
 class CvSettings:
-    k: int = 5
     n_iter: int = 100
     max_epochs: int = 1000
     patience: float = 10
@@ -239,24 +238,20 @@ class CvSettings:
 
     @staticmethod
     def desk() -> "CvSettings":
-        return CvSettings(k=3, n_iter=10, max_epochs=100)
+        return CvSettings(n_iter=10, max_epochs=100)
 
 
 def _fold_features(train: Cohort, test: Cohort, settings: CvSettings):
     """Per-fold feature fits (standardize, optional PCA), train rows only."""
-    tr = FeatureMatrix(train.features, list(train.feature_names),
-                       settings.categories and list(settings.categories))
-    te = FeatureMatrix(test.features, list(test.feature_names),
-                       settings.categories and list(settings.categories))
+    tr, te, names = train.features, test.features, train.feature_names
     if settings.standardize:
         record_fit("standardize.fit", train.ids)
-        tr, [te], _ = standardize_fit_apply(tr, [te])
+        tr, te = standardize_fit_apply(tr, te)
     if settings.pca_components > 0:
         record_fit("pca.fit", train.ids)
-        model = pca_fit(tr, settings.pca_components)
-        tr, te = pca_apply(model, tr), pca_apply(model, te)
-    return (train.with_features(tr.data, tr.names),
-            test.with_features(te.data, te.names))
+        model = pca_fit(tr, settings.pca_components, settings.categories)
+        (tr, names), (te, _) = pca_apply(model, tr), pca_apply(model, te)
+    return train.with_features(tr, names), test.with_features(te, names)
 
 
 def run_fold(payload: tuple) -> dict:

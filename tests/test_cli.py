@@ -169,6 +169,28 @@ def test_features_command_standardize_and_pca(tmp_path):
     assert reduced.feature_names == ["all_pc1", "all_pc2"]
 
 
+def test_features_fuse_colliding_column_exit_3(tmp_path, capsys):
+    doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
+    main(["synth", "--config", _write_config(tmp_path, doc)])
+    cohort_csv = str(tmp_path / "out" / "cohort.csv")
+    out_csv = tmp_path / "fused.csv"
+    capsys.readouterr()
+    assert main(["features", "--cohort", cohort_csv, "--fuse", cohort_csv,
+                 "--out", str(out_csv)]) == 3
+    assert "duplicate feature column 'x1'" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_cv_desk_preset_without_k_runs_three_folds(tmp_path):
+    cv = {key: value for key, value in DESK_CV["cv"].items() if key != "k"}
+    doc = {**DESK_CV, "cv": {**cv, "n_iter": 1, "max_epochs": 1},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["cv", "--config", _write_config(tmp_path, doc)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["k"] == 3
+    assert [fold["fold"] for fold in report["folds"]] == [0, 1, 2]
+
+
 def test_report_merges_multiple_runs(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cfg_a = _write_config(tmp_path, {**DESK_CV, "output": {"dir": str(out_a)}}, "a.json")

@@ -304,6 +304,16 @@ def test_constructor_names_first_bad_subject():
         Cohort(["a", "b"], np.zeros((2, 3)), [1.0, 1.0], [0, 0], ["r"], ["x1"])
 
 
+def test_constructor_rejects_repeated_feature_name_but_subset_may_repeat_rows():
+    with pytest.raises(DataError, match="duplicate feature column 'x1'"):
+        Cohort(["a", "b"], np.zeros((2, 3)), [1.0, 1.0], [0, 0], ["r"], ["x1", "x2", "x1"])
+    cohort = Cohort(["a", "b"], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], [0, 1], ["r"],
+                    ["x1", "x2"])
+    sub = cohort.subset([1, 1, 0])
+    assert sub.ids == ["b", "b", "a"]
+    assert np.array_equal(sub.features, [[3.0, 4.0], [3.0, 4.0], [1.0, 2.0]])
+
+
 # -- CSV round trip ------------------------------------------------------------
 
 

@@ -281,6 +281,12 @@ def test_nested_cv_desk_run_and_determinism():
         assert agg["lo"] <= agg["mean"] <= agg["hi"]
 
 
+def test_cv_settings_has_no_fold_count():
+    # the fold count has one home, nested_cv's k; a second field was ignored
+    with pytest.raises(TypeError):
+        CvSettings(k=3)
+
+
 def test_nested_cv_fold_test_sets_partition_cohort():
     cohort = _cohort(240, seed=33)
     from riskbench.cohort import stratified_kfold
