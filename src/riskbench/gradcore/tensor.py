@@ -253,9 +253,11 @@ class ParamGraph:
 
         The first call packs: it copies every tensor's data and grad into the
         buffers, in registration order, and rebinds both as views into them.
-        A later call packs again if some tensor no longer views the buffers,
-        as when another graph sharing the tensor has packed it since; the
-        copy then starts from the tensor's current values, never stale ones.
+        `MaeModel` calls it as the last step of its build, so the per-tensor
+        arrays are freed before any volume is read. A later call packs
+        again if some tensor no longer views the buffers, as when another
+        graph sharing the tensor has packed it since; the copy then starts
+        from the tensor's current values, never stale ones.
         """
         flat = self._flat
         if flat is None or not all(t.data.base is flat[0] and t.grad.base is flat[1]
@@ -366,8 +368,21 @@ def affine(x, w, b) -> Tensor:
     _check_matmul(x, w)
     out = x.data @ w.data
     out += b.data
-    return _node(out, (x, w, b), (lambda g: g @ w.data.swapaxes(-1, -2),
+    return _node(out, (x, w, b), (lambda g: _affine_dx(g, x.data, w.data),
                                   lambda g: x.data.swapaxes(-1, -2) @ g, lambda g: g))
+
+
+def _affine_dx(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`affine`'s input gradient g @ w^T. A 2-D x under a stacked (R, k, m)
+    w adds g[r] @ w[r]^T into one (n, k) buffer, risk by risk, which is
+    the order in which summing the (R, n, k) block over R would add them,
+    so the bits are the same without building that block."""
+    if x.ndim == 2 and w.ndim == 3:
+        dx = g[0] @ w[0].T
+        for r in range(1, w.shape[0]):
+            dx += g[r] @ w[r].T
+        return dx
+    return g @ w.swapaxes(-1, -2)
 
 
 def texp(a) -> Tensor:

@@ -111,6 +111,7 @@ class MaeModel:
         # small initial reconstruction keeps the untrained loss near the
         # masked-voxel second moment
         self.unembed.w.data *= 0.1
+        self.graph.flat()
 
     # -- passes ---------------------------------------------------------------
 
@@ -156,7 +157,7 @@ class MaeModel:
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, self.graph.named_arrays())
+        save_checkpoint(path, {name: t.data for name, t in self.graph.params.items()})
         write_sidecar(path, {"config": {**asdict(self.config),
                                         "patch_size": list(self.config.patch_size)}})
 
@@ -184,7 +185,12 @@ def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
     """Train on volumes read once, in order; one step per volume per epoch
     with a fresh seed-derived mask plan. Each volume is cut down to its
     foreground rows before the first step, and the volume itself is let go.
-    Returns (model, history)."""
+    Returns (model, history).
+
+    The model is packed when built, so the only parameter-sized arrays are
+    its flat parameters and gradients and Adam's two moments. A non-finite
+    loss raises NumericError naming the epoch and the volume; nothing is
+    restored, since the model never reaches the caller."""
     model = MaeModel(config, seed=seed)
     data = []
     for vi, vol in enumerate(volumes):
@@ -198,7 +204,6 @@ def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
     drop_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xD0)))
     losses: list[float] = []
     steps: list[float] = []
-    last_good = model.graph.named_arrays()
     for epoch in range(config.epochs):
         epoch_losses = []
         for vi, rows in enumerate(data):
@@ -209,18 +214,13 @@ def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
             _, loss = model.forward(rows, plan, rng=drop_rng, training=True)
             value = loss.item()
             if not np.isfinite(value):
-                model.graph.load_arrays(last_good)
-                raise NumericError(
-                    f"mae: non-finite loss at epoch {epoch}, volume {vi}; "
-                    "restored last good parameters",
-                    {"epoch": epoch, "volume": vi,
-                     "history": losses})
+                raise NumericError(f"mae: non-finite loss at epoch {epoch}, volume {vi}",
+                                   {"epoch": epoch, "volume": vi, "history": losses})
             loss.backward()
             adam_step(adam, model.graph)
             epoch_losses.append(value)
             steps.append(value)
         losses.append(float(np.mean(epoch_losses)))
-        last_good = model.graph.named_arrays()
     return model, MaeHistory(losses, steps)
 
 

@@ -290,7 +290,7 @@ class CifModel:
     # checkpointing --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, self.graph.named_arrays())
+        save_checkpoint(path, {name: t.data for name, t in self.graph.params.items()})
         write_sidecar(path, {
             "kind": self.kind,
             "n_risks": self.n_risks,

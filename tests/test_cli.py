@@ -222,6 +222,21 @@ def test_train_numeric_failure_exit_4(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mae_train_numeric_failure_exit_4_writes_no_checkpoint(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = {"seed": 2,
+           "mae": {"n_phantoms": 3, "dims": [30, 20, 20, 2], "embed_dim": 8,
+                   "enc_layers": 1, "dec_layers": 1, "heads": 2, "mlp_ratio": 2,
+                   "epochs": 2, "lr": 1e15},
+           "output": {"dir": str(out)}}
+    assert main(["mae-train", "--config", _write_config(tmp_path, doc)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure: mae: non-finite loss at epoch" in err
+    assert "restored" not in err
+    assert not (out / "mae.rbck").exists()
+
+
 def test_cv_workers_flag_value_identical(tmp_path):
     doc = {**DESK_CV, "output": {"dir": str(tmp_path / "w1")}}
     cfg = _write_config(tmp_path, doc)

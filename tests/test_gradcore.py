@@ -798,6 +798,22 @@ def test_fused_nodes_bit_equal_on_non_contiguous_and_broadcast_inputs():
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("risks", [2, 3, 4])
+@pytest.mark.parametrize("n, k, m", [(256, 134, 128), (7, 5, 3)])
+def test_affine_stacked_weight_input_gradient_bit_equal_to_summed_block(risks, n, k, m):
+    # a 2-D input under a stacked (R, k, m) weight, as DeepHit's first head
+    # layer: the input gradient equals the (R, n, k) block summed over R
+    rng = np.random.default_rng(risks)
+    g = gc.ParamGraph()
+    x = g.parameter("x", rng.normal(size=(n, k)))
+    w = g.parameter("w", rng.normal(size=(risks, k, m)))
+    b = g.parameter("b", rng.normal(size=(risks, 1, m)))
+    upstream = rng.normal(size=(risks, n, m))
+    gc.tsum(gc.mul(gc.affine(x, w, b), upstream)).backward()
+    block = upstream @ w.data.swapaxes(-1, -2)
+    assert x.grad.tobytes() == (np.zeros((n, k)) + block.sum(axis=0)).tobytes()
+
+
 def test_affine_and_layer_norm_reject_bad_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         gc.affine(gc.Tensor(np.zeros((2, 3))), gc.Tensor(np.zeros((2, 3))), gc.Tensor(np.zeros(3)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riskbench import gradcore as gc
-from riskbench.errors import DataError
+from riskbench.errors import DataError, NumericError
 from riskbench.gradcore import grad_check
 from riskbench.mae import (
     MaeConfig,
@@ -429,6 +429,49 @@ def test_train_mae_memory_grows_by_foreground_rows_not_volumes():
     assert growth <= 2 * added, (growth, added)
 
 
+def test_mae_model_is_packed_when_built():
+    model = MaeModel(MaeConfig(**TINY), seed=3)
+    arrays = [(t.data, t.grad) for t in model.graph.params.values()]
+    data, grad = model.graph.flat()
+    for (before_data, before_grad), t in zip(arrays, model.graph.params.values()):
+        assert t.data is before_data and t.grad is before_grad
+        assert t.data.base is data and t.grad.base is grad
+    again = model.graph.flat()
+    assert again[0] is data and again[1] is grad
+
+
+def test_train_mae_makes_no_parameter_copy(monkeypatch):
+    vols = make_phantoms(3, dims=(30, 20, 20, 2), seed=26)
+    cfg = MaeConfig(epochs=2, **TINY)
+    _, expected = train_mae(vols, cfg, seed=4)
+
+    def copy_refused(self, *args):
+        raise AssertionError("train_mae copied its parameters")
+
+    monkeypatch.setattr(gc.ParamGraph, "named_arrays", copy_refused)
+    monkeypatch.setattr(gc.ParamGraph, "load_arrays", copy_refused)
+    _, history = train_mae(vols, cfg, seed=4)
+    assert history == expected
+
+
+def test_non_finite_mae_loss_raises_naming_epoch_and_volume(monkeypatch):
+    vols = make_phantoms(3, dims=(30, 20, 20, 2), seed=27)
+    forward, calls = MaeModel.forward, []
+
+    def nan_at_fifth_step(self, *args, **kw):
+        pred, loss = forward(self, *args, **kw)
+        calls.append(1)
+        return pred, (loss * np.nan if len(calls) == 5 else loss)
+
+    monkeypatch.setattr(MaeModel, "forward", nan_at_fifth_step)
+    with pytest.raises(NumericError) as info:
+        train_mae(vols, MaeConfig(epochs=2, **TINY), seed=0)
+    assert str(info.value) == "mae: non-finite loss at epoch 1, volume 1"
+    diagnostics = info.value.diagnostics
+    assert (diagnostics["epoch"], diagnostics["volume"]) == (1, 1)
+    assert len(diagnostics["history"]) == 1 and np.isfinite(diagnostics["history"][0])
+
+
 # -- embeddings ------------------------------------------------------------------------
 
 
@@ -583,6 +626,16 @@ def test_mae_checkpoint_round_trip(tmp_path):
     e1 = extract_embedding(model, vols[0])
     e2 = extract_embedding(again, vols[0])
     assert np.array_equal(e1, e2)
+
+
+def test_mae_checkpoint_written_from_the_parameters_bytes_unchanged(tmp_path, monkeypatch):
+    model, _ = train_mae(make_phantoms(2, dims=(30, 20, 20, 2), seed=18),
+                         MaeConfig(epochs=1, **TINY), seed=3)
+    gc.save_checkpoint(tmp_path / "copies.rbck", model.graph.named_arrays())
+    monkeypatch.setattr(gc.ParamGraph, "named_arrays",
+                        lambda self: pytest.fail("save copied the parameters"))
+    model.save(tmp_path / "mae.rbck")
+    assert (tmp_path / "mae.rbck").read_bytes() == (tmp_path / "copies.rbck").read_bytes()
 
 
 def test_odd_embedding_dim_accepted():

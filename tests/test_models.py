@@ -286,6 +286,17 @@ def test_checkpoint_round_trip(kind, tmp_path):
             assert np.array_equal(m.cif(x, t, r), again.cif(x, t, r))
 
 
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_checkpoint_written_from_the_parameters_bytes_unchanged(kind, tmp_path, monkeypatch):
+    m = MODELS[kind](FIT_CONFIGS[kind]())
+    m.fit(_synth(200, seed=3), seed=5)
+    gc.save_checkpoint(tmp_path / "copies.rbck", m.graph.named_arrays())
+    monkeypatch.setattr(gc.ParamGraph, "named_arrays",
+                        lambda self: pytest.fail("save copied the parameters"))
+    m.save(tmp_path / f"{kind}.rbck")
+    assert (tmp_path / f"{kind}.rbck").read_bytes() == (tmp_path / "copies.rbck").read_bytes()
+
+
 def test_every_truncated_checkpoint_raises_data_error(tmp_path):
     m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=1, nodes=2), d=2, n_risks=1)
     path = tmp_path / "dsm.rbck"
