@@ -71,7 +71,8 @@ class _Rule(dict):
             return self.noun()
         ok = (value in self["choices"] if "choices" in self else isinstance(value, (str, bool))
               or self.get("min", value) <= value <= self.get("max", value)
-              and value < self.get("below", value + 1) and (value > 0 or not self.get("positive")))
+              and ("below" not in self or value < self["below"])
+              and (value > 0 or not self.get("positive")))
         return None if ok else self.bound()
 
     def noun(self, plural: bool = False) -> str:

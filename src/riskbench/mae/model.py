@@ -9,6 +9,8 @@ touches masked content.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 import warnings
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
@@ -183,45 +185,108 @@ class MaeHistory:
 
 def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
     """Train on volumes read once, in order; one step per volume per epoch
-    with a fresh seed-derived mask plan. Each volume is cut down to its
-    foreground rows before the first step, and the volume itself is let go.
-    Returns (model, history).
+    with a fresh seed-derived mask plan. Returns (model, history).
+
+    Every volume is cut down to its foreground rows before the first step,
+    so a bad volume raises DataError before any training. The rows go to
+    one anonymous temporary file under `tempfile.gettempdir()` (`TMPDIR`),
+    and each step reads one volume's rows back into one reused buffer, so
+    memory does not grow with the number of volumes. The file has no name
+    and is closed on every exit; an OSError on it is a DataError naming its
+    directory.
 
     The model is packed when built, so the only parameter-sized arrays are
     its flat parameters and gradients and Adam's two moments. A non-finite
     loss raises NumericError naming the epoch and the volume; nothing is
     restored, since the model never reaches the caller."""
     model = MaeModel(config, seed=seed)
-    data = []
+    with _RowSpill(config.embed_dim, model.patch_voxels) as spill:
+        _spill_foreground_rows(model, volumes, spill)
+        adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
+        drop_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xD0)))
+        losses: list[float] = []
+        steps: list[float] = []
+        for epoch in range(config.epochs):
+            epoch_losses = []
+            for vi in range(len(spill.records)):
+                rows = spill.read(vi)
+                # over all-foreground flags the plan draws the same patches as
+                # over the volume's full flags, numbered by foreground rank
+                plan = sample_mask(np.ones(len(rows.values), dtype=bool), config.mask_ratio,
+                                   seed=_plan_seed(seed, epoch, vi))
+                _, loss = model.forward(rows, plan, rng=drop_rng, training=True)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(f"mae: non-finite loss at epoch {epoch}, volume {vi}",
+                                       {"epoch": epoch, "volume": vi, "history": losses})
+                loss.backward()
+                adam_step(adam, model.graph)
+                epoch_losses.append(value)
+                steps.append(value)
+            losses.append(float(np.mean(epoch_losses)))
+    return model, MaeHistory(losses, steps)
+
+
+class _RowSpill:
+    """PatchRows of many volumes in one anonymous temporary file, read back
+    one volume at a time into one reused buffer. A record is the float64
+    position table, then the float32 voxels, so both views are aligned."""
+
+    def __init__(self, embed_dim: int, patch_voxels: int):
+        self.widths = (embed_dim, patch_voxels)
+        self.row_bytes = 8 * embed_dim + 4 * patch_voxels
+        self.records: list[tuple[int, int]] = []  # (byte offset, rows) per volume
+        self.buf = bytearray()
+        self.file = self._io(tempfile.TemporaryFile)
+
+    def __enter__(self) -> "_RowSpill":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # after a failed write, close tries the buffered bytes again and raises
+        # once more; the file is closed all the same, and its bytes are not wanted
+        with contextlib.suppress(OSError):
+            self.file.close()
+
+    @staticmethod
+    def _io(op, *args):
+        try:
+            return op(*args)
+        except OSError as exc:
+            raise DataError(f"cannot use a temporary file in {tempfile.gettempdir()}: "
+                            f"{exc.strerror or exc}") from exc
+
+    def append(self, rows: PatchRows) -> None:
+        self.records.append((self.file.tell(), len(rows.values)))
+        self._io(self.file.write, rows.pos)
+        self._io(self.file.write, rows.values)
+
+    def read(self, vi: int) -> PatchRows:
+        """Volume `vi`'s rows, as views of the buffer the next read overwrites."""
+        d, pv = self.widths
+        if not self.buf:
+            self.buf = bytearray(max(n for _, n in self.records) * self.row_bytes)
+        offset, n = self.records[vi]
+        self._io(self.file.seek, offset)
+        self._io(self.file.readinto, memoryview(self.buf)[: n * self.row_bytes])
+        pos = np.frombuffer(self.buf, np.float64, n * d).reshape(n, d)
+        values = np.frombuffer(self.buf, np.float32, n * pv, offset=8 * n * d).reshape(n, pv)
+        return PatchRows(values, pos)
+
+
+def _spill_foreground_rows(model: MaeModel, volumes: Iterable[Volume4D],
+                           spill: _RowSpill) -> None:
+    """The checking pass: every volume cut to its foreground rows, which go to
+    `spill`; a bad volume raises DataError naming its index. The last volume
+    and its rows go when this returns, before the first step."""
     for vi, vol in enumerate(volumes):
         try:
-            data.append(_foreground_rows(model, vol))
+            rows = _foreground_rows(model, vol)
         except DataError as exc:
             raise DataError(f"volume {vi}: {exc}") from exc
-    if not data:
+        spill.append(rows)
+    if not spill.records:
         raise DataError("train_mae needs at least one volume")
-    adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
-    drop_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xD0)))
-    losses: list[float] = []
-    steps: list[float] = []
-    for epoch in range(config.epochs):
-        epoch_losses = []
-        for vi, rows in enumerate(data):
-            # over all-foreground flags the plan draws the same patches as
-            # over the volume's full flags, numbered by foreground rank
-            plan = sample_mask(np.ones(len(rows.values), dtype=bool), config.mask_ratio,
-                               seed=_plan_seed(seed, epoch, vi))
-            _, loss = model.forward(rows, plan, rng=drop_rng, training=True)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"mae: non-finite loss at epoch {epoch}, volume {vi}",
-                                   {"epoch": epoch, "volume": vi, "history": losses})
-            loss.backward()
-            adam_step(adam, model.graph)
-            epoch_losses.append(value)
-            steps.append(value)
-        losses.append(float(np.mean(epoch_losses)))
-    return model, MaeHistory(losses, steps)
 
 
 def _plan_seed(seed: int, epoch: int, volume_idx: int) -> int:

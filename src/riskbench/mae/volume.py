@@ -6,10 +6,10 @@ then float32 little-endian voxels in row-major order.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,12 +50,16 @@ def save_volume(vol: Volume4D, path) -> None:
 
 
 def load_volume(path) -> Volume4D:
+    """The volume in file `path`. Its voxels are a view of the one buffer the
+    file is read into, so loading holds one copy of them, not two."""
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            blob = bytearray(os.fstat(fh.fileno()).st_size)
+            del blob[fh.readinto(blob):]  # a file that shrank since fstat reads short
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     if blob[:4] != MAGIC:
-        raise DataError(f"{path}: not a volume file (bad magic {blob[:4]!r})")
+        raise DataError(f"{path}: not a volume file (bad magic {bytes(blob[:4])!r})")
     try:  # a short file raises struct.error or ValueError
         version, rank = struct.unpack_from("<2I", blob, 4)
         if version != VERSION:
@@ -63,7 +67,7 @@ def load_volume(path) -> Volume4D:
         dims = struct.unpack_from(f"<{rank}I", blob, 12)
         count = int(np.prod(dims))
         voxels = np.frombuffer(blob, dtype="<f4", count=count, offset=12 + 4 * rank)
-        return Volume4D(voxels.reshape(dims).astype(np.float32))
+        return Volume4D(voxels.reshape(dims))
     except (DataError, struct.error, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -295,6 +295,27 @@ def test_corrupt_last_volume_exit_3_writes_nothing(tmp_path, capsys, damage):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("failure", ["missing directory", "full disk"])
+def test_mae_train_spill_file_error_exit_3_names_directory(tmp_path, capsys, monkeypatch,
+                                                           failure):
+    """The rows spill to an anonymous file under the temporary directory; an
+    OSError creating or writing it ends the run with exit 3, not a traceback."""
+    import tempfile
+
+    spill_dir = tmp_path / "missing" if failure == "missing directory" else tmp_path
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    if failure == "full disk":  # every write to /dev/full fails with ENOSPC
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: open("/dev/full", "w+b"))
+    doc = {"seed": 9, "mae": {"n_phantoms": 2, "dims": [30, 20, 20, 2], "embed_dim": 16,
+                              "enc_layers": 1, "dec_layers": 1, "epochs": 1},
+           "output": {"dir": str(tmp_path / "out")}}
+    capsys.readouterr()
+    assert main(["mae-train", "--config", _write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(spill_dir) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _cohort_with_nan_time(tmp_path) -> str:
     doc = {**DESK_CV, "output": {"dir": str(tmp_path / "out")}}
     main(["synth", "--config", _write_config(tmp_path, doc, "synth.json")])
@@ -809,6 +830,24 @@ def test_every_schema_leaf_rejects_wrong_type_and_out_of_bound(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and ".".join(path) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_numbers_of_2_to_the_53_or_more_meet_open_bounds_and_break_below(tmp_path, capsys):
+    """`value + 1` rounds back to `value` from 2**53 up, so an absent `below`
+    must not be read as `value + 1`."""
+    doc = {"seed": 1, "mae": {"n_phantoms": 1, "dims": [30, 20, 20, 2], "embed_dim": 16,
+                              "enc_layers": 1, "dec_layers": 1, "epochs": 1, "lr": 1e30},
+           "output": {"dir": str(tmp_path / "out")}}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["mae-train", "--config", cfg]) == 0
+    assert (tmp_path / "out" / "mae.rbck").exists()
+    for key in ("mae.dropout", "mae.mask_ratio"):
+        for value in (1, 1e30):
+            capsys.readouterr()
+            assert main(["mae-train", "--config", cfg, "--set", f"{key}={value}",
+                         "--set", f"output.dir={tmp_path / 'bad'}"]) == 2
+            assert f"{key} must be in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_schema_leaves_cover_every_config_dataclass_field():

@@ -1,3 +1,4 @@
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -404,10 +405,21 @@ def test_volume_without_foreground_fails_before_the_first_step(monkeypatch):
     assert steps == []
 
 
-def test_train_mae_memory_grows_by_foreground_rows_not_volumes():
-    """From 4 to 12 streamed phantoms the traced peak grows by at most twice
-    the added foreground bytes; keeping each raw volume or its full patch
-    grid would add several times that."""
+def test_train_mae_leaves_no_file_in_the_temporary_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    vols = make_phantoms(2, dims=(30, 20, 20, 2), seed=24)
+    train_mae(vols, MaeConfig(epochs=2, **TINY), seed=0)
+    assert list(tmp_path.iterdir()) == []
+    vols.append(Volume4D(np.zeros((30, 20, 20, 2), np.float32)))
+    with pytest.raises(DataError, match="volume 2: .*foreground"):
+        train_mae(vols, MaeConfig(epochs=1, **TINY), seed=0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_mae_memory_does_not_grow_with_the_volume_count():
+    """From 4 to 12 streamed phantoms the traced peak grows by at most one
+    volume's foreground rows: the rows wait in a temporary file, not in
+    memory, and each step reads one volume's back."""
     dims = (60, 40, 40, 2)
     cfg = MaeConfig(epochs=1, **TINY)
 
@@ -419,14 +431,16 @@ def test_train_mae_memory_grows_by_foreground_rows_not_volumes():
         finally:
             tracemalloc.stop()
 
-    added = 0
+    model = MaeModel(cfg)
+    added = []
     for vol in make_phantoms(12, dims=dims, seed=23)[4:]:
         grid = patchify(vol, cfg.patch_size)
-        added += grid.values[foreground_flags(grid)].nbytes
-    assert 8 * grid.values.nbytes > 3 * added  # the bound below can tell them apart
+        rows = model.rows(grid, np.nonzero(foreground_flags(grid))[0])
+        added.append(rows.values.nbytes + rows.pos.nbytes)
+    assert sum(added) > 4 * max(added)  # the bound below can tell them apart
     traced_peak(1)  # one-time allocations stay out of the comparison
     growth = traced_peak(12) - traced_peak(4)
-    assert growth <= 2 * added, (growth, added)
+    assert growth <= max(added), (growth, added)
 
 
 def test_mae_model_is_packed_when_built():
@@ -614,6 +628,20 @@ def test_damaged_volume_file_is_data_error_naming_path(tmp_path, damage, message
     with pytest.raises(DataError, match=message) as info:
         load_volume(path)
     assert str(info.value).startswith(str(path))
+
+
+def test_load_volume_holds_one_copy_of_the_voxels(tmp_path):
+    vol = make_phantoms(1, dims=(60, 40, 40, 2), seed=16)[0]
+    path = tmp_path / "v.rbvl"
+    save_volume(vol, path)
+    tracemalloc.start()
+    try:
+        back = load_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, vol.data)
+    assert peak <= 1.25 * vol.data.nbytes, (peak, vol.data.nbytes)
 
 
 def test_mae_checkpoint_round_trip(tmp_path):
