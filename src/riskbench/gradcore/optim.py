@@ -2,7 +2,9 @@
 
 A step runs over `ParamGraph.flat()`, one float64 buffer each for the
 parameters and the gradients, and over the two moment buffers kept here,
-all in the graph's registration order. It walks them CHUNK elements at a
+all in the graph's registration order. Every model packs its graph when
+it is built, so a step only fetches the two buffers; a hand-built graph
+is packed by its first step. It walks them CHUNK elements at a
 time, so every pass over a chunk stays in cache, keeps intermediates in
 two reused scratch slices, so it allocates nothing parameter-sized, and
 zeroes each gradient chunk when done with it. Each element still goes

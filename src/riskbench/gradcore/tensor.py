@@ -226,6 +226,8 @@ class ParamGraph:
         self._flat: tuple[np.ndarray, np.ndarray] | None = None
 
     def parameter(self, name: str, array: np.ndarray) -> Tensor:
+        if self._flat is not None:
+            raise ValueError(f"parameter {name!r} added after the graph was packed")
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(np.array(array, dtype=np.float64), requires_grad=True)
@@ -253,15 +255,13 @@ class ParamGraph:
 
         The first call packs: it copies every tensor's data and grad into the
         buffers, in registration order, and rebinds both as views into them.
-        `MaeModel` calls it as the last step of its build, so the per-tensor
-        arrays are freed before any volume is read. A later call packs
-        again if some tensor no longer views the buffers, as when another
-        graph sharing the tensor has packed it since; the copy then starts
-        from the tensor's current values, never stale ones.
+        Every model calls it as the last step of its build, so the
+        per-tensor arrays are freed before training allocates anything, and
+        a fitted and a loaded model have the same layout. Later calls return
+        the same two buffers, and `parameter` raises from then on. Parameter
+        values must be written in place (`t.data[...] = ...`), never rebound.
         """
-        flat = self._flat
-        if flat is None or not all(t.data.base is flat[0] and t.grad.base is flat[1]
-                                   for t in self.params.values()):
+        if self._flat is None:
             size = sum(t.data.size for t in self.params.values())
             data, grad = np.empty(size), np.empty(size)
             lo = 0
@@ -271,8 +271,8 @@ class ParamGraph:
                 grad[lo:hi] = t.grad.reshape(-1)
                 t.data, t.grad = data[lo:hi].reshape(shape), grad[lo:hi].reshape(shape)
                 lo = hi
-            flat = self._flat = (data, grad)
-        return flat
+            self._flat = (data, grad)
+        return self._flat
 
     def zero_grad(self) -> None:
         for t in self.params.values():

@@ -112,4 +112,7 @@ def iter_phantoms(n: int, dims: tuple = (60, 40, 40, 2), seed: int = 0) -> Itera
         for ci in range(2, c):
             vol[..., ci][body] = base
         vol += rng.normal(0.0, 0.02, size=dims)
-        yield Volume4D(np.clip(vol, 0.0, 1.0).astype(np.float32))
+        np.clip(vol, 0.0, 1.0, out=vol)
+        phantom = Volume4D(vol.astype(np.float32))
+        del vol  # the caller works on the phantom with no float64 copy held here
+        yield phantom

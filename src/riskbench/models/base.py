@@ -150,13 +150,16 @@ class CifModel:
     # shared skeleton ------------------------------------------------------
 
     def _build(self, rng: np.random.Generator) -> None:
-        """Parameter graph and encoder, then the model's heads, in that RNG order."""
+        """Parameter graph and encoder, then the model's heads, in that RNG
+        order; packs the graph last, so fitted and loaded models share one
+        layout."""
         cfg = self.config
         self.graph = ParamGraph()
         sizes = [self.d] + [cfg.nodes] * cfg.layers
         self.encoder = MLP(self.graph, "enc", sizes, rng, activation="relu",
                            drop=cfg.dropout)
         self._build_heads(rng, sizes[-1])
+        self.graph.flat()
 
     def _clamped_log_sum(self, p: Tensor, rows: np.ndarray, training: bool) -> Tensor:
         """Sum of log(max(p, PROB_FLOOR)) over `rows`; counts their clamps while training."""
@@ -252,7 +255,8 @@ class CifModel:
         drop_rng = _rng_stream(seed, 3)
         best_valid = math.inf
         best_epoch = -1
-        best_arrays = self.graph.named_arrays()
+        params = self.graph.flat()[0]
+        best = params.copy()
         since_best = 0
         records: list[EpochRecord] = []
         for epoch in range(self.config.max_epochs):
@@ -278,13 +282,13 @@ class CifModel:
             if valid_loss < best_valid:
                 best_valid = valid_loss
                 best_epoch = epoch
-                best_arrays = self.graph.named_arrays()
+                best[...] = params
                 since_best = 0
             else:
                 since_best += 1
                 if since_best >= self.config.patience:
                     break
-        self.graph.load_arrays(best_arrays)
+        params[...] = best
         return TrainHistory(records, best_epoch, best_valid, self.clamp_count)
 
     # checkpointing --------------------------------------------------------

@@ -38,7 +38,7 @@ from ..gradcore import (
 )
 from ..gradcore import add as tadd
 from ..gradcore import sub as tsub
-from .base import BaseConfig, CifModel
+from .base import CHUNK_ROWS, BaseConfig, CifModel
 
 
 @dataclass
@@ -117,7 +117,9 @@ class NfgModel(CifModel):
 
     def _cif_pairs(self, x: np.ndarray, times: np.ndarray, r: int):
         """Encoder, balance, emb @ w_emb and risk r's squared weights once;
-        risk r's forward time path per pair, in numpy, in place."""
+        risk r's forward time path per pair, in numpy, in place in two
+        blocks that every call of up to CHUNK_ROWS pairs reuses, so one
+        evaluator must not run in two threads at once."""
         h = self.encoder(Tensor(x))
         w = self.config.monotone_nodes
         proj = h.data @ self.w_emb.data[:, (r - 1) * w : r * w]
@@ -130,14 +132,23 @@ class NfgModel(CifModel):
         # pair costs a fifth of the broadcast product
         u_wt2 = u[:, None] * (w_time * w_time)
 
+        # chunks that allocate and free their blocks let glibc trim the heap
+        # top after each one and fault it back in on the next
+        blocks = np.empty((2, CHUNK_ROWS, w))
+
         def at(ti, ri):
-            # time_net's forward, operation for operation, so the bits match
-            a = np.take(u_wt2, ti, axis=0)
-            a += np.take(proj, ri, axis=0)
+            # time_net's forward, operation for operation, so the bits match.
+            # np.take buffers its out= under the default mode="raise"; "wrap"
+            # does not, reads -1 as the last row as indexing does, and an
+            # index past the end still raises at u[ti] and b_col[ri] below
+            k = len(ti)
+            a, spare = blocks[:, :k] if k <= CHUNK_ROWS else np.empty((2, k, w))
+            np.take(u_wt2, ti, axis=0, out=a, mode="wrap")
+            a += np.take(proj, ri, axis=0, out=spare, mode="wrap")
             a += b_in
             np.tanh(a, out=a)
             for w2, b in layers:
-                a = a @ w2
+                a, spare = np.matmul(a, w2, out=spare), a
                 a += b
                 np.tanh(a, out=a)
             z = a @ w_out2

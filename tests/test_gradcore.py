@@ -383,19 +383,22 @@ def test_adam_state_is_tied_to_its_graph():
         gc.adam_step(state, _adam_graph([(4,)], 0))
 
 
-def test_graphs_sharing_a_tensor_never_step_a_stale_copy():
-    g1 = _adam_graph([(3,), (2,)], 0)
-    g2 = gc.ParamGraph()
-    g2.params["shared"] = g1.params["p1"]
-    s1, s2 = gc.AdamState(lr=0.1), gc.AdamState(lr=0.1)
-    for state, graph in ((s1, g1), (s2, g2), (s1, g1), (s2, g2)):
-        before = g1.params["p1"].data.copy()
-        g1.params["p1"].grad[...] = 1.0
-        gc.adam_step(state, graph)
-        assert np.all(g1.params["p1"].data < before)  # every step moves the shared tensor
-        data, grad = graph.flat()
-        assert np.shares_memory(data, g1.params["p1"].data)
-        assert np.shares_memory(grad, g1.params["p1"].grad)
+def test_packed_graph_keeps_its_buffers_and_takes_no_parameter():
+    g = _adam_graph([(3,), (2, 2)], 0)
+    values = np.concatenate([t.data.reshape(-1) for t in g.params.values()])
+    data, grad = g.flat()
+    assert np.array_equal(data, values) and not grad.any()
+    state = gc.AdamState(lr=0.1)
+    for _ in range(3):
+        g.params["p1"].grad[...] = 1.0
+        gc.adam_step(state, g)
+        again = g.flat()
+        assert again[0] is data and again[1] is grad
+        for t in g.params.values():
+            assert t.data.base is data and t.grad.base is grad
+    with pytest.raises(ValueError, match="'late' added after the graph was packed"):
+        g.parameter("late", np.zeros(2))
+    assert list(g.params) == ["p0", "p1"]
 
 
 def _exact_param(g, name, shape):

@@ -564,6 +564,20 @@ def test_iter_phantoms_is_lazy_and_matches_make_phantoms():
         assert vol.data.tobytes() == ref.data.tobytes()
 
 
+def test_iter_phantoms_holds_no_float64_volume_across_yield():
+    make_phantoms(1, dims=(4, 4, 4, 1))  # lazy imports stay out of the count
+    tracemalloc.start()
+    try:
+        stream = iter_phantoms(2, dims=(60, 40, 40, 2), seed=22)
+        vol = next(stream)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the float32 phantom and two boolean masks; a float64 copy of the
+    # voxels would add twice the phantom's bytes
+    assert held < 2 * vol.data.nbytes, (held, vol.data.nbytes)
+
+
 def test_phantoms_deterministic():
     a = make_phantoms(2, dims=(30, 20, 20, 2), seed=15)
     b = make_phantoms(2, dims=(30, 20, 20, 2), seed=15)

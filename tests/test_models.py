@@ -1,3 +1,4 @@
+import dataclasses
 import gc as pygc
 import json
 import warnings
@@ -295,6 +296,40 @@ def test_checkpoint_written_from_the_parameters_bytes_unchanged(kind, tmp_path, 
                         lambda self: pytest.fail("save copied the parameters"))
     m.save(tmp_path / f"{kind}.rbck")
     assert (tmp_path / f"{kind}.rbck").read_bytes() == (tmp_path / "copies.rbck").read_bytes()
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_fitted_and_loaded_models_are_packed(kind, tmp_path):
+    m = MODELS[kind](FIT_CONFIGS[kind]())
+    m.fit(_synth(200, seed=3), seed=5)
+    m.save(tmp_path / f"{kind}.rbck")
+    for graph in (m.graph, load_model(tmp_path / f"{kind}.rbck").graph):
+        # read before flat(), which would pack an unpacked graph
+        views = [(t.data.base, t.grad.base) for t in graph.params.values()]
+        data, grad = graph.flat()
+        assert all(d is data and g is grad for d, g in views)
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_fit_restores_the_best_epoch_without_per_parameter_copies(kind, monkeypatch):
+    train, valid = holdout_split(_synth(200, seed=3), 0.3, seed=1)
+    cfg = dataclasses.replace(FIT_CONFIGS[kind](), lr=0.05, max_epochs=12, patience=12)
+    want = MODELS[kind](cfg)
+    want_history = want.fit(train, seed=5, valid=valid)
+
+    def copy_refused(self, *args):
+        raise AssertionError("fit copied its parameters one by one")
+
+    monkeypatch.setattr(gc.ParamGraph, "named_arrays", copy_refused)
+    monkeypatch.setattr(gc.ParamGraph, "load_arrays", copy_refused)
+    m = MODELS[kind](cfg)
+    history = m.fit(train, seed=5, valid=valid)
+    assert history.to_json() == want_history.to_json()
+    assert m.graph.flat()[0].tobytes() == want.graph.flat()[0].tobytes()
+    assert history.best_epoch < len(history.epochs) - 1  # a restore, not the last epoch
+    with m.graph.no_grad():
+        restored = m._loss(valid.features, valid.times, valid.events, None, training=False)
+    assert restored.item() == history.best_valid
 
 
 def test_every_truncated_checkpoint_raises_data_error(tmp_path):
@@ -915,6 +950,31 @@ def test_nfg_cif_curves_match_the_per_risk_reference_with_every_parameter_moved(
     for r in range(1, n_risks + 1):
         got = m.cif_curves(x, times, r)
         assert got.tobytes() == _per_risk_cif_curves(m, x, times, r).tobytes(), r
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_nfg_evaluator_reusing_its_blocks_keeps_every_call_apart(depth):
+    m, x, *_ = _nfg_case(2, depth, seed=30 + depth)
+    times = np.linspace(0.01, 14.0, 97)
+    at = m.cif_pairs(x, times, 2)
+    rng = np.random.default_rng(depth)
+    k = 2 * CHUNK_ROWS + 3  # more pairs than the reused blocks hold
+    ti, ri = rng.integers(0, times.size, size=k), rng.integers(0, x.shape[0], size=k)
+    first = at(ti, ri)
+    small = at(ti[:5], ri[-5:])
+    small_bytes = small.tobytes()
+    assert at(ti, ri).tobytes() == first.tobytes()
+    at(ti[5:10], ri[:5])  # runs in the blocks the small call ran in
+    assert small.tobytes() == small_bytes  # no result is a view of a reused block
+    curves = m.cif_curves(x, times, 2)
+    assert np.max(np.abs(first - curves[ti, ri])) < 1e-12
+    assert np.max(np.abs(small - curves[ti[:5], ri[-5:]])) < 1e-12
+    last = at(np.array([times.size - 1]), np.array([x.shape[0] - 1]))
+    assert at(np.array([-1]), np.array([-1])).tobytes() == last.tobytes()
+    with pytest.raises(IndexError):
+        at(np.array([times.size]), np.array([0]))
+    with pytest.raises(IndexError):
+        at(np.array([0]), np.array([x.shape[0]]))
 
 
 @pytest.mark.parametrize("n_risks, depth", [(1, 0), (2, 2), (4, 3)])
