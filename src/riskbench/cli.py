@@ -12,6 +12,7 @@ for provenance (JSON outputs embed it, CSV and checkpoint outputs get a
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -31,12 +32,13 @@ from .cohort import (
     code_sets_from_json,
     generate_synthetic,
     imaging_dates_from_csv,
-    open_input,
+    join_features_csv,
     records_from_csv,
     subject_ids,
 )
 from .errors import ConfigError, DataError, NumericError
 from .features import category_map_from_json, pca_apply, pca_fit, standardize_fit_apply
+from .inputs import read_json_object
 from .mae import (
     MaeConfig,
     MaeModel,
@@ -164,14 +166,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     doc: dict = {"seed": 0, "workers": 1}
     if path is not None:
         try:
-            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: a config must be a JSON object, got {loaded!r}")
-        doc.update(loaded)
+            doc.update(read_json_object(path))
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
     for override in overrides or []:
         keys, value = _parse_set(override)
         node = doc
@@ -219,7 +216,7 @@ def _load_cohort(doc: dict):
     else:
         raise ConfigError("data section needs cohort_csv or synthetic")
     if "features_csv" in data:
-        cohort = _join_features(cohort, data["features_csv"])
+        cohort = join_features_csv(cohort, data["features_csv"])
     return cohort
 
 
@@ -233,35 +230,6 @@ def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
         return SynthSpec(**spec), synth["n"]
     except DataError as exc:
         raise ConfigError(f"data.synthetic: {exc}") from exc
-
-
-def _join_features(cohort, features_csv: str):
-    """Fuse an external id-keyed feature CSV onto the cohort by subject id."""
-    rows: dict[str, list[float]] = {}
-    lines: dict[str, int] = {}
-    with open_input(features_csv) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[0] != "id":
-            raise DataError(f"{features_csv}: first column must be 'id'")
-        names = header[1:]
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{features_csv}:{lineno}: bad field count")
-            first = lines.setdefault(parts[0], lineno)
-            if first != lineno:
-                raise DataError(f"{features_csv}:{lineno}: id {parts[0]} repeats line {first}")
-            try:
-                rows[parts[0]] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DataError(f"{features_csv}:{lineno}: {exc}") from exc
-    ids = cohort.ids
-    missing = [sid for sid in ids if sid not in rows]
-    if missing:
-        raise DataError(f"{features_csv}: missing features for ids {missing[:5]}")
-    extra = np.array([rows[sid] for sid in ids]).reshape(len(ids), len(names))
-    return cohort.with_features(np.concatenate([cohort.features, extra], axis=1),
-                                cohort.feature_names + names)
 
 
 def _model_spec(doc: dict) -> tuple[str, dict]:
@@ -457,18 +425,16 @@ def cmd_embed(args) -> int:
     checkpoint = doc.get("mae", {}).get("checkpoint")
     if checkpoint is None:
         raise ConfigError("embed needs mae.checkpoint")
-    if not Path(checkpoint).exists():
-        raise DataError(f"checkpoint not found: {checkpoint}")
     model = MaeModel.load(checkpoint)
     names, volumes = _mae_volumes(doc)
     out = _out_dir(doc) / (args.out or "embeddings.csv")
     dim = model.config.embed_dim
     # rows are held until every volume is read, so a bad one writes nothing
-    lines = ["id," + ",".join(f"e{j + 1}" for j in range(dim))]
+    rows = [["id"] + [f"e{j + 1}" for j in range(dim)]]
     for name, vol in zip(names, volumes):
-        emb = extract_embedding(model, vol)
-        lines.append(name + "," + ",".join(repr(float(v)) for v in emb))
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        rows.append([name] + [repr(float(v)) for v in extract_embedding(model, vol)])
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     _write_meta(out, "embed", digest)
     print(f"wrote {out} ({len(names)} rows x {dim + 1} columns)")
     return 0
@@ -477,14 +443,7 @@ def cmd_embed(args) -> int:
 def _read_report(path: str) -> CVReport:
     """A `cv` report.json, or its bare "report" object, with a finite numeric
     mean/lo/hi aggregate cell per risk name; anything else is a DataError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: a report must be a JSON object")
+    doc = read_json_object(path)
     try:
         report = CVReport.from_json(doc.get("report", doc))
     except (KeyError, TypeError) as exc:

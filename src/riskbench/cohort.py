@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 defers it to first use; every command uses it
 
 from .errors import DataError
+from .inputs import read_csv, read_json_object
 
 # Exclusion window after imaging: three months mapped to the maximal
 # month-triple length in days.
@@ -401,6 +400,9 @@ def holdout_split(cohort: Cohort, fraction: float = 0.10,
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
+# Cohorts, id-keyed feature tables, diagnosis records and imaging dates are CSV
+# tables with a header row and `csv` quoting; all but the records hold one row
+# per id. Code sets are a JSON object. `inputs` reads them all.
 
 
 def cohort_to_csv(cohort: Cohort, path) -> None:
@@ -413,94 +415,68 @@ def cohort_to_csv(cohort: Cohort, path) -> None:
             writer.writerow([sid, repr(t), e] + [repr(v) for v in x])
 
 
-@contextmanager
-def open_input(path, newline: str | None = None):
-    """`path` opened for reading as UTF-8 text, for a `with` block.
-
-    A file that cannot be opened, or whose bytes read in the block are not
-    UTF-8, is a DataError naming the path.
-    """
+def _parse_field(path, line: int, parse, text: str):
+    """`parse(text)` for a field of CSV line `line`; a ValueError names the line and field."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline=newline)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        return parse(text)
+    except ValueError as exc:
+        raise DataError(f"{path}:{line}: bad field {text!r} ({exc})") from exc
 
 
 def cohort_from_csv(path, risk_names: list[str] | None = None) -> Cohort:
     """Read `id,time,event,<features>` rows; a repeated id or feature column is a DataError."""
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["id", "time", "event"]:
-            raise DataError(f"{path}: expected header starting 'id,time,event'")
-        feature_names = header[3:]
-        for i, name in enumerate(feature_names):
-            if name in feature_names[:i]:
-                raise DataError(f"{path}: feature column '{name}' repeats")
-        lines, times, events, rows = {}, [], [], []  # lines: id -> its line
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                times.append(float(row[1]))
-                events.append(int(row[2]))
-                rows.append([float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            first = lines.setdefault(row[0], lineno)
-            if first != lineno:
-                raise DataError(f"{path}:{lineno}: id {row[0]} repeats line {first}")
+    header, rows = read_csv(path, keyed=True)
+    if header[:3] != ["id", "time", "event"]:
+        raise DataError(f"{path}: expected header starting 'id,time,event'")
+    feature_names = header[3:]
+    for i, name in enumerate(feature_names):
+        if name in feature_names[:i]:
+            raise DataError(f"{path}: feature column '{name}' repeats")
+    times, events, features = [], [], []
+    for line, row in rows:
+        times.append(_parse_field(path, line, float, row[1]))
+        events.append(_parse_field(path, line, int, row[2]))
+        features.append([_parse_field(path, line, float, v) for v in row[3:]])
     if risk_names is None:
         risk_names = [f"risk_{r + 1}" for r in range(max(events, default=0))]
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_names))
-    return Cohort(list(lines), features, times, events, risk_names, feature_names)
+    x = np.array(features, dtype=np.float64).reshape(len(rows), len(feature_names))
+    return Cohort([row[0] for _, row in rows], x, times, events, risk_names, feature_names)
+
+
+def join_features_csv(cohort: Cohort, path) -> Cohort:
+    """`cohort` with the columns of an `id,<features>` CSV appended, joined by subject id."""
+    header, rows = read_csv(path, keyed=True)
+    if header[0] != "id":
+        raise DataError(f"{path}: first column must be 'id'")
+    values = {row[0]: [_parse_field(path, line, float, v) for v in row[1:]] for line, row in rows}
+    missing = [sid for sid in cohort.ids if sid not in values]
+    if missing:
+        raise DataError(f"{path}: missing features for ids {missing[:5]}")
+    extra = np.array([values[sid] for sid in cohort.ids]).reshape(cohort.n, len(header) - 1)
+    return cohort.with_features(np.concatenate([cohort.features, extra], axis=1),
+                                cohort.feature_names + header[1:])
 
 
 def records_from_csv(path) -> list[DiagnosisRecord]:
-    """Read `id,code,date` rows with ISO-8601 dates."""
-    records = []
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "code", "date"]:
-            raise DataError(f"{path}: expected header 'id,code,date'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad date {row[2]!r}") from exc
-            records.append(DiagnosisRecord(row[0], row[1], date))
-    return records
+    """Read `id,code,date` rows with ISO-8601 dates; a subject may have many."""
+    header, rows = read_csv(path, keyed=False)
+    if header != ["id", "code", "date"]:
+        raise DataError(f"{path}: expected header 'id,code,date'")
+    return [DiagnosisRecord(sid, code, _parse_field(path, line, dt.date.fromisoformat, date))
+            for line, (sid, code, date) in rows]
 
 
 def imaging_dates_from_csv(path) -> dict[str, dt.date]:
-    dates = {}
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "date"]:
-            raise DataError(f"{path}: expected header 'id,date'")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                dates[row[0]] = dt.date.fromisoformat(row[1])
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad row {row!r}") from exc
-    return dates
+    """Read `id,date` rows with ISO-8601 dates, one per subject."""
+    header, rows = read_csv(path, keyed=True)
+    if header != ["id", "date"]:
+        raise DataError(f"{path}: expected header 'id,date'")
+    return {sid: _parse_field(path, line, dt.date.fromisoformat, date)
+            for line, (sid, date) in rows}
 
 
 def code_sets_from_json(path) -> dict[str, list[str]]:
-    with open_input(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or not all(isinstance(v, list) for v in doc.values()):
+    doc = read_json_object(path)
+    if not all(isinstance(v, list) for v in doc.values()):
         raise DataError(f"{path}: expected a JSON object mapping risk name to code list")
     return {str(k): [str(c) for c in v] for k, v in doc.items()}

@@ -13,13 +13,12 @@ each component's sign, so repeated fits are bit-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import open_input
 from .errors import DataError
+from .inputs import read_json_object
 
 
 def standardize_fit_apply(train: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
@@ -120,13 +119,7 @@ def pca_apply(model: PcaModel, x: np.ndarray) -> tuple[np.ndarray, list[str]]:
 
 def category_map_from_json(path, names: list[str]) -> list[str]:
     """Resolve a column-name -> category-name JSON map against `names`."""
-    with open_input(path) as fh:
-        try:
-            mapping = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(mapping, dict):
-        raise DataError(f"{path}: category map must be a JSON object")
+    mapping = read_json_object(path)
     missing = [n for n in names if n not in mapping]
     if missing:
         raise DataError(f"category map misses columns: {missing[:5]}")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
+from ..inputs import read_json_object
 from .tensor import ParamGraph, ShapeError
 
 MAGIC = b"RBCK"
@@ -41,12 +42,15 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Every record of a checkpoint file, by name.
 
-    Raises DataError on bad magic, an unknown version, a record cut short
-    or a name that is not utf-8. A file cut exactly between records reads
-    as a shorter checkpoint; `restore_checkpoint` then reports the
-    parameters it lacks.
+    Raises DataError on a file that cannot be read, bad magic, an unknown
+    version, a record cut short or a name that is not utf-8. A file cut
+    exactly between records reads as a shorter checkpoint;
+    `restore_checkpoint` then reports the parameters it lacks.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic {blob[:4]!r})")
     offset = 4
@@ -94,14 +98,5 @@ def write_sidecar(path, doc: dict) -> None:
 
 
 def read_sidecar(path) -> dict:
-    """The JSON object in `<path>.json`; DataError if missing, not JSON or no object."""
-    sidecar = Path(f"{path}.json")
-    try:
-        doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise DataError(f"{sidecar}: checkpoint sidecar not found") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{sidecar}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{sidecar}: not a JSON object")
-    return doc
+    """The JSON object in the sidecar `<path>.json` of a checkpoint."""
+    return read_json_object(f"{path}.json")

@@ -278,9 +278,6 @@ class ParamGraph:
         for t in self.params.values():
             t.grad[...] = 0.0
 
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, t in self.params.items():
             if name not in arrays:

@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from riskbench.cli import _load_cohort, main
-from riskbench.cohort import SynthSpec, cohort_from_csv, oracle_cif
+from riskbench.cohort import Cohort, SynthSpec, cohort_from_csv, cohort_to_csv, oracle_cif
 
 DESK_CV = {
     "seed": 7,
@@ -348,6 +349,17 @@ def test_train_bad_features_csv_cell_exit_3(tmp_path, capsys):
     assert f"{feats}:4:" in capsys.readouterr().err
 
 
+def test_features_csv_reads_quoted_ids_like_the_cohort_csv(tmp_path):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text('id,time,event,x1\n"s1",1.5,1,0.5\ns2,2.0,0,0.25\n', encoding="utf-8")
+    feats = tmp_path / "feats.csv"
+    feats.write_text('id,f1\n"s2",2.0\n"s1",1.0\n', encoding="utf-8")
+    joined = _load_cohort({"data": {"cohort_csv": str(cohort), "features_csv": str(feats)}})
+    assert joined.ids == cohort_from_csv(str(cohort)).ids == ["s1", "s2"]
+    assert joined.feature_names == ["x1", "f1"]
+    assert np.array_equal(joined.features, [[0.5, 1.0], [0.25, 2.0]])
+
+
 @pytest.mark.parametrize("header, repeat, message", [
     ("id,f1", True, ":5: id s000002 repeats line 4"),
     ("id,x1", False, "duplicate feature column 'x1'"),
@@ -489,7 +501,7 @@ def test_model_extras_float_field_accepts_integer_and_fraction(tmp_path):
     assert main(["train", "--config", _write_config(tmp_path, doc)]) == 0
 
 
-@pytest.mark.parametrize("sidecar_text", [None, "{not json", "[1, 2]"])
+@pytest.mark.parametrize("sidecar_text", [None, "{not json", "[1, 2]", "<directory>"])
 def test_embed_missing_or_bad_sidecar_exit_3(tmp_path, capsys, sidecar_text):
     out = tmp_path / "out"
     doc = {"seed": 4,
@@ -499,8 +511,10 @@ def test_embed_missing_or_bad_sidecar_exit_3(tmp_path, capsys, sidecar_text):
     cfg = _write_config(tmp_path, doc)
     assert main(["mae-train", "--config", cfg]) == 0
     sidecar = out / "mae.rbck.json"
-    if sidecar_text is None:
+    if sidecar_text in (None, "<directory>"):
         sidecar.unlink()
+        if sidecar_text:
+            sidecar.mkdir()
     else:
         sidecar.write_text(sidecar_text, encoding="utf-8")
     capsys.readouterr()
@@ -978,6 +992,12 @@ def _label_inputs(tmp_path) -> dict:
     ("label --imaging", "No such file"),
     ("label --codes", "No such file"),
     ("label --codes=<invalid JSON>", "invalid JSON"),
+    ("label --imaging=<repeated id>", ":3: id a repeats line 2"),
+    ("label --imaging=<3 fields>", ":2: expected 2 fields, got 3"),
+    ("label --imaging=<long field>", ":2: field larger than field limit"),
+    ("data.features_csv=<blank lines>", ":1: no header"),
+    ("mae.checkpoint", "No such file"),
+    ("mae.checkpoint=<directory>", "Is a directory"),
 ] + [(f"{case}=<random bytes>", "not UTF-8 text")
      for case in ("data.cohort_csv", "data.features_csv", "features --cohort", "features --fuse",
                   "label --records", "label --imaging", "label --codes")])
@@ -987,6 +1007,14 @@ def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message
         bad.mkdir()
     elif case.endswith("<invalid JSON>"):
         bad.write_text("{not json", encoding="utf-8")
+    elif case.endswith("<repeated id>"):
+        bad.write_text("id,date\na,2015-01-01\na,2016-01-01\n", encoding="utf-8")
+    elif case.endswith("<3 fields>"):
+        bad.write_text("id,date\na,2015-01-01,x\n", encoding="utf-8")
+    elif case.endswith("<long field>"):  # beyond the csv module's field size limit
+        bad.write_text("id,date\na," + "x" * 200_000 + "\n", encoding="utf-8")
+    elif case.endswith("<blank lines>"):
+        bad.write_text("\n\n", encoding="utf-8")
     elif case.endswith("<random bytes>"):
         # 0xff never occurs in UTF-8
         bad.write_bytes(b"\xff" + np.random.default_rng(0).bytes(299))
@@ -999,6 +1027,11 @@ def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message
     label = _label_inputs(tmp_path)
     if case.startswith("data."):
         argv = ["train", "--config", cfg, "--set", f"{case}={bad}"]
+    elif case.startswith("mae."):
+        if bad.is_dir():  # beside a good sidecar, so the checkpoint itself is read
+            (tmp_path / "bad.input.json").write_text(
+                json.dumps({"config": {"patch_size": [15, 10, 10]}}), encoding="utf-8")
+        argv = ["embed", "--config", cfg, "--set", f"{case}={bad}"]
     elif case.startswith("features"):
         flags = {"--cohort": cohort, "--out": str(tmp_path / "r.csv")}
         flags[case.split()[1]] = str(bad)
@@ -1057,12 +1090,17 @@ def test_paper_chain_synth_volumes_mae_embed_cv(tmp_path):
     cfg = _write_config(tmp_path, doc)
     vols = tmp_path / "vols"
     mae = ["--set", f"mae.volumes_dir={vols}"]
+    cohort_csv, emb_csv = tmp_path / "out" / "cohort.csv", tmp_path / "out" / "embeddings.csv"
     assert main(["synth", "--config", cfg]) == 0
     assert main(["make-volumes", "--config", cfg, "--out", str(vols)]) == 0
+    # one subject's id holds a comma, which both CSV files must quote
+    synth = cohort_from_csv(str(cohort_csv))
+    cohort_to_csv(Cohort(["s000000,a"] + synth.ids[1:], synth.features, synth.times,
+                         synth.events, synth.risk_names, synth.feature_names), cohort_csv)
+    (vols / "s000000.rbvl").rename(vols / "s000000,a.rbvl")
     assert main(["mae-train", "--config", cfg] + mae) == 0
     assert main(["embed", "--config", cfg, "--set",
                  f"mae.checkpoint={tmp_path / 'out' / 'mae.rbck'}"] + mae) == 0
-    cohort_csv, emb_csv = tmp_path / "out" / "cohort.csv", tmp_path / "out" / "embeddings.csv"
     categories = {**{f"x{j + 1}": "covariates" for j in range(4)},
                   **{f"e{j + 1}": "embedding" for j in range(dim)}}
     (tmp_path / "categories.json").write_text(json.dumps(categories), encoding="utf-8")
@@ -1080,8 +1118,9 @@ def test_paper_chain_synth_volumes_mae_embed_cv(tmp_path):
     assert json.loads(reports[0])["report"]["audit"]["leaks"] == 0
     # the join puts each subject's embedding row on its cohort row
     cohort = _load_cohort(cv)
-    emb = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
-           for line in emb_csv.read_text().splitlines()[1:]}
+    with open(emb_csv, newline="") as fh:
+        emb = {row[0]: [float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]}
+    assert "s000000,a" in emb
     assert cohort.ids == cohort_from_csv(str(cohort_csv)).ids == sorted(emb)
     assert cohort.feature_names[4:] == [f"e{j + 1}" for j in range(dim)]
     assert np.array_equal(cohort.features[:, 4:], [emb[sid] for sid in cohort.ids])

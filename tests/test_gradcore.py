@@ -540,7 +540,7 @@ def test_dsm_warmup_values_reach_the_main_graph(monkeypatch):
     def fit():
         model = DsmModel(DsmConfig(**cfg))
         model.fit(coh, seed=4)
-        return model.graph.named_arrays()
+        return {name: t.data.copy() for name, t in model.graph.params.items()}
 
     fast = fit()
     with monkeypatch.context() as patch:

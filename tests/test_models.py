@@ -55,6 +55,11 @@ def _bare(model_cls, cfg, d, n_risks, t_scale=1.0, edges=None, seed=0):
     return m
 
 
+def _param_copies(graph):
+    """A copy of every parameter of `graph`, by name."""
+    return {name: t.data.copy() for name, t in graph.params.items()}
+
+
 FIT_CONFIGS = {
     "dsm": lambda: _tiny_cfg(DsmConfig, k=2, warmup_iters=30),
     "nfg": lambda: _tiny_cfg(NfgConfig, monotone_layers=2, monotone_nodes=8),
@@ -267,7 +272,7 @@ def test_seed_determinism_identical_checkpoints(kind, tmp_path):
     for _ in range(2):
         m = MODELS[kind](FIT_CONFIGS[kind]())
         m.fit(coh, seed=77)
-        runs.append(m.graph.named_arrays())
+        runs.append(_param_copies(m.graph))
     assert set(runs[0]) == set(runs[1])
     for name in runs[0]:
         assert np.array_equal(runs[0][name], runs[1][name]), name
@@ -288,12 +293,10 @@ def test_checkpoint_round_trip(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", list(MODELS))
-def test_checkpoint_written_from_the_parameters_bytes_unchanged(kind, tmp_path, monkeypatch):
+def test_checkpoint_written_from_the_parameters_bytes_unchanged(kind, tmp_path):
     m = MODELS[kind](FIT_CONFIGS[kind]())
     m.fit(_synth(200, seed=3), seed=5)
-    gc.save_checkpoint(tmp_path / "copies.rbck", m.graph.named_arrays())
-    monkeypatch.setattr(gc.ParamGraph, "named_arrays",
-                        lambda self: pytest.fail("save copied the parameters"))
+    gc.save_checkpoint(tmp_path / "copies.rbck", _param_copies(m.graph))
     m.save(tmp_path / f"{kind}.rbck")
     assert (tmp_path / f"{kind}.rbck").read_bytes() == (tmp_path / "copies.rbck").read_bytes()
 
@@ -320,7 +323,6 @@ def test_fit_restores_the_best_epoch_without_per_parameter_copies(kind, monkeypa
     def copy_refused(self, *args):
         raise AssertionError("fit copied its parameters one by one")
 
-    monkeypatch.setattr(gc.ParamGraph, "named_arrays", copy_refused)
     monkeypatch.setattr(gc.ParamGraph, "load_arrays", copy_refused)
     m = MODELS[kind](cfg)
     history = m.fit(train, seed=5, valid=valid)
@@ -604,9 +606,9 @@ def test_dsm_warmup_steps_only_base_parameters(iters):
     train, valid = holdout_split(_synth(200, seed=4), 0.1, seed=0)
     m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=2, warmup_iters=iters), d=train.d,
               n_risks=2, t_scale=float(train.times.max()), seed=3)
-    before = m.graph.named_arrays()
+    before = _param_copies(m.graph)
     ran, stop = m._pre_fit(train, valid)
-    after = m.graph.named_arrays()
+    after = _param_copies(m.graph)
     for name in before:
         moved = not np.array_equal(before[name], after[name])
         assert moved == (iters > 0 and name in ("base_a", "base_b", "gate_b")), name
@@ -691,7 +693,7 @@ def test_dsm_load_rejects_checkpoint_with_per_risk_gates(tmp_path, old_config):
     m = _bare(DsmModel, _tiny_cfg(DsmConfig, k=2, nodes=4), d=3, n_risks=2)
     path = tmp_path / "dsm.rbck"
     m.save(path)
-    arrays = m.graph.named_arrays()
+    arrays = _param_copies(m.graph)
     gate_w, gate_b = arrays.pop("gate_w"), arrays.pop("gate_b")
     for r in range(2):
         arrays[f"risk{r}.gate_w"] = gate_w[:, 2 * r : 2 * r + 2]
@@ -708,7 +710,7 @@ def test_dsm_load_rejects_checkpoint_with_per_risk_gates(tmp_path, old_config):
     if not old_config:
         # checkpoints from before the stacked roles held each risk's base
         # and shift parameters apart, as risk{r}.base_a, ...
-        arrays = m.graph.named_arrays()
+        arrays = _param_copies(m.graph)
         for name in ("base_a", "base_b", "head_a", "head_b"):
             stacked = arrays.pop(name)
             for r in range(2):
@@ -1210,7 +1212,7 @@ def test_deephit_load_rejects_checkpoint_with_per_risk_heads(tmp_path):
               edges=[1.0, 2.0, 3.0, 4.0])
     path = tmp_path / "deephit.rbck"
     m.save(path)
-    arrays = m.graph.named_arrays()
+    arrays = _param_copies(m.graph)
     for name, layer in _DEEPHIT_HEAD_LAYERS:
         stacked = arrays.pop(f"head.{name}")
         for r in range(2):
@@ -1551,6 +1553,9 @@ def test_load_model_sidecar_errors(tmp_path):
             load_model(path)
     sidecar.unlink()
     with pytest.raises(DataError, match="not found"):
+        load_model(path)
+    sidecar.mkdir()
+    with pytest.raises(DataError, match="Is a directory"):
         load_model(path)
 
 
