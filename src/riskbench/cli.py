@@ -12,7 +12,6 @@ for provenance (JSON outputs embed it, CSV and checkpoint outputs get a
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -38,7 +37,7 @@ from .cohort import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .features import category_map_from_json, pca_apply, pca_fit, standardize_fit_apply
-from .inputs import read_json_object
+from .files import output_dir, read_json_object, write_csv, write_json, write_text
 from .mae import (
     MaeConfig,
     MaeModel,
@@ -49,7 +48,7 @@ from .mae import (
     train_mae,
 )
 from .models import MODEL_KINDS, BaseConfig, build_model
-from .pipeline import CVReport, CvSettings, HParamGrid, emit_report, nested_cv, report_to_json_str
+from .pipeline import CVReport, CvSettings, HParamGrid, emit_report, nested_cv
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -190,16 +189,19 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def _print_hash(doc: dict) -> str:
+    """The config hash of `doc`, printed before any work."""
+    digest = config_hash(doc)
+    print(f"config_hash={digest}")
+    return digest
+
+
 def _write_meta(out_path: Path, command: str, digest: str) -> None:
-    meta = {"command": command, "config_hash": digest}
-    Path(str(out_path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(f"{out_path}.meta.json", {"command": command, "config_hash": digest})
 
 
 def _out_dir(doc: dict) -> Path:
-    out = Path(doc.get("output", {}).get("dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return output_dir(doc.get("output", {}).get("dir", "out"))
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +262,22 @@ def _cv_settings(doc: dict) -> tuple[CvSettings, int, HParamGrid, str]:
 
 def cmd_synth(args) -> int:
     doc = load_config(args.config, args.set)
-    digest = config_hash(doc)
-    print(f"config_hash={digest}")
+    digest = _print_hash(doc)
     if "synthetic" not in doc.get("data", {}):
         raise ConfigError("synth needs a data.synthetic section")
     spec, n = _synth_spec(doc["data"]["synthetic"])
     cohort = generate_synthetic(spec, n)
     out = _out_dir(doc) / (args.out or "cohort.csv")
     cohort_to_csv(cohort, out)
-    sidecar = {"config_hash": digest, "n": n, "spec": spec.to_json()}
-    Path(str(out) + ".spec.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(f"{out}.spec.json", {"config_hash": digest, "n": n, "spec": spec.to_json()})
     _write_meta(out, "synth", digest)
     print(f"wrote {out} ({cohort.n} subjects, {cohort.n_risks} risks)")
     return 0
 
 
 def cmd_label(args) -> int:
-    digest = config_hash({"records": args.records, "imaging": args.imaging,
+    digest = _print_hash({"records": args.records, "imaging": args.imaging,
                           "codes": args.codes, "censor_date": args.censor_date})
-    print(f"config_hash={digest}")
     records = records_from_csv(args.records)
     imaging = imaging_dates_from_csv(args.imaging)
     codes = code_sets_from_json(args.codes)
@@ -289,7 +287,7 @@ def cmd_label(args) -> int:
         raise ConfigError(f"bad censor date {args.censor_date!r}") from exc
     cohort, stats = build_labels(records, imaging, codes, censor)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    output_dir(out.parent)
     cohort_to_csv(cohort, out)
     _write_meta(out, "label", digest)
     print(f"excluded (event before or within window): {stats.excluded_prior_or_window}")
@@ -302,10 +300,9 @@ def cmd_label(args) -> int:
 
 
 def cmd_features(args) -> int:
-    digest = config_hash({"cohort": args.cohort, "category_map": args.category_map,
+    digest = _print_hash({"cohort": args.cohort, "category_map": args.category_map,
                           "standardize": args.standardize, "pca": args.pca,
                           "fuse": args.fuse, "out": args.out})
-    print(f"config_hash={digest}")
     cohort = cohort_from_csv(args.cohort)
     matrix, names = cohort.features, cohort.feature_names
     categories = (category_map_from_json(args.category_map, names)
@@ -321,7 +318,7 @@ def cmd_features(args) -> int:
         matrix = np.concatenate([matrix, other.features], axis=1)
         names = names + other.feature_names
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    output_dir(out.parent)
     cohort_to_csv(cohort.with_features(matrix, names), out)
     _write_meta(out, "features", digest)
     print(f"wrote {out} ({len(names)} feature columns)")
@@ -330,18 +327,14 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     doc = load_config(args.config, args.set)
-    digest = config_hash(doc)
-    print(f"config_hash={digest}")
+    digest = _print_hash(doc)
     kind, extras = _model_spec(doc)
     cohort = _load_cohort(doc)
     model = build_model(kind, **extras)
     history = model.fit(cohort, seed=doc["seed"])
     out = _out_dir(doc) / f"{kind}.rbck"
     model.save(out)
-    hist_path = _out_dir(doc) / f"{kind}.history.json"
-    hist_path.write_text(json.dumps(
-        {"config_hash": digest, **history.to_json()}, indent=2, sort_keys=True
-    ) + "\n", encoding="utf-8")
+    write_json(out.parent / f"{kind}.history.json", {"config_hash": digest, **history.to_json()})
     _write_meta(out, "train", digest)
     print(f"wrote {out} (best epoch {history.best_epoch})")
     return 0
@@ -352,8 +345,7 @@ def cmd_cv(args) -> int:
     if args.workers is not None:
         overrides.append(f"workers={args.workers}")
     doc = load_config(args.config, overrides)
-    digest = config_hash(doc)
-    print(f"config_hash={digest}")
+    digest = _print_hash(doc)
     settings, k, grid, kind = _cv_settings(doc)
     cohort = _load_cohort(doc)
     if "category_map" in doc.get("data", {}):
@@ -365,11 +357,9 @@ def cmd_cv(args) -> int:
                        seed=doc["seed"], settings=settings,
                        workers=doc.get("workers", 1))
     out = _out_dir(doc)
-    report_doc = {"config_hash": digest, "report": report.to_json()}
-    (out / "report.json").write_text(report_to_json_str(report_doc), encoding="utf-8")
+    write_json(out / "report.json", {"config_hash": digest, "report": report.to_json()})
     markdown, _table = emit_report([report])
-    (out / "report.md").write_text(
-        f"config_hash={digest}\n\n" + markdown, encoding="utf-8")
+    write_text(out / "report.md", f"config_hash={digest}\n\n" + markdown)
     for name in report.risk_names:
         agg = report.aggregate[name]
         print(f"{name}: {agg['mean']:.3f} ({agg['lo']:.3f}, {agg['hi']:.3f})")
@@ -403,16 +393,13 @@ def _mae_volumes(doc: dict) -> tuple[list[str], Iterator]:
 
 def cmd_mae_train(args) -> int:
     doc = load_config(args.config, args.set)
-    digest = config_hash(doc)
-    print(f"config_hash={digest}")
+    digest = _print_hash(doc)
     config = _mae_config(doc)
     _names, volumes = _mae_volumes(doc)
     model, history = train_mae(volumes, config, seed=doc["seed"])
     out = _out_dir(doc) / "mae.rbck"
     model.save(out)
-    (_out_dir(doc) / "mae.history.json").write_text(json.dumps(
-        {"config_hash": digest, **history.to_json()}, indent=2, sort_keys=True
-    ) + "\n", encoding="utf-8")
+    write_json(out.parent / "mae.history.json", {"config_hash": digest, **history.to_json()})
     _write_meta(out, "mae-train", digest)
     print(f"wrote {out} (final epoch loss {history.epoch_losses[-1]:.6f})")
     return 0
@@ -420,8 +407,7 @@ def cmd_mae_train(args) -> int:
 
 def cmd_embed(args) -> int:
     doc = load_config(args.config, args.set)
-    digest = config_hash(doc)
-    print(f"config_hash={digest}")
+    digest = _print_hash(doc)
     checkpoint = doc.get("mae", {}).get("checkpoint")
     if checkpoint is None:
         raise ConfigError("embed needs mae.checkpoint")
@@ -430,11 +416,9 @@ def cmd_embed(args) -> int:
     out = _out_dir(doc) / (args.out or "embeddings.csv")
     dim = model.config.embed_dim
     # rows are held until every volume is read, so a bad one writes nothing
-    rows = [["id"] + [f"e{j + 1}" for j in range(dim)]]
-    for name, vol in zip(names, volumes):
-        rows.append([name] + [repr(float(v)) for v in extract_embedding(model, vol)])
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    rows = [[name] + [repr(float(v)) for v in extract_embedding(model, vol)]
+            for name, vol in zip(names, volumes)]
+    write_csv(out, ["id"] + [f"e{j + 1}" for j in range(dim)], rows)
     _write_meta(out, "embed", digest)
     print(f"wrote {out} ({len(names)} rows x {dim + 1} columns)")
     return 0
@@ -464,14 +448,11 @@ def _read_report(path: str) -> CVReport:
 
 
 def cmd_report(args) -> int:
-    digest = config_hash({"inputs": list(args.inputs)})
-    print(f"config_hash={digest}")
+    digest = _print_hash({"inputs": list(args.inputs)})
     markdown, table = emit_report([_read_report(path) for path in args.inputs])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.md").write_text(markdown, encoding="utf-8")
-    (out / "report.json").write_text(
-        report_to_json_str({"config_hash": digest, "table": table}), encoding="utf-8")
+    out = output_dir(args.out)
+    write_text(out / "report.md", markdown)
+    write_json(out / "report.json", {"config_hash": digest, "table": table})
     print(markdown)
     return 0
 
@@ -479,11 +460,9 @@ def cmd_report(args) -> int:
 def cmd_make_volumes(args) -> int:
     """Helper: write phantom volumes as .rbvl files for embed/mae-train."""
     doc = load_config(args.config, args.set)
-    digest = config_hash(doc)
-    print(f"config_hash={digest}")
+    digest = _print_hash(doc)
     names, volumes = _mae_volumes(doc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
     for name, vol in zip(names, volumes):
         save_volume(vol, out / f"{name}.rbvl")
     print(f"wrote {len(names)} volumes to {out}")

@@ -9,7 +9,6 @@ be measured without any private data.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 defers it to first use; every command uses it
 
 from .errors import DataError
-from .inputs import read_csv, read_json_object
+from .files import read_csv, read_json_object, write_csv
 
 # Exclusion window after imaging: three months mapped to the maximal
 # month-triple length in days.
@@ -402,17 +401,14 @@ def holdout_split(cohort: Cohort, fraction: float = 0.10,
 # ---------------------------------------------------------------------------
 # Cohorts, id-keyed feature tables, diagnosis records and imaging dates are CSV
 # tables with a header row and `csv` quoting; all but the records hold one row
-# per id. Code sets are a JSON object. `inputs` reads them all.
+# per id. Code sets are a JSON object. `files` reads them all and writes cohorts.
 
 
 def cohort_to_csv(cohort: Cohort, path) -> None:
-    """Write `id,time,event,<features...>` with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "time", "event"] + cohort.feature_names)
-        for sid, t, e, x in zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
-                                cohort.features.tolist()):
-            writer.writerow([sid, repr(t), e] + [repr(v) for v in x])
+    """Write `id,time,event,<features...>`, times and features as `repr` floats."""
+    rows = zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(), cohort.features.tolist())
+    write_csv(path, ["id", "time", "event"] + cohort.feature_names,
+              ([sid, repr(t), e] + [repr(v) for v in x] for sid, t, e, x in rows))
 
 
 def _parse_field(path, line: int, parse, text: str):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .inputs import read_json_object
+from .files import read_json_object
 
 
 def standardize_fit_apply(train: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:

@@ -1,22 +1,22 @@
-"""Parameter checkpoint file.
+"""Model files: a parameter checkpoint and its JSON sidecar.
 
-Layout: magic bytes "RBCK", version u32, then one record per parameter:
-name-length u32, utf-8 name, shape-rank u32, dims u32 each, f64
+Checkpoint layout: magic bytes "RBCK", version u32, then one record per
+parameter: name-length u32, utf-8 name, shape-rank u32, dims u32 each, f64
 little-endian payload in row-major order. Records run to end of file.
 A model's own settings travel beside it in a JSON sidecar, `<path>.json`.
+`save_model_files` writes the checkpoint, then the sidecar; `read_model_files`
+reads them in that order, each once.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError
-from ..inputs import read_json_object
+from ..files import open_input, open_output, read_json_object, write_json
 from .tensor import ParamGraph, ShapeError
 
 MAGIC = b"RBCK"
@@ -24,7 +24,7 @@ VERSION = 1
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for name, arr in arrays.items():
@@ -47,10 +47,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     exactly between records reads as a shorter checkpoint;
     `restore_checkpoint` then reports the parameters it lacks.
     """
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    with open_input(path, "rb") as fh:
+        blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic {blob[:4]!r})")
     offset = 4
@@ -79,24 +77,24 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return arrays
 
 
-def restore_checkpoint(graph: ParamGraph, path) -> None:
-    """Load a checkpoint file into every parameter of `graph`.
+def restore_checkpoint(graph: ParamGraph, arrays: dict[str, np.ndarray], path) -> None:
+    """Load `arrays`, read from checkpoint `path`, into every parameter of `graph`.
 
-    A parameter missing from the file or stored with another shape raises
+    A parameter missing from the records or stored with another shape raises
     DataError.
     """
     try:
-        graph.load_arrays(load_checkpoint(path))
+        graph.load_arrays(arrays)
     except (KeyError, ShapeError) as exc:
         raise DataError(f"{path}: {exc.args[0]}") from exc
 
 
-def write_sidecar(path, doc: dict) -> None:
-    """Write `doc` as the JSON sidecar `<path>.json` of a checkpoint."""
-    Path(f"{path}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                                    encoding="utf-8")
+def save_model_files(path, graph: ParamGraph, sidecar: dict) -> None:
+    """Write the parameters of `graph` to `path`, then `sidecar` to `<path>.json`."""
+    save_checkpoint(path, {name: t.data for name, t in graph.params.items()})
+    write_json(f"{path}.json", sidecar)
 
 
-def read_sidecar(path) -> dict:
-    """The JSON object in the sidecar `<path>.json` of a checkpoint."""
-    return read_json_object(f"{path}.json")
+def read_model_files(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The records of checkpoint `path` and the JSON object in `<path>.json`."""
+    return load_checkpoint(path), read_json_object(f"{path}.json")

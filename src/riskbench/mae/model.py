@@ -32,7 +32,7 @@ from ..gradcore import (
     sub,
     tmean,
 )
-from ..gradcore.checkpoint import read_sidecar, restore_checkpoint, save_checkpoint, write_sidecar
+from ..gradcore.checkpoint import read_model_files, restore_checkpoint, save_model_files
 from .patches import MaskPlan, PatchGrid, foreground_flags, patchify, sample_mask
 from .volume import Volume4D
 
@@ -159,18 +159,18 @@ class MaeModel:
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, {name: t.data for name, t in self.graph.params.items()})
-        write_sidecar(path, {"config": {**asdict(self.config),
-                                        "patch_size": list(self.config.patch_size)}})
+        config = {**asdict(self.config), "patch_size": list(self.config.patch_size)}
+        save_model_files(path, self.graph, {"config": config})
 
     @classmethod
     def load(cls, path: str | Path) -> "MaeModel":
-        cfg = read_sidecar(path).get("config", {})
+        arrays, sidecar = read_model_files(path)
+        cfg = sidecar.get("config", {})
         if "patch_size" not in cfg:
             raise DataError(f"{path}: sidecar config has no patch_size")
         cfg["patch_size"] = tuple(cfg["patch_size"])
         model = cls(MaeConfig(**cfg))
-        restore_checkpoint(model.graph, path)
+        restore_checkpoint(model.graph, arrays, path)
         return model
 
 

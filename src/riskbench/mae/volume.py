@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
+from ..files import open_input, open_output
 
 MAGIC = b"RBVL"
 VERSION = 1
@@ -40,7 +41,7 @@ class Volume4D:
 
 
 def save_volume(vol: Volume4D, path) -> None:
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", vol.data.ndim))
@@ -52,12 +53,9 @@ def save_volume(vol: Volume4D, path) -> None:
 def load_volume(path) -> Volume4D:
     """The volume in file `path`. Its voxels are a view of the one buffer the
     file is read into, so loading holds one copy of them, not two."""
-    try:
-        with open(path, "rb") as fh:
-            blob = bytearray(os.fstat(fh.fileno()).st_size)
-            del blob[fh.readinto(blob):]  # a file that shrank since fstat reads short
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    with open_input(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]  # a file that shrank since fstat reads short
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a volume file (bad magic {bytes(blob[:4])!r})")
     try:  # a short file raises struct.error or ValueError

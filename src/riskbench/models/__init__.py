@@ -1,7 +1,7 @@
 """Competing-risk models behind one CIF contract."""
 
 from ..errors import DataError
-from ..gradcore.checkpoint import read_sidecar
+from ..gradcore.checkpoint import read_model_files
 from .base import BaseConfig, CifModel, TrainHistory
 from .deephit import DeepHitConfig, DeepHitModel
 from .dsm import DsmConfig, DsmModel
@@ -23,10 +23,11 @@ def build_model(kind: str, **config_fields) -> CifModel:
 
 def load_model(path) -> CifModel:
     """Load any model checkpoint; the JSON sidecar names the kind."""
-    kind = read_sidecar(path).get("kind")
+    arrays, sidecar = read_model_files(path)
+    kind = sidecar.get("kind")
     if kind not in MODEL_KINDS:
         raise DataError(f"{path}: unknown model kind {kind!r} in checkpoint sidecar")
-    return MODEL_KINDS[kind][0].load(path)
+    return MODEL_KINDS[kind][0]._restore(path, arrays, sidecar)
 
 
 __all__ = [

@@ -27,7 +27,7 @@ from ..cohort import Cohort, holdout_split
 from ..errors import DataError, NumericError
 from ..gradcore import MLP, AdamState, ParamGraph, Tensor, adam_step, clamp_min, mul, tlog, tsum
 from ..gradcore import add as tadd
-from ..gradcore.checkpoint import read_sidecar, restore_checkpoint, save_checkpoint, write_sidecar
+from ..gradcore.checkpoint import read_model_files, restore_checkpoint, save_model_files
 from ..pipeline_audit import record_fit
 
 PROB_FLOOR = 1e-12
@@ -294,8 +294,7 @@ class CifModel:
     # checkpointing --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, {name: t.data for name, t in self.graph.params.items()})
-        write_sidecar(path, {
+        save_model_files(path, self.graph, {
             "kind": self.kind,
             "n_risks": self.n_risks,
             "d": self.d,
@@ -306,7 +305,11 @@ class CifModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CifModel":
-        sidecar = read_sidecar(path)
+        return cls._restore(path, *read_model_files(path))
+
+    @classmethod
+    def _restore(cls, path, arrays: dict, sidecar: dict) -> "CifModel":
+        """The model saved at `path`, from its checkpoint records and sidecar."""
         if sidecar.get("kind") != cls.kind:
             raise DataError(f"checkpoint is a {sidecar.get('kind')!r} model, not {cls.kind!r}")
         try:
@@ -320,6 +323,6 @@ class CifModel:
         except TypeError as exc:
             raise DataError(f"{path}.json: bad checkpoint sidecar ({exc})") from None
         model._build(_rng_stream(0, 0))
-        restore_checkpoint(model.graph, path)
+        restore_checkpoint(model.graph, arrays, path)
         model._fitted = True
         return model

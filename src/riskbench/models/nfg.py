@@ -47,9 +47,9 @@ class NfgConfig(BaseConfig):
     monotone_nodes: int = field(default=32, metadata={"min": 1})
 
 
-def time_net(u_col, proj, net: list, tangent: bool):
+def time_net(u_col, proj, net: list):
     """M at rescaled times u_col (n, 1), given the embedding term `proj`,
-    and dM/du when `tangent`, else None; the likelihood's time path.
+    and its forward tangent dM/du; the likelihood's time path.
 
     `net` lists the weights [w_time, b_in, (w, b) of each hidden layer,
     w_out, b_out], either stacked over risks, giving (R, n, 1) outputs from
@@ -60,15 +60,14 @@ def time_net(u_col, proj, net: list, tangent: bool):
     w_time, b_in, *hidden, w_out, b_out = net
     wt2 = mul(w_time, w_time)
     a = tanh(tadd(tadd(mul(u_col, wt2), proj), b_in))
-    da = mul(tsub(1.0, mul(a, a)), wt2) if tangent else None
+    da = mul(tsub(1.0, mul(a, a)), wt2)
     for w, b in zip(hidden[::2], hidden[1::2]):
         w2 = mul(w, w)
         a = tanh(tadd(a @ w2, b))
-        if tangent:
-            da = mul(tsub(1.0, mul(a, a)), da @ w2)
+        da = mul(tsub(1.0, mul(a, a)), da @ w2)
     w2 = mul(w_out, w_out)
     z_out = tadd(a @ w2, b_out)
-    return softplus(z_out), mul(sigmoid(z_out), da @ w2) if tangent else None
+    return softplus(z_out), mul(sigmoid(z_out), da @ w2)
 
 
 class NfgModel(CifModel):
@@ -99,7 +98,7 @@ class NfgModel(CifModel):
         """Every risk's CIF and density (in rescaled time) at u_col, each (n, R)."""
         n, n_risks = h.shape[0], self.n_risks
         proj = transpose((h @ self.w_emb).reshape(n, n_risks, -1), (1, 0, 2))
-        m, dm = time_net(u_col, proj, self.net, tangent=True)  # each (R, n, 1)
+        m, dm = time_net(u_col, proj, self.net)  # each (R, n, 1)
         m, dm = transpose(m.reshape(n_risks, n)), transpose(dm.reshape(n_risks, n))
         balance = self._balance(h)
         decay = texp(mul(mul(u_col, m), -1.0))

@@ -11,7 +11,6 @@ iteration), so results do not depend on worker scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -276,9 +275,7 @@ def run_fold(payload: tuple) -> dict:
         model = build_model(model_kind, **best)
         history = model.fit(refit_train, seed=child_seed(seed, fold_idx, 3), valid=refit_valid)
     if settings.checkpoint_dir is not None:
-        from pathlib import Path
-
-        model.save(Path(settings.checkpoint_dir) / f"fold{fold_idx}.rbck")
+        model.save(os.path.join(settings.checkpoint_dir, f"fold{fold_idx}.rbck"))
     ctd, pairs = {}, {}
     for r, name in enumerate(cohort.risk_names, start=1):
         res = ctd_index(test_t, model, r=r)
@@ -390,7 +387,3 @@ def emit_report(reports: list[CVReport]) -> tuple[str, dict]:
     markdown = "\n".join(lines) + "\n"
     doc = {"columns": risk_names, "rows": rows}
     return markdown, doc
-
-
-def report_to_json_str(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

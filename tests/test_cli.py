@@ -6,6 +6,7 @@ import pytest
 
 from riskbench.cli import _load_cohort, main
 from riskbench.cohort import Cohort, SynthSpec, cohort_from_csv, cohort_to_csv, oracle_cif
+from riskbench.mae import MaeConfig, MaeModel
 
 DESK_CV = {
     "seed": 7,
@@ -679,6 +680,29 @@ def test_train_serial_cv_and_mae_train_load_no_process_pool(tmp_path):
     assert (tmp_path / "mae" / "mae.rbck").exists()
 
 
+def test_only_the_files_module_reads_or_writes_text_files():
+    """CSV tables, JSON files and `Path.read_text`/`write_text` go through
+    `riskbench.files`; `json.dumps` (the config hash) stays allowed elsewhere."""
+    import ast
+    from pathlib import Path
+
+    import riskbench
+
+    src = Path(riskbench.__file__).parent
+    text_io = {("csv", "reader"), ("csv", "writer"), ("json", "load"), ("json", "dump")}
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "files.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and (
+                    func.attr in ("read_text", "write_text")
+                    or isinstance(func.value, ast.Name) and (func.value.id, func.attr) in text_io):
+                found.append(f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(func)}")
+    assert found == []
+
+
 @pytest.mark.parametrize("command", ["train", "cv", "mae-train"])
 def test_negative_seed_exit_2(tmp_path, capsys, command):
     doc = {**DESK_CV, "seed": -1, "mae": {"n_phantoms": 1, "dims": [30, 20, 20, 2]},
@@ -1045,7 +1069,57 @@ def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(bad) in err and message in err
+    assert not case.startswith("mae.") or f"{bad}.json" not in err  # the checkpoint is read first
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "labels.csv").exists()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("synth", "<file>"), ("synth --out sub/c.csv", "out/sub/c.csv"), ("label", "<file>"),
+    ("features", "<file>"), ("train", "<file>"), ("cv", "<file>"), ("mae-train", "<file>"),
+    ("embed", "<file>"), ("report", "<file>"), ("make-volumes", "<file>"),
+])
+def test_unwritable_output_exit_3_names_path(tmp_path, capsys, command, target):
+    """An output under a plain file, or in a directory that does not exist."""
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    target = blocker if target == "<file>" else tmp_path / target
+    mae = {"n_phantoms": 2, "dims": [30, 20, 20, 2], "embed_dim": 8, "enc_layers": 1,
+           "dec_layers": 1, "heads": 2, "epochs": 1, "checkpoint": str(tmp_path / "mae.rbck")}
+    doc = {**DESK_CV, "model": {"kind": "nfg", "extras": {"max_epochs": 1}},
+           "cv": {**DESK_CV["cv"], "n_iter": 1, "max_epochs": 1}, "mae": mae,
+           "output": {"dir": str(tmp_path / "out")}}
+    cfg = _write_config(tmp_path, doc)
+    into_file = ["--set", f"output.dir={blocker}"]
+    label = _label_inputs(tmp_path)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"model_kind": "nfg", "modality": "synthetic",
+                                  "risk_names": ["risk_1"], "k": 2, "seed": 0, "folds": [],
+                                  "aggregate": {"risk_1": {"mean": 0.7, "lo": 0.6, "hi": 0.8}}}),
+                      encoding="utf-8")
+    if command == "embed":
+        model = MaeModel(MaeConfig(embed_dim=8, enc_layers=1, dec_layers=1, heads=2))
+        model.save(mae["checkpoint"])
+    argv = {
+        "synth": ["synth", "--config", cfg] + into_file,
+        "synth --out sub/c.csv": ["synth", "--config", cfg, "--out", "sub/c.csv"],
+        "label": ["label", "--records", label["records"], "--imaging", label["imaging"],
+                  "--codes", label["codes"], "--censor-date", "2020-01-01",
+                  "--out", str(blocker / "labels.csv")],
+        "features": ["features", "--cohort", str(tmp_path / "cohort.csv"),
+                     "--out", str(blocker / "r.csv")],
+        "train": ["train", "--config", cfg] + into_file,
+        "cv": ["cv", "--config", cfg] + into_file,
+        "mae-train": ["mae-train", "--config", cfg] + into_file,
+        "embed": ["embed", "--config", cfg] + into_file,
+        "report": ["report", "--inputs", str(report), "--out", str(blocker)],
+        "make-volumes": ["make-volumes", "--config", cfg, "--out", str(blocker)],
+    }[command]
+    if command == "features":
+        main(["synth", "--config", cfg, "--set", f"output.dir={tmp_path}"])
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {target}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["-1", "-7"])

@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import gc as pygc
+import io
 import json
 import warnings
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from riskbench import gradcore as gc
 from riskbench.cohort import Cohort, SynthSpec, generate_synthetic, holdout_split
 from riskbench.errors import DataError
+from riskbench.mae import MaeConfig, MaeModel
 from riskbench.metrics import ctd_index
 from riskbench.models import (
     BaseConfig,
@@ -740,7 +743,7 @@ def _nfg_monotone_value(m, x, t, r):
     w = m.config.monotone_nodes
     proj = m.encoder(gc.Tensor(x)) @ m.w_emb[:, (r - 1) * w : r * w]
     u = gc.Tensor(np.full((x.shape[0], 1), t / m.t_scale))
-    mval, dval = time_net(u, proj, [p[r - 1] for p in m.net], tangent=True)
+    mval, dval = time_net(u, proj, [p[r - 1] for p in m.net])
     return mval.data, dval.data
 
 
@@ -1557,6 +1560,30 @@ def test_load_model_sidecar_errors(tmp_path):
     sidecar.mkdir()
     with pytest.raises(DataError, match="Is a directory"):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["nfg", "mae"])
+def test_model_load_reads_checkpoint_then_sidecar_once_each(tmp_path, monkeypatch, kind):
+    """`load_model` and `MaeModel.load` open `<ckpt>`, then `<ckpt>.json`, each once."""
+    path = tmp_path / "model.rbck"
+    if kind == "mae":
+        model = MaeModel(MaeConfig(embed_dim=8, enc_layers=1, dec_layers=1, heads=2))
+        load = MaeModel.load
+    else:
+        model = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=2, monotone_nodes=2), d=2, n_risks=1)
+        load = load_model
+    model.save(path)
+    opened, real_open = [], io.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)  # pathlib opens through io.open
+    monkeypatch.setattr(builtins, "open", spy)
+    load(path)
+    ours = [name for name in opened if name.startswith(str(tmp_path))]
+    assert ours == [str(path), f"{path}.json"]
 
 
 @pytest.mark.parametrize("damage, match", [
