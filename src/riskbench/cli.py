@@ -331,8 +331,8 @@ def cmd_train(args) -> int:
     kind, extras = _model_spec(doc)
     cohort = _load_cohort(doc)
     model = build_model(kind, **extras)
-    history = model.fit(cohort, seed=doc["seed"])
     out = _out_dir(doc) / f"{kind}.rbck"
+    history = model.fit(cohort, seed=doc["seed"])
     model.save(out)
     write_json(out.parent / f"{kind}.history.json", {"config_hash": digest, **history.to_json()})
     _write_meta(out, "train", digest)
@@ -351,12 +351,12 @@ def cmd_cv(args) -> int:
     if "category_map" in doc.get("data", {}):
         settings.categories = category_map_from_json(doc["data"]["category_map"],
                                                      list(cohort.feature_names))
+    out = _out_dir(doc)
     if doc.get("cv", {}).get("save_fold_checkpoints", False):
-        settings.checkpoint_dir = str(_out_dir(doc))
+        settings.checkpoint_dir = str(out)
     report = nested_cv(cohort, kind, grid=grid, k=k,
                        seed=doc["seed"], settings=settings,
                        workers=doc.get("workers", 1))
-    out = _out_dir(doc)
     write_json(out / "report.json", {"config_hash": digest, "report": report.to_json()})
     markdown, _table = emit_report([report])
     write_text(out / "report.md", f"config_hash={digest}\n\n" + markdown)

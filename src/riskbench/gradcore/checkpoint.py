@@ -4,8 +4,8 @@ Checkpoint layout: magic bytes "RBCK", version u32, then one record per
 parameter: name-length u32, utf-8 name, shape-rank u32, dims u32 each, f64
 little-endian payload in row-major order. Records run to end of file.
 A model's own settings travel beside it in a JSON sidecar, `<path>.json`.
-`save_model_files` writes the checkpoint, then the sidecar; `read_model_files`
-reads them in that order, each once.
+`save_model_files` writes the checkpoint, then the sidecar; `load_model_files`,
+the one loader of every model, reads them in that order, each once.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     Raises DataError on a file that cannot be read, bad magic, an unknown
     version, a record cut short or a name that is not utf-8. A file cut
     exactly between records reads as a shorter checkpoint;
-    `restore_checkpoint` then reports the parameters it lacks.
+    `load_model_files` then reports the parameters it lacks.
     """
     with open_input(path, "rb") as fh:
         blob = fh.read()
@@ -77,24 +77,28 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return arrays
 
 
-def restore_checkpoint(graph: ParamGraph, arrays: dict[str, np.ndarray], path) -> None:
-    """Load `arrays`, read from checkpoint `path`, into every parameter of `graph`.
-
-    A parameter missing from the records or stored with another shape raises
-    DataError.
-    """
-    try:
-        graph.load_arrays(arrays)
-    except (KeyError, ShapeError) as exc:
-        raise DataError(f"{path}: {exc.args[0]}") from exc
-
-
 def save_model_files(path, graph: ParamGraph, sidecar: dict) -> None:
     """Write the parameters of `graph` to `path`, then `sidecar` to `<path>.json`."""
     save_checkpoint(path, {name: t.data for name, t in graph.params.items()})
     write_json(f"{path}.json", sidecar)
 
 
-def read_model_files(path) -> tuple[dict[str, np.ndarray], dict]:
-    """The records of checkpoint `path` and the JSON object in `<path>.json`."""
-    return load_checkpoint(path), read_json_object(f"{path}.json")
+def load_model_files(path, build):
+    """The model `build(sidecar)` makes from `<path>.json`, its `graph` filled
+    from the records of `path`. A KeyError, TypeError or ValueError from
+    `build` is a DataError naming the sidecar; a DataError passes through."""
+    arrays = load_checkpoint(path)
+    sidecar = read_json_object(f"{path}.json")
+    try:
+        model = build(sidecar)
+    except DataError:
+        raise
+    except KeyError as exc:
+        raise DataError(f"{path}.json: checkpoint sidecar lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}.json: bad checkpoint sidecar ({exc})") from None
+    try:
+        model.graph.load_arrays(arrays)
+    except (KeyError, ShapeError) as exc:
+        raise DataError(f"{path}: {exc.args[0]}") from exc
+    return model

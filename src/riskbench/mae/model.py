@@ -32,7 +32,8 @@ from ..gradcore import (
     sub,
     tmean,
 )
-from ..gradcore.checkpoint import read_model_files, restore_checkpoint, save_model_files
+from ..gradcore.checkpoint import load_model_files, save_model_files
+from ..seeds import child_seed, rng_stream
 from .patches import MaskPlan, PatchGrid, foreground_flags, patchify, sample_mask
 from .volume import Volume4D
 
@@ -92,7 +93,7 @@ class MaeModel:
         self.config = config
         self.patch_voxels = int(np.prod(config.patch_size))
         self.graph = ParamGraph()
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xAE)))
+        rng = rng_stream(seed, 0xAE)
         d = config.embed_dim
         self.embed = Linear(self.graph, "embed", self.patch_voxels, d, rng)
         self.enc_blocks = [
@@ -159,19 +160,15 @@ class MaeModel:
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        config = {**asdict(self.config), "patch_size": list(self.config.patch_size)}
-        save_model_files(path, self.graph, {"config": config})
+        save_model_files(path, self.graph, {"config": asdict(self.config)})
 
     @classmethod
     def load(cls, path: str | Path) -> "MaeModel":
-        arrays, sidecar = read_model_files(path)
-        cfg = sidecar.get("config", {})
-        if "patch_size" not in cfg:
-            raise DataError(f"{path}: sidecar config has no patch_size")
-        cfg["patch_size"] = tuple(cfg["patch_size"])
-        model = cls(MaeConfig(**cfg))
-        restore_checkpoint(model.graph, arrays, path)
-        return model
+        def build(sidecar: dict) -> "MaeModel":
+            config = sidecar["config"]  # patch_size is required: no default fits every checkpoint
+            return cls(MaeConfig(**{**config, "patch_size": tuple(config["patch_size"])}))
+
+        return load_model_files(path, build)
 
 
 @dataclass
@@ -203,7 +200,7 @@ def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
     with _RowSpill(config.embed_dim, model.patch_voxels) as spill:
         _spill_foreground_rows(model, volumes, spill)
         adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
-        drop_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xD0)))
+        drop_rng = rng_stream(seed, 0xD0)
         losses: list[float] = []
         steps: list[float] = []
         for epoch in range(config.epochs):
@@ -213,7 +210,7 @@ def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
                 # over all-foreground flags the plan draws the same patches as
                 # over the volume's full flags, numbered by foreground rank
                 plan = sample_mask(np.ones(len(rows.values), dtype=bool), config.mask_ratio,
-                                   seed=_plan_seed(seed, epoch, vi))
+                                   seed=child_seed(seed, epoch, vi))
                 _, loss = model.forward(rows, plan, rng=drop_rng, training=True)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -287,11 +284,6 @@ def _spill_foreground_rows(model: MaeModel, volumes: Iterable[Volume4D],
         spill.append(rows)
     if not spill.records:
         raise DataError("train_mae needs at least one volume")
-
-
-def _plan_seed(seed: int, epoch: int, volume_idx: int) -> int:
-    ss = np.random.SeedSequence(entropy=(int(seed), epoch, volume_idx))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 def _foreground_rows(model: MaeModel, vol: Volume4D) -> PatchRows:

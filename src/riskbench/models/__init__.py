@@ -1,7 +1,7 @@
 """Competing-risk models behind one CIF contract."""
 
 from ..errors import DataError
-from ..gradcore.checkpoint import read_model_files
+from ..gradcore.checkpoint import load_model_files
 from .base import BaseConfig, CifModel, TrainHistory
 from .deephit import DeepHitConfig, DeepHitModel
 from .dsm import DsmConfig, DsmModel
@@ -23,11 +23,13 @@ def build_model(kind: str, **config_fields) -> CifModel:
 
 def load_model(path) -> CifModel:
     """Load any model checkpoint; the JSON sidecar names the kind."""
-    arrays, sidecar = read_model_files(path)
-    kind = sidecar.get("kind")
-    if kind not in MODEL_KINDS:
-        raise DataError(f"{path}: unknown model kind {kind!r} in checkpoint sidecar")
-    return MODEL_KINDS[kind][0]._restore(path, arrays, sidecar)
+    def build(sidecar: dict) -> CifModel:
+        kind = sidecar.get("kind")
+        if kind not in MODEL_KINDS:
+            raise DataError(f"{path}: unknown model kind {kind!r} in checkpoint sidecar")
+        return MODEL_KINDS[kind][0]._from_sidecar(sidecar)
+
+    return load_model_files(path, build)
 
 
 __all__ = [

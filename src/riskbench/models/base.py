@@ -12,7 +12,8 @@ inputs are rescaled by the training-set maximum so exponentials stay tame
 
 `_build` makes every model's ReLU encoder before its `_build_heads`, and
 `_nll` assembles the competing-risk likelihood, clamped at PROB_FLOOR, from
-the terms each model's `_loss` supplies.
+the terms each model's `_loss` supplies. `load` builds a model from its
+sidecar (`_from_sidecar`) through `gradcore.checkpoint.load_model_files`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from ..cohort import Cohort, holdout_split
 from ..errors import DataError, NumericError
 from ..gradcore import MLP, AdamState, ParamGraph, Tensor, adam_step, clamp_min, mul, tlog, tsum
 from ..gradcore import add as tadd
-from ..gradcore.checkpoint import read_model_files, restore_checkpoint, save_model_files
+from ..gradcore.checkpoint import load_model_files, save_model_files
 from ..pipeline_audit import record_fit
+from ..seeds import rng_stream
 
 PROB_FLOOR = 1e-12
 # (time, subject) pairs evaluated per step of a CIF query. This bounds the
@@ -82,10 +84,6 @@ class TrainHistory:
                 "best_epoch": self.best_epoch, "best_valid": self.best_valid,
                 "clamped_terms": self.clamped_terms, "warmup_iters": self.warmup_iters,
                 "warmup_stop": self.warmup_stop}
-
-
-def _rng_stream(seed: int, label: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), label)))
 
 
 def evaluate_pairs(fn, ti: np.ndarray, ri: np.ndarray) -> np.ndarray:
@@ -238,7 +236,7 @@ class CifModel:
         self.n_risks = train.n_risks
         self.d = train.d
         self._prepare(train)
-        self._build(_rng_stream(seed, 0))
+        self._build(rng_stream(seed, 0))
         warmup_iters, warmup_stop = self._pre_fit(train, valid)
         history = self._fit_loop(train, valid, seed)
         history.warmup_iters, history.warmup_stop = warmup_iters, warmup_stop
@@ -251,8 +249,8 @@ class CifModel:
         n = train.n
         batch = max(1, min(self.config.batch_size, n))
         adam = AdamState(lr=self.config.lr, weight_decay=self.config.weight_decay)
-        shuffle_rng = _rng_stream(seed, 2)
-        drop_rng = _rng_stream(seed, 3)
+        shuffle_rng = rng_stream(seed, 2)
+        drop_rng = rng_stream(seed, 3)
         best_valid = math.inf
         best_epoch = -1
         params = self.graph.flat()[0]
@@ -305,24 +303,18 @@ class CifModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CifModel":
-        return cls._restore(path, *read_model_files(path))
+        return load_model_files(path, cls._from_sidecar)
 
     @classmethod
-    def _restore(cls, path, arrays: dict, sidecar: dict) -> "CifModel":
-        """The model saved at `path`, from its checkpoint records and sidecar."""
+    def _from_sidecar(cls, sidecar: dict) -> "CifModel":
+        """The model a checkpoint sidecar describes, its parameters not yet loaded."""
         if sidecar.get("kind") != cls.kind:
             raise DataError(f"checkpoint is a {sidecar.get('kind')!r} model, not {cls.kind!r}")
-        try:
-            model = cls(cls.config_class(**sidecar["config"]))
-            model.n_risks = sidecar["n_risks"]
-            model.d = sidecar["d"]
-            model.t_scale = sidecar["t_scale"]
-            model._load_extra_state(sidecar)
-        except KeyError as exc:
-            raise DataError(f"{path}.json: checkpoint sidecar lacks {exc}") from None
-        except TypeError as exc:
-            raise DataError(f"{path}.json: bad checkpoint sidecar ({exc})") from None
-        model._build(_rng_stream(0, 0))
-        restore_checkpoint(model.graph, arrays, path)
+        model = cls(cls.config_class(**sidecar["config"]))
+        model.n_risks = sidecar["n_risks"]
+        model.d = sidecar["d"]
+        model.t_scale = sidecar["t_scale"]
+        model._load_extra_state(sidecar)
+        model._build(rng_stream(0, 0))
         model._fitted = True
         return model

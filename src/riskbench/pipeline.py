@@ -23,12 +23,7 @@ from .features import pca_apply, pca_fit, standardize_fit_apply
 from .metrics import NoComparablePairs, ctd_index
 from .models import MODEL_KINDS, build_model
 from .pipeline_audit import LeakageAudit, record_fit
-
-
-def child_seed(*parts: int) -> int:
-    """Deterministic 63-bit seed from a tuple of indices."""
-    ss = np.random.SeedSequence(entropy=tuple(int(p) for p in parts))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+from .seeds import child_seed, rng_stream
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +100,7 @@ def random_search(grid: HParamGrid, n_iter: int, train: Cohort, valid: Cohort,
     validation) are logged and skipped; if every configuration fails, the
     failure log is raised. Ties keep the earliest iteration.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xC0FFEE)))
+    rng = rng_stream(seed, 0xC0FFEE)
     best_score, best_config, best_iter = -np.inf, None, -1
     log = []
     for it in range(n_iter):

@@ -502,7 +502,17 @@ def test_model_extras_float_field_accepts_integer_and_fraction(tmp_path):
     assert main(["train", "--config", _write_config(tmp_path, doc)]) == 0
 
 
-@pytest.mark.parametrize("sidecar_text", [None, "{not json", "[1, 2]", "<directory>"])
+_BAD_MAE_CONFIG = {
+    "<config: unknown key>": lambda config: {**config, "bogus": 1},
+    "<config: a number>": lambda config: 7,
+    "<config: no patch_size>": lambda config: {k: v for k, v in config.items()
+                                               if k != "patch_size"},
+    "<config: patch_size not a list>": lambda config: {**config, "patch_size": 5},
+}
+
+
+@pytest.mark.parametrize("sidecar_text", [None, "{not json", "[1, 2]", "<directory>",
+                                          *_BAD_MAE_CONFIG])
 def test_embed_missing_or_bad_sidecar_exit_3(tmp_path, capsys, sidecar_text):
     out = tmp_path / "out"
     doc = {"seed": 4,
@@ -516,11 +526,16 @@ def test_embed_missing_or_bad_sidecar_exit_3(tmp_path, capsys, sidecar_text):
         sidecar.unlink()
         if sidecar_text:
             sidecar.mkdir()
+    elif sidecar_text in _BAD_MAE_CONFIG:
+        saved = json.loads(sidecar.read_text(encoding="utf-8"))
+        saved["config"] = _BAD_MAE_CONFIG[sidecar_text](saved["config"])
+        sidecar.write_text(json.dumps(saved), encoding="utf-8")
     else:
         sidecar.write_text(sidecar_text, encoding="utf-8")
     capsys.readouterr()
     assert main(["embed", "--config", cfg, "--set", f"mae.checkpoint={out / 'mae.rbck'}"]) == 3
-    assert "mae.rbck.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "mae.rbck.json" in err and "Traceback" not in err
 
 
 def test_cv_model_extras_epoch_budget_overrides_cv_settings(tmp_path, monkeypatch):
@@ -680,26 +695,30 @@ def test_train_serial_cv_and_mae_train_load_no_process_pool(tmp_path):
     assert (tmp_path / "mae" / "mae.rbck").exists()
 
 
-def test_only_the_files_module_reads_or_writes_text_files():
-    """CSV tables, JSON files and `Path.read_text`/`write_text` go through
-    `riskbench.files`; `json.dumps` (the config hash) stays allowed elsewhere."""
+@pytest.mark.parametrize("owner, forbidden", [
+    # CSV tables, JSON files and `Path.read_text`/`write_text`; `json.dumps`
+    # (the config hash) stays allowed elsewhere
+    ("files.py", r"^(csv\.(reader|writer)|json\.(load|dump))$|\.(read_text|write_text)$"),
+    ("seeds.py", r"(^|\.)SeedSequence$"),
+    ("gradcore/checkpoint.py", r"(^|\.)(load_checkpoint|load_arrays)$"),
+], ids=["text-io", "seeds", "model-files"])
+def test_only_the_owning_module_makes_these_calls(owner, forbidden):
+    """Each rule has one home: text I/O in `riskbench.files`, seed derivation
+    in `riskbench.seeds`, reading a model's records in `load_model_files`."""
     import ast
+    import re
     from pathlib import Path
 
     import riskbench
 
     src = Path(riskbench.__file__).parent
-    text_io = {("csv", "reader"), ("csv", "writer"), ("json", "load"), ("json", "dump")}
     found = []
     for path in sorted(src.rglob("*.py")):
-        if path == src / "files.py":
+        if path == src / owner:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            func = node.func if isinstance(node, ast.Call) else None
-            if isinstance(func, ast.Attribute) and (
-                    func.attr in ("read_text", "write_text")
-                    or isinstance(func.value, ast.Name) and (func.value.id, func.attr) in text_io):
-                found.append(f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(func)}")
+            if isinstance(node, ast.Call) and re.search(forbidden, ast.unparse(node.func)):
+                found.append(f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node.func)}")
     assert found == []
 
 
@@ -1078,8 +1097,18 @@ def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message
     ("features", "<file>"), ("train", "<file>"), ("cv", "<file>"), ("mae-train", "<file>"),
     ("embed", "<file>"), ("report", "<file>"), ("make-volumes", "<file>"),
 ])
-def test_unwritable_output_exit_3_names_path(tmp_path, capsys, command, target):
-    """An output under a plain file, or in a directory that does not exist."""
+def test_unwritable_output_exit_3_names_path(tmp_path, capsys, monkeypatch, command, target):
+    """An output under a plain file, or in a directory that does not exist;
+    `train` and `cv` find out before they fit any model."""
+    from riskbench.models.base import CifModel
+
+    real_fit, fits = CifModel.fit, []
+
+    def spy_fit(self, *args, **kwargs):
+        fits.append(self.kind)
+        return real_fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(CifModel, "fit", spy_fit)
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n", encoding="utf-8")
     target = blocker if target == "<file>" else tmp_path / target
@@ -1120,6 +1149,7 @@ def test_unwritable_output_exit_3_names_path(tmp_path, capsys, command, target):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: cannot write {target}: ") and "Traceback" not in err
+    assert fits == []
 
 
 @pytest.mark.parametrize("value", ["-1", "-7"])

@@ -24,7 +24,7 @@ from riskbench.mae import (
     train_mae,
     unpatchify,
 )
-from riskbench.mae.model import _plan_seed
+from riskbench.seeds import child_seed
 
 DESK = dict(embed_dim=64, enc_layers=2, dec_layers=1)
 
@@ -328,7 +328,7 @@ def _full_grid_train(vols, cfg, seed):
     steps = []
     for epoch in range(cfg.epochs):
         for vi, (grid, flag) in enumerate(zip(grids, flags)):
-            plan = sample_mask(flag, cfg.mask_ratio, seed=_plan_seed(seed, epoch, vi))
+            plan = sample_mask(flag, cfg.mask_ratio, seed=child_seed(seed, epoch, vi))
             _, loss = model.forward(grid, plan, rng=drop_rng, training=True)
             steps.append(loss.item())
             loss.backward()

@@ -1603,3 +1603,18 @@ def test_load_model_incomplete_sidecar_raises_data_error(tmp_path, damage, match
     sidecar.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=match):
         load_model(path)
+
+
+def test_load_kind_errors_pass_through_unwrapped(tmp_path):
+    """A DataError raised while building from the sidecar keeps its message."""
+    m = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=2, monotone_nodes=2), d=2, n_risks=1)
+    path = tmp_path / "nfg.rbck"
+    m.save(path)
+    with pytest.raises(DataError) as info:
+        DsmModel.load(path)
+    assert str(info.value) == "checkpoint is a 'nfg' model, not 'dsm'"
+    sidecar = tmp_path / "nfg.rbck.json"
+    sidecar.write_text(sidecar.read_text().replace('"nfg"', '"cox"'))
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: unknown model kind 'cox' in checkpoint sidecar"
