@@ -2,8 +2,8 @@
 
 Subcommands: synth, label, features, train, cv, mae-train, embed, report.
 Runs are driven by a JSON config with `--set section.key=value` overrides;
-every key's type and bound is checked before any work, and unknown keys are
-rejected. Every command prints the resolved config hash; outputs carry it
+`riskbench.config` reads it and checks every key's type and bound before any
+work, rejecting unknown keys. Every command prints the resolved config hash; outputs carry it
 for provenance (JSON outputs embed it, CSV and checkpoint outputs get a
 .meta.json sidecar). All randomness derives from the single `seed` key. Exit codes: 0 success,
 2 config error, 3 data error, 4 numeric failure.
@@ -35,6 +35,7 @@ from .cohort import (
     records_from_csv,
     subject_ids,
 )
+from .config import build_config, load_config
 from .errors import ConfigError, DataError, NumericError
 from .features import category_map_from_json, pca_apply, pca_fit, standardize_fit_apply
 from .files import output_dir, read_json_object, write_csv, write_json, write_text
@@ -47,142 +48,8 @@ from .mae import (
     save_volume,
     train_mae,
 )
-from .models import MODEL_KINDS, BaseConfig, build_model
+from .models import build_model
 from .pipeline import CVReport, CvSettings, HParamGrid, emit_report, nested_cv
-
-# ---------------------------------------------------------------------------
-# config handling
-# ---------------------------------------------------------------------------
-
-
-class _Rule(dict):
-    """A config leaf: "type" ("int", "float", "str" or "bool") and a bound, "min" /
-    "max" / "below" (exclusive), "positive" or "choices"; or, for a non-empty list,
-    "items" (each item's rule), "len" and "ordered" (non-decreasing). Numbers are finite."""
-
-    def violation(self, value) -> str | None:
-        """What `value` must be, if it breaks this rule; otherwise None."""
-        if "items" in self:
-            item = _Rule(self["items"])
-            ok = (isinstance(value, list) and len(value) == self.get("len", len(value)) > 0
-                  and not any(map(item.violation, value))
-                  and (not self.get("ordered") or value == sorted(value)))
-            return None if ok else self.noun()
-        if not _TYPES[self["type"]][0](value):
-            return self.noun()
-        ok = (value in self["choices"] if "choices" in self else isinstance(value, (str, bool))
-              or self.get("min", value) <= value <= self.get("max", value)
-              and ("below" not in self or value < self["below"])
-              and (value > 0 or not self.get("positive")))
-        return None if ok else self.bound()
-
-    def noun(self, plural: bool = False) -> str:
-        if "items" in self:
-            ordered = ", in non-decreasing order" if self.get("ordered") else ""
-            return (f"{'lists' if plural else 'a list'} of {self.get('len', 'one or more')} "
-                    f"{_Rule(self['items']).noun(plural=True)}{ordered}")
-        each = plural and len(self) > 1 and f", each {self.bound()}"
-        return _TYPES[self["type"]][1 + plural] + (each or "")
-
-    def bound(self) -> str:
-        if "choices" in self:
-            return "one of " + ", ".join(map(repr, self["choices"]))
-        if "max" in self or "below" in self:
-            high = f"{self['max']}]" if "max" in self else f"{self['below']})"
-            return f"in [{self['min']}, {high}"
-        if self.get("positive"):
-            return "positive"
-        return "non-negative" if self["min"] == 0 else f"at least {self['min']}"
-
-
-_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-              and abs(v) <= sys.float_info.max, "a finite number", "finite numbers"),
-    "str": (lambda v: isinstance(v, str), "a string", "strings"),
-    "bool": (lambda v: isinstance(v, bool), "true or false", "booleans"),
-}
-
-
-def _field_rules(config_class) -> dict:
-    """One rule per config dataclass field: its (string) annotation, bounded by its metadata."""
-    return {f.name: _Rule(type=f.type, **f.metadata) for f in dataclasses.fields(config_class)}
-
-
-_STR, _BOOL = _Rule(type="str"), _Rule(type="bool")
-
-# The keys a dataclass field does not configure; the `data.synthetic`, `grid`,
-# `mae` and `model.extras` sections take the rest from the field metadata.
-_SCHEMA: dict = {
-    "seed": _Rule(type="int", min=0),
-    "workers": _Rule(type="int", min=1),
-    "data": {"cohort_csv": _STR, "features_csv": _STR, "category_map": _STR,
-             "synthetic": {"n": _Rule(type="int", min=1), **_field_rules(SynthSpec)}},
-    "features": {"standardize": _BOOL, "pca_components": _Rule(type="int", min=0)},
-    "model": {"kind": _Rule(type="str", choices=tuple(MODEL_KINDS))},
-    "grid": _field_rules(HParamGrid),
-    "cv": {"k": _Rule(type="int", min=2), "preset": _Rule(type="str", choices=("full", "desk")),
-           "n_iter": _Rule(type="int", min=1), "max_epochs": _Rule(type="int", min=1),
-           "patience": _Rule(type="float", min=0), "modality": _STR,
-           "save_fold_checkpoints": _BOOL},
-    "mae": {"n_phantoms": _Rule(type="int", min=1), "volumes_dir": _STR, "checkpoint": _STR,
-            "dims": _Rule(items={"type": "int", "min": 1}, len=4), **_field_rules(MaeConfig)},
-    "output": {"dir": _STR},
-}
-
-
-def _check_keys(doc: dict, schema: dict, path: str = "", note: str = "") -> None:
-    """Check `doc` against `schema`: a _Rule is a leaf, a dict a section, and a
-    (section, note) pair a section whose errors end with the note."""
-    for key, value in doc.items():
-        where = f"{path}.{key}" if path else key
-        tail = f" ({note}, field {key!r})" if note else ""
-        node = schema.get(key)
-        if node is None:
-            raise ConfigError(f"unknown config key {where!r}{tail}")
-        if isinstance(node, _Rule):
-            if problem := node.violation(value):
-                raise ConfigError(f"{where} must be {problem}, got {value!r}{tail}")
-            continue
-        section, inner = node if isinstance(node, tuple) else (node, "")
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {value!r}{tail}")
-        _check_keys(value, section, where, inner)
-
-
-def _parse_set(override: str) -> tuple[list[str], object]:
-    if "=" not in override:
-        raise ConfigError(f"--set expects section.key=value, got {override!r}")
-    dotted, raw = override.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return dotted.split("."), value
-
-
-def load_config(path: str | None, overrides: list[str]) -> dict:
-    doc: dict = {"seed": 0, "workers": 1}
-    if path is not None:
-        try:
-            doc.update(read_json_object(path))
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
-    for override in overrides or []:
-        keys, value = _parse_set(override)
-        node = doc
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"cannot override through non-object {key!r}")
-        node[keys[-1]] = value
-    model = doc.get("model")
-    kind = str(model.get("kind", "dsm")) if isinstance(model, dict) else "dsm"
-    extras = _field_rules(MODEL_KINDS[kind][1] if kind in MODEL_KINDS else BaseConfig)
-    _check_keys(doc, {**_SCHEMA, "model": {**_SCHEMA["model"],
-                                           "extras": (extras, f"model kind {kind!r}")}})
-    return doc
-
 
 def config_hash(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -224,14 +91,9 @@ def _load_cohort(doc: dict):
 
 def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
     """`data.synthetic`, which load_config has checked, as (spec, n); every key is required."""
-    missing = [key for key in _SCHEMA["data"]["synthetic"] if key not in synth]
-    if missing:
-        raise ConfigError(f"data.synthetic is missing {', '.join(missing)}")
-    spec = {key: value for key, value in synth.items() if key != "n"}
-    try:  # the cross-field rules: one shape, scale and beta row per risk, d betas each
-        return SynthSpec(**spec), synth["n"]
-    except DataError as exc:
-        raise ConfigError(f"data.synthetic: {exc}") from exc
+    if "n" not in synth:
+        raise ConfigError("data.synthetic is missing n")
+    return build_config(SynthSpec, synth, "data.synthetic"), synth["n"]
 
 
 def _model_spec(doc: dict) -> tuple[str, dict]:
@@ -251,7 +113,7 @@ def _cv_settings(doc: dict) -> tuple[CvSettings, int, HParamGrid, str]:
     preset = CvSettings.desk() if desk else CvSettings()
     settings = dataclasses.replace(preset, **chosen, **doc.get("features", {}),
                                    extra_fields=extras or None)
-    grid = HParamGrid(**{key: tuple(value) for key, value in doc.get("grid", {}).items()})
+    grid = build_config(HParamGrid, doc.get("grid", {}), "grid")
     return settings, cv.get("k", 3 if desk else 5), grid, kind
 
 
@@ -269,7 +131,8 @@ def cmd_synth(args) -> int:
     cohort = generate_synthetic(spec, n)
     out = _out_dir(doc) / (args.out or "cohort.csv")
     cohort_to_csv(cohort, out)
-    write_json(f"{out}.spec.json", {"config_hash": digest, "n": n, "spec": spec.to_json()})
+    write_json(f"{out}.spec.json",
+               {"config_hash": digest, "n": n, "spec": dataclasses.asdict(spec)})
     _write_meta(out, "synth", digest)
     print(f"wrote {out} ({cohort.n} subjects, {cohort.n_risks} risks)")
     return 0
@@ -367,16 +230,6 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _mae_config(doc: dict) -> MaeConfig:
-    config = MaeConfig(**{k: v for k, v in doc.get("mae", {}).items()
-                          if k in MaeConfig.__dataclass_fields__})
-    if config.embed_dim % config.heads:
-        raise ConfigError(f"mae.embed_dim must be divisible by mae.heads, "
-                          f"got {config.embed_dim} and {config.heads}")
-    config.patch_size = tuple(config.patch_size)
-    return config
-
-
 def _mae_volumes(doc: dict) -> tuple[list[str], Iterator]:
     """Volume names, and the volumes as an iterator that reads or makes
     one at a time."""
@@ -394,9 +247,10 @@ def _mae_volumes(doc: dict) -> tuple[list[str], Iterator]:
 def cmd_mae_train(args) -> int:
     doc = load_config(args.config, args.set)
     digest = _print_hash(doc)
-    config = _mae_config(doc)
+    config = build_config(MaeConfig, doc.get("mae", {}), "mae")
     _names, volumes = _mae_volumes(doc)
-    model, history = train_mae(volumes, config, seed=doc["seed"])
+    model, history = train_mae(volumes, config, seed=doc["seed"],
+                               before_steps=lambda: _out_dir(doc))
     out = _out_dir(doc) / "mae.rbck"
     model.save(out)
     write_json(out.parent / "mae.history.json", {"config_hash": digest, **history.to_json()})

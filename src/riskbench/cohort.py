@@ -202,7 +202,7 @@ class SynthSpec:
     uniform on [0, horizon].
     """
 
-    d: int = field(metadata={"min": 1})  # bounds as in `models.BaseConfig`
+    d: int = field(metadata={"min": 1})  # metadata bounds: `riskbench.config`
     shapes: list[float] = field(metadata={"items": {"type": "float", "positive": True}})
     scales: list[float] = field(metadata={"items": {"type": "float", "positive": True}})
     betas: list[list[float]] = field(metadata={"items": {"items": {"type": "float"}}})
@@ -212,8 +212,6 @@ class SynthSpec:
     def __post_init__(self):
         if len(self.shapes) != len(self.scales) or len(self.shapes) != len(self.betas):
             raise DataError("shapes, scales and betas must have one entry per risk")
-        if any(k <= 0 for k in self.shapes) or any(s <= 0 for s in self.scales):
-            raise DataError("Weibull shapes and scales must be strictly positive")
         for b in self.betas:
             if len(b) != self.d:
                 raise DataError(f"beta length {len(b)} != feature dim {self.d}")
@@ -221,15 +219,6 @@ class SynthSpec:
     @property
     def n_risks(self) -> int:
         return len(self.shapes)
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "shapes": self.shapes, "scales": self.scales,
-                "betas": self.betas, "horizon": self.horizon, "seed": self.seed}
-
-    @staticmethod
-    def from_json(doc: dict) -> "SynthSpec":
-        return SynthSpec(d=doc["d"], shapes=doc["shapes"], scales=doc["scales"],
-                         betas=doc["betas"], horizon=doc["horizon"], seed=doc["seed"])
 
 
 def latent_times(spec: SynthSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import contextlib
 import tempfile
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..config import build_config
 from ..errors import DataError, NumericError
 from ..gradcore import (
     AdamState,
@@ -75,7 +76,7 @@ class MaeConfig:
     embed_dim: int = field(default=64, metadata={"min": 1})
     enc_layers: int = field(default=2, metadata={"min": 0})
     dec_layers: int = field(default=1, metadata={"min": 0})
-    heads: int = field(default=4, metadata={"min": 1})
+    heads: int = field(default=4, metadata={"min": 1, "divides": "embed_dim"})
     mlp_ratio: int = field(default=4, metadata={"min": 1})
     patch_size: tuple = field(default=(15, 10, 10),
                               metadata={"items": {"type": "int", "min": 1}, "len": 3})
@@ -164,11 +165,8 @@ class MaeModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MaeModel":
-        def build(sidecar: dict) -> "MaeModel":
-            config = sidecar["config"]  # patch_size is required: no default fits every checkpoint
-            return cls(MaeConfig(**{**config, "patch_size": tuple(config["patch_size"])}))
-
-        return load_model_files(path, build)
+        return load_model_files(path, lambda sidecar: cls(
+            build_config(MaeConfig, sidecar["config"], "config", complete=True)))
 
 
 @dataclass
@@ -180,12 +178,14 @@ class MaeHistory:
         return {"epoch_losses": self.epoch_losses, "step_losses": self.step_losses}
 
 
-def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
+def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0,
+              before_steps: Callable[[], object] | None = None):
     """Train on volumes read once, in order; one step per volume per epoch
     with a fresh seed-derived mask plan. Returns (model, history).
 
     Every volume is cut down to its foreground rows before the first step,
-    so a bad volume raises DataError before any training. The rows go to
+    so a bad volume raises DataError before any training; `before_steps()`
+    runs after that checking pass and before the first step. The rows go to
     one anonymous temporary file under `tempfile.gettempdir()` (`TMPDIR`),
     and each step reads one volume's rows back into one reused buffer, so
     memory does not grow with the number of volumes. The file has no name
@@ -199,6 +199,8 @@ def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0):
     model = MaeModel(config, seed=seed)
     with _RowSpill(config.embed_dim, model.patch_voxels) as spill:
         _spill_foreground_rows(model, volumes, spill)
+        if before_steps is not None:
+            before_steps()
         adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
         drop_rng = rng_stream(seed, 0xD0)
         losses: list[float] = []

@@ -7,11 +7,7 @@ from .deephit import DeepHitConfig, DeepHitModel
 from .dsm import DsmConfig, DsmModel
 from .nfg import NfgConfig, NfgModel
 
-MODEL_KINDS = {
-    "dsm": (DsmModel, DsmConfig),
-    "nfg": (NfgModel, NfgConfig),
-    "deephit": (DeepHitModel, DeepHitConfig),
-}
+MODEL_KINDS = {m.kind: (m, m.config_class) for m in (DsmModel, NfgModel, DeepHitModel)}
 
 
 def build_model(kind: str, **config_fields) -> CifModel:

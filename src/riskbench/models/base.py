@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cohort import Cohort, holdout_split
+from ..config import build_config
 from ..errors import DataError, NumericError
 from ..gradcore import MLP, AdamState, ParamGraph, Tensor, adam_step, clamp_min, mul, tlog, tsum
 from ..gradcore import add as tadd
@@ -46,7 +47,7 @@ CHUNK_ROWS = 2048
 
 @dataclass
 class BaseConfig:
-    """Training settings; each field's metadata bounds it for the CLI check (`cli._Rule`)."""
+    """Training settings; each field's metadata bounds it (`riskbench.config`)."""
 
     lr: float = field(default=1e-3, metadata={"positive": True})
     batch_size: int = field(default=256, metadata={"min": 1})
@@ -310,7 +311,7 @@ class CifModel:
         """The model a checkpoint sidecar describes, its parameters not yet loaded."""
         if sidecar.get("kind") != cls.kind:
             raise DataError(f"checkpoint is a {sidecar.get('kind')!r} model, not {cls.kind!r}")
-        model = cls(cls.config_class(**sidecar["config"]))
+        model = cls(build_config(cls.config_class, sidecar["config"], "config", complete=True))
         model.n_risks = sidecar["n_risks"]
         model.d = sidecar["d"]
         model.t_scale = sidecar["t_scale"]

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError
 from ..gradcore import (
     Tensor,
     logsumexp,
@@ -88,11 +87,6 @@ class DsmModel(CifModel):
 
     kind = "dsm"
     config_class = DsmConfig
-
-    def __init__(self, config: DsmConfig | None = None):
-        super().__init__(config)
-        if self.config.distribution not in ("weibull", "lognormal"):
-            raise DataError(f"unknown primitive distribution {self.config.distribution!r}")
 
     # -- construction -------------------------------------------------------
 

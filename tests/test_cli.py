@@ -6,6 +6,7 @@ import pytest
 
 from riskbench.cli import _load_cohort, main
 from riskbench.cohort import Cohort, SynthSpec, cohort_from_csv, cohort_to_csv, oracle_cif
+from riskbench.config import build_config
 from riskbench.mae import MaeConfig, MaeModel
 
 DESK_CV = {
@@ -50,7 +51,7 @@ def test_synth_spec_sidecar_reproduces_oracle(tmp_path):
     cfg = _write_config(tmp_path, doc)
     main(["synth", "--config", cfg])
     sidecar = json.loads((tmp_path / "out" / "cohort.csv.spec.json").read_text())
-    spec = SynthSpec.from_json(sidecar["spec"])
+    spec = build_config(SynthSpec, sidecar["spec"], "spec", complete=True)
     x = np.array([0.5, -0.2, 0.1, 0.0])
     direct = SynthSpec(d=4, shapes=[1.4, 2.2], scales=[6.0, 8.0],
                        betas=[[1.2, 0, 0, 0], [0, 1.2, 0, 0]],
@@ -508,6 +509,8 @@ _BAD_MAE_CONFIG = {
     "<config: no patch_size>": lambda config: {k: v for k, v in config.items()
                                                if k != "patch_size"},
     "<config: patch_size not a list>": lambda config: {**config, "patch_size": 5},
+    "<config: no threshold>": lambda config: {k: v for k, v in config.items()
+                                              if k != "threshold"},
 }
 
 
@@ -698,13 +701,18 @@ def test_train_serial_cv_and_mae_train_load_no_process_pool(tmp_path):
 @pytest.mark.parametrize("owner, forbidden", [
     # CSV tables, JSON files and `Path.read_text`/`write_text`; `json.dumps`
     # (the config hash) stays allowed elsewhere
-    ("files.py", r"^(csv\.(reader|writer)|json\.(load|dump))$|\.(read_text|write_text)$"),
-    ("seeds.py", r"(^|\.)SeedSequence$"),
-    ("gradcore/checkpoint.py", r"(^|\.)(load_checkpoint|load_arrays)$"),
-], ids=["text-io", "seeds", "model-files"])
+    ("files.py", r"^(csv\.(reader|writer)|json\.(load|dump))\(|\.(read_text|write_text)\("),
+    ("seeds.py", r"(^|\.)SeedSequence\("),
+    ("gradcore/checkpoint.py", r"(^|\.)(load_checkpoint|load_arrays)\("),
+    # a config class called with a `**` mapping; `build_model(kind, **fields)`
+    # builds from keyword arguments, the search's sampled values among them
+    ("config.py", r"(^|\.)(SynthSpec|HParamGrid|\w+Config|config_class)\(\*\*"),
+], ids=["text-io", "seeds", "model-files", "config"])
 def test_only_the_owning_module_makes_these_calls(owner, forbidden):
     """Each rule has one home: text I/O in `riskbench.files`, seed derivation
-    in `riskbench.seeds`, reading a model's records in `load_model_files`."""
+    in `riskbench.seeds`, reading a model's records in `load_model_files`,
+    building a config dataclass from a document in `build_config`. A call
+    reads as `name()`, or `name(**)` when one of its arguments is `**`."""
     import ast
     import re
     from pathlib import Path
@@ -717,8 +725,12 @@ def test_only_the_owning_module_makes_these_calls(owner, forbidden):
         if path == src / owner:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and re.search(forbidden, ast.unparse(node.func)):
-                found.append(f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node.func)}")
+            if not isinstance(node, ast.Call):
+                continue
+            stars = "**" if any(keyword.arg is None for keyword in node.keywords) else ""
+            call = f"{ast.unparse(node.func)}({stars})"
+            if re.search(forbidden, call):
+                found.append(f"{path.relative_to(src)}:{node.lineno}: {call}")
     assert found == []
 
 
@@ -808,17 +820,17 @@ def test_training_budget_below_minimum_exit_2(tmp_path, capsys, command, key, va
 
 def _schema_leaves():
     """(model kind or None, dotted path, rule) for every leaf of the final schema."""
-    from riskbench.cli import _SCHEMA, _field_rules, _Rule
+    from riskbench.config import _field_rules, _Rule, _run_schema
     from riskbench.models import MODEL_KINDS
 
     def walk(section, path):
         for key, node in section.items():
             if isinstance(node, _Rule):
                 yield None, path + [key], node
-            else:
+            elif isinstance(node, dict):  # not `model.extras`, which depends on the kind
                 yield from walk(node, path + [key])
 
-    leaves = list(walk(_SCHEMA, []))
+    leaves = list(walk(_run_schema("dsm"), []))
     for kind, (_model, config_class) in MODEL_KINDS.items():
         leaves += [(kind, ["model", "extras", name], rule)
                    for name, rule in _field_rules(config_class).items()]
@@ -1006,13 +1018,14 @@ def _shipped_configs():
 @pytest.mark.parametrize("name, doc", _shipped_configs(), ids=lambda v: v if isinstance(v, str)
                          else "")
 def test_schema_accepts_every_shipped_config(tmp_path, name, doc):
-    from riskbench.cli import _cv_settings, _mae_config, _synth_spec, load_config
+    from riskbench.cli import _cv_settings, _synth_spec
+    from riskbench.config import load_config
 
     loaded = load_config(_write_config(tmp_path, doc), [])
     assert loaded == {"seed": 0, "workers": 1, **doc}
     _cv_settings(loaded)
     if "mae" in loaded:
-        _mae_config(loaded)
+        build_config(MaeConfig, loaded["mae"], "mae")
     if "synthetic" in loaded.get("data", {}):
         _synth_spec(loaded["data"]["synthetic"])
 
@@ -1099,16 +1112,22 @@ def test_unreadable_input_file_exit_3_names_path(tmp_path, capsys, case, message
 ])
 def test_unwritable_output_exit_3_names_path(tmp_path, capsys, monkeypatch, command, target):
     """An output under a plain file, or in a directory that does not exist;
-    `train` and `cv` find out before they fit any model."""
+    `train` and `cv` find out before they fit any model, and `mae-train`
+    before its first training step."""
     from riskbench.models.base import CifModel
 
-    real_fit, fits = CifModel.fit, []
+    real_fit, real_forward, fits = CifModel.fit, MaeModel.forward, []
 
     def spy_fit(self, *args, **kwargs):
         fits.append(self.kind)
         return real_fit(self, *args, **kwargs)
 
+    def spy_forward(self, *args, **kwargs):
+        fits.append("mae")
+        return real_forward(self, *args, **kwargs)
+
     monkeypatch.setattr(CifModel, "fit", spy_fit)
+    monkeypatch.setattr(MaeModel, "forward", spy_forward)
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n", encoding="utf-8")
     target = blocker if target == "<file>" else tmp_path / target

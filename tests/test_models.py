@@ -1591,7 +1591,8 @@ def test_model_load_reads_checkpoint_then_sidecar_once_each(tmp_path, monkeypatc
     (lambda doc: doc.pop("n_risks"), "lacks 'n_risks'"),
     (lambda doc: doc.pop("d"), "lacks 'd'"),
     (lambda doc: doc.pop("t_scale"), "lacks 't_scale'"),
-    (lambda doc: doc["config"].update(bogus=1), "bad checkpoint sidecar .*'bogus'"),
+    (lambda doc: doc["config"].update(bogus=1),
+     r"bad checkpoint sidecar \(unknown config key 'config\.bogus'\)"),
 ])
 def test_load_model_incomplete_sidecar_raises_data_error(tmp_path, damage, match):
     m = _bare(NfgModel, _tiny_cfg(NfgConfig, nodes=2, monotone_nodes=2), d=2, n_risks=1)
@@ -1603,6 +1604,32 @@ def test_load_model_incomplete_sidecar_raises_data_error(tmp_path, damage, match
     sidecar.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=match):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind, change, key", [
+    ("nfg", {"dropout": 2.0}, "config.dropout must be in [0, 1)"),
+    ("deephit", {"sigma": 0.0}, "config.sigma must be at least 0.002"),
+    ("deephit", {"alpha": -1}, "config.alpha must be non-negative"),
+    ("nfg", {"monotone_nodes": 32.5}, "config.monotone_nodes must be an integer"),
+    ("dsm", {"k": 0}, "config.k must be at least 1"),
+    ("dsm", {"warmup_iters": None}, "config is missing warmup_iters"),
+    ("nfg", {"lr": None}, "config is missing lr"),
+    ("deephit", {"bins": None}, "config is missing bins"),
+])
+def test_load_model_sidecar_config_breaking_a_rule_raises_data_error(tmp_path, kind, change,
+                                                                     key):
+    """A sidecar's `config` holds every field, each within the bound a run config's has."""
+    path = tmp_path / f"{kind}.rbck"
+    edges = np.linspace(1, 8, 8) if kind == "deephit" else None
+    _bare(MODELS[kind], FIT_CONFIGS[kind](), d=2, n_risks=2, edges=edges).save(path)
+    sidecar = tmp_path / f"{kind}.rbck.json"
+    doc = json.loads(sidecar.read_text())
+    doc["config"].update(change)
+    doc["config"] = {k: v for k, v in doc["config"].items() if v is not None}
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}.json: ") and key in str(info.value)
 
 
 def test_load_kind_errors_pass_through_unwrapped(tmp_path):
