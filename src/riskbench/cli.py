@@ -12,13 +12,13 @@ for provenance (JSON outputs embed it, CSV and checkpoint outputs get a
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as dt
 import hashlib
 import json
 import math
 import sys
 from collections.abc import Iterator
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,15 @@ from .mae import (
     train_mae,
 )
 from .models import build_model
-from .pipeline import CVReport, CvSettings, HParamGrid, emit_report, nested_cv
+from .pipeline import (
+    CV_PRESETS,
+    CVReport,
+    CvSettings,
+    FoldResult,
+    HParamGrid,
+    emit_report,
+    nested_cv,
+)
 
 def config_hash(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -91,9 +99,7 @@ def _load_cohort(doc: dict):
 
 def _synth_spec(synth: dict) -> tuple[SynthSpec, int]:
     """`data.synthetic`, which load_config has checked, as (spec, n); every key is required."""
-    if "n" not in synth:
-        raise ConfigError("data.synthetic is missing n")
-    return build_config(SynthSpec, synth, "data.synthetic"), synth["n"]
+    return build_config(SynthSpec, synth, "data.synthetic", needs=("n",)), synth["n"]
 
 
 def _model_spec(doc: dict) -> tuple[str, dict]:
@@ -103,18 +109,15 @@ def _model_spec(doc: dict) -> tuple[str, dict]:
 
 
 def _cv_settings(doc: dict) -> tuple[CvSettings, int, HParamGrid, str]:
-    """(settings, k, grid, model kind) of a `cv` run; k is `cv.k`, else the
-    preset's (desk 3, full 5)."""
+    """(settings, k, grid, model kind) of a `cv` run: the `cv` and `features`
+    sections over the values of the preset `cv.preset` (`CV_PRESETS`)."""
     cv = doc.get("cv", {})
     kind, extras = _model_spec(doc)
-    chosen = {key: cv[key] for key in ("n_iter", "max_epochs", "patience", "modality")
-              if key in cv}
-    desk = cv.get("preset") == "desk"
-    preset = CvSettings.desk() if desk else CvSettings()
-    settings = dataclasses.replace(preset, **chosen, **doc.get("features", {}),
-                                   extra_fields=extras or None)
+    chosen = {**CV_PRESETS[cv.get("preset", "full")], **cv, **doc.get("features", {})}
+    settings = build_config(CvSettings, chosen, "cv")
+    settings.extra_fields = extras or None
     grid = build_config(HParamGrid, doc.get("grid", {}), "grid")
-    return settings, cv.get("k", 3 if desk else 5), grid, kind
+    return settings, chosen["k"], grid, kind
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(doc) / (args.out or "cohort.csv")
     cohort_to_csv(cohort, out)
     write_json(f"{out}.spec.json",
-               {"config_hash": digest, "n": n, "spec": dataclasses.asdict(spec)})
+               {"config_hash": digest, "n": n, "spec": asdict(spec)})
     _write_meta(out, "synth", digest)
     print(f"wrote {out} ({cohort.n} subjects, {cohort.n_risks} risks)")
     return 0
@@ -197,7 +200,7 @@ def cmd_train(args) -> int:
     out = _out_dir(doc) / f"{kind}.rbck"
     history = model.fit(cohort, seed=doc["seed"])
     model.save(out)
-    write_json(out.parent / f"{kind}.history.json", {"config_hash": digest, **history.to_json()})
+    write_json(out.parent / f"{kind}.history.json", {"config_hash": digest, **asdict(history)})
     _write_meta(out, "train", digest)
     print(f"wrote {out} (best epoch {history.best_epoch})")
     return 0
@@ -220,7 +223,7 @@ def cmd_cv(args) -> int:
     report = nested_cv(cohort, kind, grid=grid, k=k,
                        seed=doc["seed"], settings=settings,
                        workers=doc.get("workers", 1))
-    write_json(out / "report.json", {"config_hash": digest, "report": report.to_json()})
+    write_json(out / "report.json", {"config_hash": digest, "report": asdict(report)})
     markdown, _table = emit_report([report])
     write_text(out / "report.md", f"config_hash={digest}\n\n" + markdown)
     for name in report.risk_names:
@@ -253,7 +256,7 @@ def cmd_mae_train(args) -> int:
                                before_steps=lambda: _out_dir(doc))
     out = _out_dir(doc) / "mae.rbck"
     model.save(out)
-    write_json(out.parent / "mae.history.json", {"config_hash": digest, **history.to_json()})
+    write_json(out.parent / "mae.history.json", {"config_hash": digest, **asdict(history)})
     _write_meta(out, "mae-train", digest)
     print(f"wrote {out} (final epoch loss {history.epoch_losses[-1]:.6f})")
     return 0
@@ -283,7 +286,8 @@ def _read_report(path: str) -> CVReport:
     mean/lo/hi aggregate cell per risk name; anything else is a DataError."""
     doc = read_json_object(path)
     try:
-        report = CVReport.from_json(doc.get("report", doc))
+        report = CVReport(**doc.get("report", doc))
+        report.folds = [FoldResult(**fold) for fold in report.folds]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a cv report ({type(exc).__name__}: {exc})") from exc
     if not isinstance(report.aggregate, dict) or not isinstance(report.risk_names, list):

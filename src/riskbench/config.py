@@ -18,7 +18,8 @@ class _Rule(dict):
     """A config leaf: "type" ("int", "float", "str" or "bool") and a bound, "min" /
     "max" / "below" (exclusive), "positive" or "choices"; or, for a non-empty list,
     "items" (each item's rule), "len" and "ordered" (non-decreasing). Numbers are finite.
-    A field's "divides" names the field that must be a multiple of it (`build_config`)."""
+    A field's "divides" names the field that must be a multiple of it (`build_config`),
+    and its "section" the run config section that holds it, if not its class's own."""
 
     def violation(self, value) -> str | None:
         """What `value` must be, if it breaks this rule; otherwise None."""
@@ -65,8 +66,11 @@ _TYPES = {
 
 
 def _field_rules(config_class) -> dict:
-    """One rule per config dataclass field: its (string) annotation, bounded by its metadata."""
-    return {f.name: _Rule(type=f.type, **f.metadata) for f in dataclasses.fields(config_class)}
+    """One rule per config dataclass field: its (string) annotation, bounded by its
+    metadata. A field annotated with no rule type (such as `CvSettings`' run-time
+    `dict | None`) has no rule and is no config key."""
+    return {f.name: _Rule(type=f.type, **f.metadata) for f in dataclasses.fields(config_class)
+            if f.type in _TYPES or "items" in f.metadata}
 
 
 _STR, _BOOL = _Rule(type="str"), _Rule(type="bool")
@@ -78,21 +82,23 @@ def _run_schema(kind: str) -> dict:
     from .cohort import SynthSpec
     from .mae import MaeConfig
     from .models import MODEL_KINDS, BaseConfig
-    from .pipeline import HParamGrid
+    from .pipeline import CV_PRESETS, CvSettings, HParamGrid
 
+    settings = _field_rules(CvSettings)
+    features = {key: rule for key, rule in settings.items() if rule.get("section") == "features"}
     extras = _field_rules(MODEL_KINDS[kind][1] if kind in MODEL_KINDS else BaseConfig)
     return {
         "seed": _Rule(type="int", min=0),
         "workers": _Rule(type="int", min=1),
         "data": {"cohort_csv": _STR, "features_csv": _STR, "category_map": _STR,
                  "synthetic": {"n": _Rule(type="int", min=1), **_field_rules(SynthSpec)}},
-        "features": {"standardize": _BOOL, "pca_components": _Rule(type="int", min=0)},
+        "features": features,
         "model": {"kind": _Rule(type="str", choices=tuple(MODEL_KINDS)),
                   "extras": (extras, f"model kind {kind!r}")},
         "grid": _field_rules(HParamGrid),
-        "cv": {"k": _Rule(type="int", min=2), "preset": _Rule(type="str", choices=("full", "desk")),
-               "n_iter": _Rule(type="int", min=1), "max_epochs": _Rule(type="int", min=1),
-               "patience": _Rule(type="float", min=0), "modality": _STR,
+        "cv": {"k": _Rule(type="int", min=2),
+               "preset": _Rule(type="str", choices=tuple(CV_PRESETS)),
+               **{key: rule for key, rule in settings.items() if key not in features},
                "save_fold_checkpoints": _BOOL},
         "mae": {"n_phantoms": _Rule(type="int", min=1), "volumes_dir": _STR, "checkpoint": _STR,
                 "dims": _Rule(items={"type": "int", "min": 1}, len=4), **_field_rules(MaeConfig)},
@@ -153,19 +159,21 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return doc
 
 
-def build_config(config_class, doc, where: str, complete: bool = False):
-    """`doc` as a `config_class`: each field checked by its rule (a list becomes a
-    tuple for a tuple field), then the cross-field rules, "divides" and the class's
-    `__post_init__`. A run config section may leave out fields that have defaults
-    and holds keys of its own, which `load_config` checks; a `complete` document
-    (a sidecar's `config`) holds every field and nothing else. Raises ConfigError."""
+def build_config(config_class, doc, where: str, complete: bool = False, needs: tuple = ()):
+    """`doc` as a `config_class`: each field that has a rule checked by it (a list
+    becomes a tuple for a tuple field), then the cross-field rules, "divides" and
+    the class's `__post_init__`. A run config section may leave out fields that
+    have defaults and holds keys of its own, which `load_config` checks; a
+    `complete` document (a sidecar's `config`) holds every field and nothing else.
+    `needs` names keys of the section's own that must be present too; a missing
+    one is listed before the missing fields. Raises ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object, got {doc!r}")
     rules = _field_rules(config_class)
     _check_keys(doc if complete else {k: v for k, v in doc.items() if k in rules}, rules, where)
-    fields = dataclasses.fields(config_class)
-    if missing := [f.name for f in fields
-                   if f.name not in doc and (complete or f.default is dataclasses.MISSING)]:
+    fields = [f for f in dataclasses.fields(config_class) if f.name in rules]
+    required = [*needs, *(f.name for f in fields if complete or f.default is dataclasses.MISSING)]
+    if missing := [key for key in required if key not in doc]:
         raise ConfigError(f"{where} is missing {', '.join(missing)}")
     try:
         config = config_class(**{f.name: tuple(doc[f.name]) if f.type == "tuple" else doc[f.name]

@@ -289,9 +289,6 @@ class ParamGraph:
                 )
             t.data[...] = src
 
-    def __len__(self):
-        return len(self.params)
-
 
 # ---------------------------------------------------------------------------
 # primitive operations

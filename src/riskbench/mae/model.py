@@ -174,9 +174,6 @@ class MaeHistory:
     epoch_losses: list[float]
     step_losses: list[float]
 
-    def to_json(self) -> dict:
-        return {"epoch_losses": self.epoch_losses, "step_losses": self.step_losses}
-
 
 def train_mae(volumes: Iterable[Volume4D], config: MaeConfig, seed: int = 0,
               before_steps: Callable[[], object] | None = None):

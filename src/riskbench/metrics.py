@@ -16,7 +16,6 @@ ValueError that callers can tell apart from a failed model query.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +37,6 @@ class CtdResult:
     pairs: int
     risk: int
     horizon: float
-
-    def to_json(self) -> dict:
-        return {"risk": self.risk, "ctd": self.value, "pairs": self.pairs,
-                "horizon": self.horizon}
-
-    def __str__(self):
-        return json.dumps(self.to_json())
 
 
 def cif_score_matrix(model, cohort, r: int) -> np.ndarray:

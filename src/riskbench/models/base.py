@@ -80,12 +80,6 @@ class TrainHistory:
     warmup_iters: int = 0
     warmup_stop: str = "none"
 
-    def to_json(self) -> dict:
-        return {"epochs": [asdict(e) for e in self.epochs],
-                "best_epoch": self.best_epoch, "best_valid": self.best_valid,
-                "clamped_terms": self.clamped_terms, "warmup_iters": self.warmup_iters,
-                "warmup_stop": self.warmup_stop}
-
 
 def evaluate_pairs(fn, ti: np.ndarray, ri: np.ndarray) -> np.ndarray:
     """fn over the pairs (ti[k], ri[k]), in order, one value per pair.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,19 +147,6 @@ class CVReport:
     aggregate: dict[str, dict]
     audit: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"model_kind": self.model_kind, "modality": self.modality,
-                "risk_names": self.risk_names, "k": self.k, "seed": self.seed,
-                "folds": [asdict(f) for f in self.folds],
-                "aggregate": self.aggregate, "audit": self.audit}
-
-    @staticmethod
-    def from_json(doc: dict) -> "CVReport":
-        return CVReport(doc["model_kind"], doc["modality"], doc["risk_names"],
-                        doc["k"], doc["seed"],
-                        [FoldResult(**f) for f in doc["folds"]],
-                        doc["aggregate"], doc.get("audit", {}))
-
 
 def _t_coverage(theta: float, df: int) -> float:
     """P(|T| <= sqrt(df) tan(theta)) for Student's t with integer df >= 1.
@@ -218,21 +205,29 @@ def t_confidence_interval(values: list[float], level: float = 0.95) -> dict:
             "sd": sd}
 
 
+# `cv.preset`: the fold count and search budget of each preset, which the
+# `cv` section's keys override; CvSettings' defaults are the full preset's
+CV_PRESETS = {"full": {"k": 5, "n_iter": 100, "max_epochs": 1000},
+              "desk": {"k": 3, "n_iter": 10, "max_epochs": 100}}
+
+
 @dataclass
 class CvSettings:
-    n_iter: int = 100
-    max_epochs: int = 1000
-    patience: float = 10
-    standardize: bool = True
-    pca_components: int = 0  # 0 disables per-fold PCA
+    """One nested-CV run's settings. Each field but the run-time ones
+    (`categories`, `extra_fields`, `checkpoint_dir`) is a key of the run
+    config's `cv` section, or of the section its "section" metadata names,
+    and its bounds live in its field metadata (`riskbench.config`)."""
+
+    n_iter: int = field(default=CV_PRESETS["full"]["n_iter"], metadata={"min": 1})
+    max_epochs: int = field(default=CV_PRESETS["full"]["max_epochs"], metadata={"min": 1})
+    patience: float = field(default=10, metadata={"min": 0})
+    standardize: bool = field(default=True, metadata={"section": "features"})
+    # 0 disables per-fold PCA
+    pca_components: int = field(default=0, metadata={"section": "features", "min": 0})
     categories: list[str] | None = None
     extra_fields: dict | None = None
     modality: str = "features"
     checkpoint_dir: str | None = None
-
-    @staticmethod
-    def desk() -> "CvSettings":
-        return CvSettings(n_iter=10, max_epochs=100)
 
 
 def _fold_features(train: Cohort, test: Cohort, settings: CvSettings):
@@ -248,8 +243,9 @@ def _fold_features(train: Cohort, test: Cohort, settings: CvSettings):
     return train.with_features(tr, names), test.with_features(te, names)
 
 
-def run_fold(payload: tuple) -> dict:
-    """One outer fold: inner search, refit, test scoring. Pickle-friendly."""
+def run_fold(payload: tuple) -> tuple[FoldResult, int, list]:
+    """One outer fold: inner search, refit, test scoring. Pickle-friendly.
+    Returns the fold's result and its leakage audit's fit count and leaks."""
     cohort, fold_ids, model_kind, grid, settings, seed, fold_idx = payload
     fold_id_set = frozenset(fold_ids)
     in_test = np.array([sid in fold_id_set for sid in cohort.ids], dtype=bool)
@@ -262,7 +258,7 @@ def run_fold(payload: tuple) -> dict:
             train_t, 0.10, seed=child_seed(seed, fold_idx, 1))
         shared = {"max_epochs": settings.max_epochs, "patience": settings.patience,
                   **(settings.extra_fields or {})}
-        best, search_log = random_search(
+        best, _info = random_search(
             grid, settings.n_iter, inner_train, inner_valid, model_kind,
             seed=child_seed(seed, fold_idx, 2), shared_fields=shared)
         refit_train, refit_valid = holdout_split(
@@ -276,9 +272,7 @@ def run_fold(payload: tuple) -> dict:
         res = ctd_index(test_t, model, r=r)
         ctd[name] = res.value
         pairs[name] = res.pairs
-    return {"fold": fold_idx, "chosen": best, "ctd": ctd, "pairs": pairs,
-            "best_epoch": history.best_epoch, "search": search_log,
-            "audit_fits": audit.fits, "leaks": audit.leaks}
+    return FoldResult(fold_idx, best, ctd, pairs, history.best_epoch), audit.fits, audit.leaks
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -326,19 +320,16 @@ def nested_cv(cohort: Cohort, model_kind: str, grid: HParamGrid | None = None,
         results = _pool_map(run_fold, payloads, workers)
     else:
         results = [run_fold(p) for p in payloads]
-    results.sort(key=lambda r: r["fold"])
-    leaks = [leak for r in results for leak in r["leaks"]]
+    fold_results, fits, fold_leaks = zip(*results)
+    leaks = [leak for some in fold_leaks for leak in some]
     if leaks:
         raise RuntimeError(f"leakage audit failed: test ids reached fits {leaks}")
-    fold_results = [FoldResult(r["fold"], r["chosen"], r["ctd"], r["pairs"],
-                               r["best_epoch"]) for r in results]
     aggregate = {
         name: t_confidence_interval([f.ctd[name] for f in fold_results])
         for name in cohort.risk_names
     }
-    audit = {"fits": int(sum(r["audit_fits"] for r in results)), "leaks": 0}
     return CVReport(model_kind, settings.modality, list(cohort.risk_names),
-                    k, seed, fold_results, aggregate, audit)
+                    k, seed, list(fold_results), aggregate, {"fits": int(sum(fits)), "leaks": 0})
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,8 @@ def test_cv_model_extras_epoch_budget_overrides_cv_settings(tmp_path, monkeypatc
     ({"horizon": 0.0}, "synthetic.horizon must"),
     ({"scales": [6.0]}, "data.synthetic: shapes, scales and betas must have one entry per risk"),
     ({"betas": [[1.2, 0, 0, 0], [0, 1.2, 0]]}, "data.synthetic: beta length 3 != feature dim 4"),
+    ({key: None for key in ("n", "shapes", "scales", "betas", "horizon", "seed")},
+     "data.synthetic is missing n, shapes, scales, betas, horizon, seed"),
 ])
 def test_bad_synthetic_spec_exit_2(tmp_path, capsys, command, change, message):
     synth = {**DESK_CV["data"]["synthetic"], **change}
@@ -706,7 +708,7 @@ def test_train_serial_cv_and_mae_train_load_no_process_pool(tmp_path):
     ("gradcore/checkpoint.py", r"(^|\.)(load_checkpoint|load_arrays)\("),
     # a config class called with a `**` mapping; `build_model(kind, **fields)`
     # builds from keyword arguments, the search's sampled values among them
-    ("config.py", r"(^|\.)(SynthSpec|HParamGrid|\w+Config|config_class)\(\*\*"),
+    ("config.py", r"(^|\.)(SynthSpec|HParamGrid|CvSettings|\w+Config|config_class)\(\*\*"),
 ], ids=["text-io", "seeds", "model-files", "config"])
 def test_only_the_owning_module_makes_these_calls(owner, forbidden):
     """Each rule has one home: text I/O in `riskbench.files`, seed derivation
@@ -763,6 +765,10 @@ def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     ("{not json", "invalid JSON"),
     ("<random bytes>", "invalid JSON"),
     ('{"report": {"modality": "synthetic"}}', "model_kind"),
+    (json.dumps({"report": {"model_kind": "nfg", "modality": "synthetic", "k": 3, "seed": 0,
+                            "risk_names": ["risk_1"], "folds": [], "bogus": 1,
+                            "aggregate": {"risk_1": {"mean": 0.7, "lo": 0.6, "hi": 0.8}}}}),
+     "unexpected keyword argument 'bogus'"),
     ("[1, 2]", "JSON object"),
 ])
 def test_report_bad_input_exit_3(tmp_path, capsys, text, message):

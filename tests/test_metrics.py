@@ -169,12 +169,6 @@ def test_random_scores_near_half_on_large_cohort():
     assert abs(np.mean(values) - 0.5) < 3.0 / np.sqrt(pairs)
 
 
-def test_metric_record_json_keys():
-    cohort = _cohort([1.0, 2.0], [1, 0], n_risks=1)
-    res = ctd_index(cohort, scores=np.array([[0.8, 0.2], [0.0, 0.0]]), r=1)
-    assert res.to_json() == {"risk": 1, "ctd": 1.0, "pairs": 1, "horizon": 2.0}
-
-
 def test_cif_score_matrix_queries_event_times_once_per_risk():
     cohort = _cohort([3.0, 2.0, 1.0, 4.0, 2.5], [1, 0, 2, 1, 2], n_risks=2)
 

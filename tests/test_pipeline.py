@@ -273,7 +273,7 @@ def test_nested_cv_desk_run_and_determinism():
     cohort = _cohort(240, seed=31)
     report = nested_cv(cohort, "nfg", k=3, seed=9, settings=_fast_settings())
     again = nested_cv(cohort, "nfg", k=3, seed=9, settings=_fast_settings())
-    assert report.to_json() == again.to_json()
+    assert report == again
     assert len(report.folds) == 3
     assert report.audit["leaks"] == 0
     for name in cohort.risk_names:
